@@ -11,7 +11,8 @@ import sys
 
 import click
 
-from .engine import (Caps, SamplingPlan, find_extremal, verify_exhaustive,
+from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, Caps, SamplingPlan,
+                     find_extremal, size_bound, verify_exhaustive,
                      verify_sampled)
 from .factor_system import build_factor_system, factor_system_json
 from .groups import (GroupBuildError, SubsetMask, build_group, validate_group)
@@ -87,7 +88,8 @@ def _fmt_p(p) -> str:
 @click.option("--max-a", type=int, default=None, help="Capped mode: max |A|.")
 @click.option("--max-b", type=int, default=None, help="Capped mode: max |B|.")
 @click.option("--sum-cap", type=int, default=None, help="Capped mode: max |A|+|B|.")
-@click.option("--exhaustive-limit", type=int, default=11, show_default=True,
+@click.option("--exhaustive-limit", type=int, default=EXHAUSTIVE_DEFAULT_LIMIT,
+              show_default=True,
               help="Largest order allowed for full enumeration.")
 @click.option("--workers", type=int, default=None,
               help="Worker threads (default: SUMSETLAB_WORKERS or CPU count).")
@@ -209,8 +211,7 @@ def extremal(spec, size_a, size_b, limit, as_json, out_path):
         pairs = find_extremal(g, size_a, size_b, limit=limit)
     except ValueError as exc:
         _fail(str(exc))
-    from .structure import minimal_torsion
-    bound = int(min(minimal_torsion(g), size_a + size_b - 1))
+    bound = size_bound(g, size_a, size_b)
     payload = {
         "schema": "sumsetlab.extremal/1",
         "group": g.label,

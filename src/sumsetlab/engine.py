@@ -6,22 +6,34 @@ min(p, |A| + |B| - 3) for products restricted to distinct elements, where p
 is the group's minimal torsion (INFINITY for the trivial group, in which case
 the minimum is the size term alone).
 
+``product_set`` and ``restricted_product_set`` follow the definition.  Every
+scan (exhaustive, capped, sampled, extremal search) runs one batched kernel:
+for a batch of sets A_k it builds the column masks of A_k * y, word-packed in
+the narrowest word that holds the group order (uint16, uint32, uint64, or
+ceil(n / 64) uint64 words above 64 elements).  Exhaustive scans OR the
+columns over every B by subset doubling, capped and extremal scans at each
+B's elements; sampled scans pack each A_k * B_k directly.  One scoring step
+compares popcounts with a bound table indexed by (|A|, |B|).
+
 Verification enumerates ordered pairs (A, B) of nonempty subsets: products
-need not commute, so no symmetry reduction is applied.  All modes are
-deterministic: pairs are visited in ascending mask order (A outer, B inner),
-sampled pairs are drawn up front from a SplitMix64 stream, and multi-worker
-runs chunk the pair range on fixed boundaries and merge results in chunk
-order, so reports are identical for any worker count.
+need not commute, so no symmetry reduction is applied.  Pairs are visited in
+ascending mask order (A outer, B inner); sampled pairs are drawn in sequence
+from a SplitMix64 stream.  Batches are cut by a fixed memory budget, never
+by the worker count, and merged in order; several batches run on a thread
+pool, a single one on the calling thread.  So reports are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from functools import partial
+from itertools import chain, combinations, islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +44,9 @@ from .structure import INFINITY, minimal_torsion
 THEOREMS = ("cd", "eh")
 EXHAUSTIVE_DEFAULT_LIMIT = 11   # (2^11 - 1)^2 pairs is seconds of work
 EXHAUSTIVE_HARD_CEILING = 20
-_CHUNK_MASKS = 256
-_CHUNK_PAIRS = 2048
+# bytes in the largest array of one batch (2^19 uint16 words): a few MB of
+# arrays for each worker
+_BATCH_BYTES = 1 << 20
 
 
 def _check_theorem(theorem: str) -> str:
@@ -133,11 +146,15 @@ def cd_bound(g: FiniteGroup, a: SubsetMask, b: SubsetMask,
     if theorem == "cd" and (len(a) == 0 or len(b) == 0):
         raise ValueError("plain product bound requires nonempty sets")
     product = (product_set if theorem == "cd" else restricted_product_set)(g, a, b)
-    p = minimal_torsion(g)
-    bound = int(min(p, len(a) + len(b) - _size_slack(theorem)))
-    size = len(product)
-    return BoundCheck(group=g.label, a=a, b=b, a_size=len(a), b_size=len(b),
-                      product_size=size, p_g=p, bound=bound, holds=size >= bound)
+    return _make_check(g, theorem, a.bits, b.bits, len(product),
+                       minimal_torsion(g), size_bound(g, len(a), len(b), theorem))
+
+
+def size_bound(g: FiniteGroup, a_size: int, b_size: int, theorem: str = "cd") -> int:
+    """The bound min(p(G), |A| + |B| - s) for sets of the given sizes, where
+    s is 1 for plain products and 3 for restricted ones."""
+    slack = _size_slack(_check_theorem(theorem))
+    return int(min(minimal_torsion(g), a_size + b_size - slack))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +168,12 @@ class Caps:
     max_a_size: int | None = None
     max_b_size: int | None = None
     sum_cap: int | None = None
+
+    def __post_init__(self):
+        for name, least in (("max_a_size", 1), ("max_b_size", 1), ("sum_cap", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,34 +236,152 @@ class VerificationReport:
         }
 
 
-def _run_chunks(chunk_fn: Callable, chunks: Sequence, workers: int):
-    """Deterministic parallel map: results merged in chunk order."""
-    if workers <= 1:
-        return [chunk_fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, chunks))
-
-
-def _op_u64(g: FiniteGroup) -> np.ndarray:
-    cached = g._cache.get("op_u64")
-    if cached is None:
-        cached = g.op.astype(np.uint64)
-        cached.setflags(write=False)
-        g._cache["op_u64"] = cached
-    return cached
-
-
-def _translate_columns(op64: np.ndarray, elts: list[int], restricted: bool) -> np.ndarray:
-    """For fixed A, the mask of A*b (or its a != b restriction) per element b."""
-    sub = op64[elts, :]
-    contrib = np.left_shift(np.uint64(1), sub)
-    if restricted:
-        contrib[np.arange(len(elts)), elts] = 0
-    return np.bitwise_or.reduce(contrib, axis=0)
+def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:
+    a = SubsetMask(a_bits, g.order)
+    b = SubsetMask(b_bits, g.order)
+    return BoundCheck(group=g.label, a=a, b=b, a_size=len(a), b_size=len(b),
+                      product_size=size, p_g=p, bound=bound, holds=size >= bound)
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verification
+# the batched product-size kernel
+
+
+def _elements(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and padded element lists of nonempty n-bit masks: row k lists
+    ``masks[k]``'s elements in ascending order, padded to the longest row by
+    repeating its first element, which leaves an OR over the row unchanged."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), nbytes)
+    member = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    sizes = member.sum(axis=1, dtype=np.intp)
+    rows, elts = np.nonzero(member)
+    starts = np.cumsum(sizes) - sizes
+    pad = np.repeat(elts[starts][:, None], sizes.max(), axis=1)
+    pad[rows, np.arange(len(rows)) - starts[rows]] = elts
+    return sizes, pad
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The int16 size of each word-packed mask (last axis: its words)."""
+    if words.dtype == np.uint16:
+        # numpy's uint16 bitwise_count is not vectorised, its uint8 one is:
+        # count bytes, then one multiply adds each word's two byte counts
+        counts = np.bitwise_count(words.view(np.uint8)).view(np.uint16)
+        counts *= 257
+        counts >>= 8
+        return counts[..., 0].view(np.int16)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int16)
+
+
+class _Scan:
+    """What every batch of one run shares.
+
+    ``bounds[sa, sb]`` is the bound for sizes (sa, sb), or ``skip`` (below
+    every size, so neither extremal nor a violation) where the caps leave
+    that size pair out.  ``collect`` picks the pairs to report from (sizes,
+    bounds): ``np.less`` finds violations, ``np.equal`` extremal pairs.
+    """
+
+    skip = np.iinfo(np.int16).min
+
+    def __init__(self, g: FiniteGroup, theorem: str, max_a: int, max_b: int,
+                 sum_cap: int | None = None, collect: Callable = np.less):
+        self.g = g
+        self.theorem = theorem
+        self.p = minimal_torsion(g)
+        self.collect = collect
+        # masks: the narrowest little-endian word that holds n bits, or
+        # ceil(n / 64) uint64 words
+        word = 16 if g.order <= 16 else 32 if g.order <= 32 else 64
+        self.dtype, self.words = np.dtype(f"<u{word // 8}"), -(-g.order // word)
+        self.bits = word * self.words
+        sa = np.arange(max_a + 1)[:, None]
+        sb = np.arange(max_b + 1)[None, :]
+        table = np.minimum(sa + sb - _size_slack(theorem), min(self.p, 2 * g.order))
+        if sum_cap is not None:
+            table[sa + sb > sum_cap] = self.skip
+        self.bounds = table.astype(np.int16)
+
+    def masks(self, a_pad: np.ndarray, b_pad: np.ndarray | None = None) -> np.ndarray:
+        """The kernel: word-packed product masks for a batch of sets A_k,
+        row k of ``a_pad`` holding A_k's padded elements.
+
+        Without ``b_pad``: the column masks, [k, y] = A_k * y, shaped (K, n,
+        words).  With it: [k] = A_k * B_k, shaped (K, words).  For eh the
+        product x * y with x == y is left out.  Each product sets a byte of a
+        plane with one row per mask (and a spare row for the products left
+        out); packing the plane gives the words.
+        """
+        n = self.g.order
+        k = np.arange(len(a_pad))[:, None, None]
+        xs = a_pad[:, :, None]
+        if b_pad is None:
+            ys = np.arange(n)[None, None, :]
+            rows, count = k * n + ys, len(a_pad) * n
+        else:
+            ys = b_pad[:, None, :]
+            rows, count = k, len(a_pad)
+        if self.theorem == "eh":
+            rows = np.where(xs == ys, count, rows)
+        plane = np.zeros((count + 1, self.bits), dtype=np.uint8)
+        plane.reshape(-1)[rows * self.bits + self.g.op.reshape(-1).take(xs * n + ys)] = 1
+        words = np.packbits(plane[:count], axis=1, bitorder="little").view(self.dtype)
+        return words.reshape(len(a_pad), n, self.words) if b_pad is None else words
+
+    def score(self, sizes: np.ndarray, bounds: np.ndarray, masks_of: Callable):
+        """The extremal count and the collected (a_bits, b_bits, size, bound)
+        of one batch, in row-major order, which is ascending (A, B) mask
+        order; ``masks_of(r, c)`` gives the masks at row r, column c."""
+        extremal = int(np.count_nonzero(sizes == bounds))
+        hits = self.collect(sizes, bounds)
+        if not hits.any():
+            return extremal, []
+        return extremal, [(*masks_of(int(r), int(c)), int(sizes[r, c]), int(bounds[r, c]))
+                          for r, c in zip(*np.nonzero(hits))]
+
+    def report(self, mode: dict, results: Iterable, start: float) -> VerificationReport:
+        """Merge batch results, in order, into the run's report."""
+        pairs = extremal = 0
+        violations = []
+        for batch_pairs, batch_extremal, found in results:
+            pairs += batch_pairs
+            extremal += batch_extremal
+            violations.extend(_make_check(self.g, self.theorem, a_bits, b_bits, size,
+                                          self.p, bound)
+                              for a_bits, b_bits, size, bound in found)
+        return VerificationReport(
+            group=self.g.label, group_order=self.g.order, theorem=self.theorem,
+            mode=mode, p_g=self.p, pairs_checked=pairs, violations=tuple(violations),
+            extremal_count=extremal, wall_time=time.perf_counter() - start,
+        )
+
+
+def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
+    """Map ``chunk_fn`` over ``chunks``, yielding the results in chunk order.
+
+    One worker or a single chunk runs inline on the calling thread.
+    Otherwise a thread pool works on at most 2 * workers chunks at a time, so
+    chunks drawn lazily stay bounded in memory.
+    """
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))
+    if workers <= 1 or len(head) < 2:
+        yield from map(chunk_fn, chain(head, chunks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(chunk_fn, c) for c in head)
+        for chunk in chunks:
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(chunk_fn, chunk))
+        while pending:
+            yield pending.popleft().result()
+
+
+# ---------------------------------------------------------------------------
+# exhaustive and capped verification
 
 
 def verify_exhaustive(
@@ -259,196 +400,88 @@ def verify_exhaustive(
     """
     theorem = _check_theorem(theorem)
     start = time.perf_counter()
+    n = g.order
     if caps is None:
-        if g.order > exhaustive_limit:
+        if n > exhaustive_limit:
             raise ValueError(
-                f"order {g.order} exceeds the exhaustive limit {exhaustive_limit}; "
+                f"order {n} exceeds the exhaustive limit {exhaustive_limit}; "
                 "use caps or sampling"
             )
-        if g.order > EXHAUSTIVE_HARD_CEILING:
-            raise ValueError(f"order {g.order} exceeds the hard exhaustive ceiling")
-        pairs, extremal, violations = _verify_full(g, theorem, workers)
+        if n > EXHAUSTIVE_HARD_CEILING:
+            raise ValueError(f"order {n} exceeds the hard exhaustive ceiling")
+        scan = _Scan(g, theorem, n, n)
+        a_masks = b_masks = range(1, 1 << n)
+        b_sizes = np.bitwise_count(np.arange(1, 1 << n, dtype=np.uint64)).astype(np.intp)
+        results = _grid_scan(scan, a_masks, b_masks, b_sizes, None, workers)
         mode = {"kind": "exhaustive"}
     else:
-        pairs, extremal, violations = _verify_capped(g, theorem, caps, workers)
+        top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
+        max_a, max_b = (top if cap is None else min(top, cap)
+                        for cap in (caps.max_a_size, caps.max_b_size))
+        scan = _Scan(g, theorem, max_a, max_b, caps.sum_cap)
+        b_masks = _masks_by_size(n, 1, max_b)
+        results = _grid_scan(scan, _masks_by_size(n, 1, max_a), b_masks,
+                             *_elements(b_masks, n), workers)
         mode = caps.to_json_dict()
-    return VerificationReport(
-        group=g.label, group_order=g.order, theorem=theorem, mode=mode,
-        p_g=minimal_torsion(g), pairs_checked=pairs,
-        violations=tuple(violations), extremal_count=extremal,
-        wall_time=time.perf_counter() - start,
-    )
+    return scan.report(mode, results, start)
 
 
-def _verify_full(g: FiniteGroup, theorem: str, workers: int):
-    n = g.order
-    total = 1 << n
-    slack = _size_slack(theorem)
-    p = minimal_torsion(g)
-    p_finite = None if p == INFINITY else int(p)
-    op64 = _op_u64(g)
-    b_pop = np.bitwise_count(np.arange(total, dtype=np.uint64)).astype(np.int32)
-    restricted = theorem == "eh"
-
-    def chunk_fn(bounds_range):
-        lo, hi = bounds_range
-        unions = np.zeros(total, dtype=np.uint64)
-        pairs = 0
-        extremal = 0
-        violations = []
-        for a_mask in range(lo, hi):
-            if a_mask == 0:
-                continue
-            elts = list(iter_bits(a_mask))
-            cols = _translate_columns(op64, elts, restricted)
-            unions[0] = 0
-            for i in range(n - 1, -1, -1):
-                step = 2 << i
-                unions[(1 << i)::step] = unions[::step][: total >> (i + 1)] | cols[i]
-            sizes = np.bitwise_count(unions[1:]).astype(np.int32)
-            bounds = b_pop[1:] + (len(elts) - slack)
-            if p_finite is not None:
-                bounds = np.minimum(bounds, p_finite)
-            pairs += total - 1
-            extremal += int((sizes == bounds).sum())
-            for off in np.nonzero(sizes < bounds)[0]:
-                b_mask = int(off) + 1
-                violations.append(_make_check(
-                    g, theorem, a_mask, b_mask, int(sizes[off]), p, int(bounds[off])
-                ))
-        return pairs, extremal, violations
-
-    chunks = [(lo, min(lo + _CHUNK_MASKS, total))
-              for lo in range(0, total, _CHUNK_MASKS)]
-    return _merge(_run_chunks(chunk_fn, chunks, workers))
+def _masks_by_size(n: int, min_size: int, max_size: int) -> list[int]:
+    """All masks with min_size <= popcount <= max_size, in ascending order."""
+    return sorted(sum(1 << x for x in combo)
+                  for size in range(min_size, max_size + 1)
+                  for combo in combinations(range(n), size))
 
 
-def _sorted_masks_by_size(n: int, max_size: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """All nonempty masks with popcount <= max_size, in ascending mask order."""
-    masks = []
-    for size in range(1, min(max_size, n) + 1):
-        for combo in combinations(range(n), size):
-            bits = 0
-            for x in combo:
-                bits |= 1 << x
-            masks.append((bits, combo))
-    masks.sort(key=lambda item: item[0])
-    return [m for m, _ in masks], [c for _, c in masks]
+def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
+               b_sizes: np.ndarray, b_pad: np.ndarray | None, workers: int):
+    """Batch results for every pair in ``a_masks`` x ``b_masks``, in order.
+
+    ``b_pad`` None means ``b_masks`` is every nonempty mask in order.
+    """
+    n = scan.g.order
+    bounds = scan.bounds.take(b_sizes, axis=1)    # [sa]: |A| = sa with each B
+    pairs = np.count_nonzero(bounds != scan.skip, axis=1)
+    # bytes per A: the product words over every B (two arrays of them while
+    # gathering B's columns), the kernel's index array and its byte plane
+    words = scan.dtype.itemsize * scan.words * (len(b_masks) + 1)
+    row = max(words if b_pad is None else 2 * words, 8 * (len(scan.bounds) - 1) * n,
+              n * scan.bits)
+    step = max(1, _BATCH_BYTES // row)
+    batches = (a_masks[lo:lo + step] for lo in range(0, len(a_masks), step))
+    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, pairs),
+                       batches, workers)
 
 
-def _verify_capped(g: FiniteGroup, theorem: str, caps: Caps, workers: int,
-                   force_python: bool = False):
-    n = g.order
-    slack = _size_slack(theorem)
-    p = minimal_torsion(g)
-    p_finite = None if p == INFINITY else int(p)
-    max_a = caps.max_a_size if caps.max_a_size is not None else n
-    max_b = caps.max_b_size if caps.max_b_size is not None else n
-    a_masks, a_combos = _sorted_masks_by_size(n, max_a)
-    b_masks, b_combos = _sorted_masks_by_size(n, max_b)
-    b_sizes = np.array([len(c) for c in b_combos], dtype=np.int32)
-
-    if n <= 63 and not force_python:
-        op64 = _op_u64(g)
-        width = max(len(c) for c in b_combos)
-        b_pad = np.array(
-            [c + (c[0],) * (width - len(c)) for c in b_combos], dtype=np.int64
-        )
-        restricted = theorem == "eh"
-
-        def chunk_fn(idx_range):
-            lo, hi = idx_range
-            pairs = 0
-            extremal = 0
-            violations = []
-            for ai in range(lo, hi):
-                a_size = len(a_combos[ai])
-                cols = _translate_columns(op64, list(a_combos[ai]), restricted)
-                prods = cols[b_pad]
-                for col in range(1, width):
-                    prods[:, 0] |= prods[:, col]
-                sizes = np.bitwise_count(prods[:, 0]).astype(np.int32)
-                bounds = b_sizes + (a_size - slack)
-                if p_finite is not None:
-                    bounds = np.minimum(bounds, p_finite)
-                if caps.sum_cap is not None:
-                    sel = b_sizes <= caps.sum_cap - a_size
-                    idxs = np.nonzero(sel)[0]
-                    sizes = sizes[idxs]
-                    bounds = bounds[idxs]
-                else:
-                    idxs = None
-                pairs += len(sizes)
-                extremal += int((sizes == bounds).sum())
-                for off in np.nonzero(sizes < bounds)[0]:
-                    bi = int(off) if idxs is None else int(idxs[off])
-                    violations.append(_make_check(
-                        g, theorem, a_masks[ai], b_masks[bi],
-                        int(sizes[off]), p, int(bounds[off])
-                    ))
-            return pairs, extremal, violations
-    else:
-        rows = g.op_rows()
-
-        def chunk_fn(idx_range):
-            lo, hi = idx_range
-            pairs = 0
-            extremal = 0
-            violations = []
-            for ai in range(lo, hi):
-                a_bits = a_masks[ai]
-                a_size = len(a_combos[ai])
-                for bi, b_bits in enumerate(b_masks):
-                    b_size = int(b_sizes[bi])
-                    if caps.sum_cap is not None and a_size + b_size > caps.sum_cap:
-                        continue
-                    size = _pair_product_size(rows, a_bits, b_bits, theorem)
-                    bound = int(min(p, a_size + b_size - slack))
-                    pairs += 1
-                    if size == bound:
-                        extremal += 1
-                    elif size < bound:
-                        violations.append(_make_check(
-                            g, theorem, a_bits, b_bits, size, p, bound
-                        ))
-            return pairs, extremal, violations
-
-    chunks = [(lo, min(lo + 128, len(a_masks)))
-              for lo in range(0, len(a_masks), 128)]
-    return _merge(_run_chunks(chunk_fn, chunks, workers))
+def _grid_batch(scan, b_masks, b_pad, bounds, pairs, a_masks: Sequence[int]):
+    a_sizes, a_pad = _elements(a_masks, scan.g.order)
+    extremal, found = scan.score(_grid_sizes(scan.masks(a_pad), b_pad),
+                                 bounds.take(a_sizes, axis=0),
+                                 lambda r, c: (a_masks[r], b_masks[c]))
+    return int(pairs.take(a_sizes).sum()), extremal, found
 
 
-def _pair_product_size(rows, a_bits: int, b_bits: int, theorem: str) -> int:
-    out = 0
-    if theorem == "cd":
-        for x in iter_bits(a_bits):
-            row = rows[x]
-            for y in iter_bits(b_bits):
-                out |= 1 << row[y]
-    else:
-        for x in iter_bits(a_bits):
-            row = rows[x]
-            for y in iter_bits(b_bits & ~(1 << x)):
-                out |= 1 << row[y]
-    return out.bit_count()
+def _grid_sizes(cols: np.ndarray, b_pad: np.ndarray | None) -> np.ndarray:
+    """sizes[k, j] = |A_k * B_j| from A_k's column masks; the product masks
+    are freed on return, before the batch is scored."""
+    if b_pad is None:
+        return _popcount(_all_unions(cols)[:, 1:])
+    prods = cols[:, b_pad[:, 0]]
+    for c in range(1, b_pad.shape[1]):
+        prods |= cols[:, b_pad[:, c]]
+    return _popcount(prods)
 
 
-def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:
-    a = SubsetMask(a_bits, g.order)
-    b = SubsetMask(b_bits, g.order)
-    return BoundCheck(group=g.label, a=a, b=b, a_size=len(a), b_size=len(b),
-                      product_size=size, p_g=p, bound=bound, holds=size >= bound)
-
-
-def _merge(results):
-    pairs = 0
-    extremal = 0
-    violations = []
-    for p, e, v in results:
-        pairs += p
-        extremal += e
-        violations.extend(v)
-    return pairs, extremal, violations
+def _all_unions(cols: np.ndarray) -> np.ndarray:
+    """unions[k, m] is the mask of A_k * B for the set B with mask m, by
+    subset doubling: masks with top bit i are those below 2^i OR column i."""
+    k, n, words = cols.shape
+    unions = np.empty((k, 1 << n, words), dtype=cols.dtype)
+    unions[:, 0] = 0
+    for i in range(n):
+        half = 1 << i
+        np.bitwise_or(unions[:, :half], cols[:, i:i + 1], out=unions[:, half:2 * half])
+    return unions
 
 
 # ---------------------------------------------------------------------------
@@ -464,84 +497,57 @@ def verify_sampled(
 ) -> VerificationReport:
     """Check the bound over seeded random pairs.
 
-    The full pair list is drawn up front from SplitMix64(seed) (A then B per
-    pair), so identical (seed, group, plan) reproduce identical reports.
+    Pairs are drawn in sequence from SplitMix64(seed) (A then B per pair),
+    one batch at a time, so identical (seed, group, plan) reproduce
+    identical reports and memory stays bounded for any count.
     """
     theorem = _check_theorem(theorem)
     if plan is None:
         raise ValueError("sampled verification requires a SamplingPlan")
     start = time.perf_counter()
     n = g.order
-    rng = SplitMix64(plan.seed)
-    pairs_list = []
-    if plan.fixed_sizes is None:
-        for _ in range(plan.count):
-            a_bits = rng.nonempty_mask(n)
-            b_bits = rng.nonempty_mask(n)
-            pairs_list.append((a_bits, b_bits))
-    else:
+    if plan.fixed_sizes is not None:
         sa, sb = plan.fixed_sizes
         if not (1 <= sa <= n and 1 <= sb <= n):
             raise ValueError(f"fixed sizes must be in 1..{n}")
-        for _ in range(plan.count):
-            a_bits = rng.subset_of_size(n, sa)
-            b_bits = rng.subset_of_size(n, sb)
-            pairs_list.append((a_bits, b_bits))
-
-    p = minimal_torsion(g)
-    slack = _size_slack(theorem)
-    rows = g.op_rows() if n <= 63 else None
-    op = g.op
-
-    def chunk_fn(idx_range):
-        lo, hi = idx_range
-        pairs = 0
-        extremal = 0
-        violations = []
-        for i in range(lo, hi):
-            a_bits, b_bits = pairs_list[i]
-            a_size = a_bits.bit_count()
-            b_size = b_bits.bit_count()
-            if rows is not None and a_size * b_size <= 1024:
-                size = _pair_product_size(rows, a_bits, b_bits, theorem)
-            else:
-                size = _scatter_product_size(op, n, a_bits, b_bits, theorem)
-            bound = int(min(p, a_size + b_size - slack))
-            pairs += 1
-            if size == bound:
-                extremal += 1
-            elif size < bound:
-                violations.append(_make_check(
-                    g, theorem, a_bits, b_bits, size, p, bound
-                ))
-        return pairs, extremal, violations
-
-    chunks = [(lo, min(lo + _CHUNK_PAIRS, plan.count))
-              for lo in range(0, plan.count, _CHUNK_PAIRS)]
-    pairs, extremal, violations = _merge(_run_chunks(chunk_fn, chunks, workers))
-    return VerificationReport(
-        group=g.label, group_order=g.order, theorem=theorem,
-        mode=plan.to_json_dict(), p_g=p, pairs_checked=pairs,
-        violations=tuple(violations), extremal_count=extremal,
-        wall_time=time.perf_counter() - start,
-    )
+    scan = _Scan(g, theorem, n, n)
+    batches = _sampled_batches(SplitMix64(plan.seed), plan, n)
+    return scan.report(plan.to_json_dict(),
+                       _run_chunks(partial(_sampled_batch, scan), batches, workers), start)
 
 
-def _mask_elements_array(bits: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.nonzero(np.unpackbits(raw, bitorder="little", count=n))[0]
+def _sampled_batches(rng: SplitMix64, plan: SamplingPlan, n: int):
+    """The plan's pairs in draw order, cut where the next pair would take
+    the kernel's padded (K, |A|, |B|) index arrays, two int64 arrays alive
+    at a time, past the byte budget."""
+    def draw(side: int) -> int:
+        if plan.fixed_sizes is None:
+            return rng.nonempty_mask(n)
+        return rng.subset_of_size(n, plan.fixed_sizes[side])
+
+    batch, wide_a, wide_b = [], 1, 1
+    for _ in range(plan.count):
+        a_bits = draw(0)
+        b_bits = draw(1)
+        wa, wb = max(wide_a, a_bits.bit_count()), max(wide_b, b_bits.bit_count())
+        if batch and 16 * (len(batch) + 1) * wa * wb > _BATCH_BYTES:
+            yield batch
+            batch, wa, wb = [], a_bits.bit_count(), b_bits.bit_count()
+        batch.append((a_bits, b_bits))
+        wide_a, wide_b = wa, wb
+    if batch:
+        yield batch
 
 
-def _scatter_product_size(op, n, a_bits, b_bits, theorem: str) -> int:
-    a_elts = _mask_elements_array(a_bits, n)
-    b_elts = _mask_elements_array(b_bits, n)
-    sub = op[a_elts[:, None], b_elts[None, :]]
-    if theorem == "eh":
-        keep = a_elts[:, None] != b_elts[None, :]
-        sub = sub[keep]
-    seen = np.zeros(n, dtype=bool)
-    seen[sub.ravel()] = True
-    return int(seen.sum())
+def _sampled_batch(scan: _Scan, batch: list[tuple[int, int]]):
+    n = scan.g.order
+    a_sizes, a_pad = _elements([a for a, _ in batch], n)
+    b_sizes, b_pad = _elements([b for _, b in batch], n)
+    prods = scan.masks(a_pad, b_pad)
+    extremal, found = scan.score(_popcount(prods[:, None]),
+                                 scan.bounds[a_sizes, b_sizes][:, None],
+                                 lambda r, c: batch[r])
+    return len(batch), extremal, found
 
 
 # ---------------------------------------------------------------------------
@@ -565,29 +571,18 @@ def find_extremal(
     n = g.order
     if not (1 <= size_a <= n and 1 <= size_b <= n):
         raise ValueError(f"sizes must be in 1..{n}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     space = math.comb(n, size_a) * math.comb(n, size_b)
     if space > search_cap:
         raise ValueError(f"search space of {space} pairs exceeds cap {search_cap}")
-    p = minimal_torsion(g)
-    bound = int(min(p, size_a + size_b - 1))
-    rows = g.op_rows()
-
-    def exact_masks(size: int) -> list[int]:
-        masks = []
-        for combo in combinations(range(n), size):
-            bits = 0
-            for x in combo:
-                bits |= 1 << x
-            masks.append(bits)
-        masks.sort()
-        return masks
-
-    out = []
-    b_list = exact_masks(size_b)
-    for a_bits in exact_masks(size_a):
-        for b_bits in b_list:
-            if _pair_product_size(rows, a_bits, b_bits, "cd") == bound:
-                out.append((SubsetMask(a_bits, n), SubsetMask(b_bits, n)))
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+    scan = _Scan(g, "cd", size_a, size_b, collect=np.equal)
+    b_masks = _masks_by_size(n, size_b, size_b)
+    found = []
+    for _, _, pairs in _grid_scan(scan, _masks_by_size(n, size_a, size_a), b_masks,
+                                  *_elements(b_masks, n), workers=1):
+        found.extend(pairs)
+        if limit is not None and len(found) >= limit:
+            break
+    return [(SubsetMask(a_bits, n), SubsetMask(b_bits, n))
+            for a_bits, b_bits, _, _ in found[:limit]]

@@ -57,14 +57,16 @@ class SplitMix64:
         """Uniform mask with exactly ``size`` of ``width`` bits set.
 
         Partial Fisher-Yates shuffle of 0..width-1, taking the first
-        ``size`` slots.
+        ``size`` slots.  Only the slots a swap has touched are stored (an
+        untouched slot j holds j), and slot i is never read after step i.
         """
         if not 0 <= size <= width:
             raise ValueError(f"size {size} not in 0..{width}")
-        pool = list(range(width))
+        moved = {}
         bits = 0
         for i in range(size):
             j = i + self.below(width - i)
-            pool[i], pool[j] = pool[j], pool[i]
-            bits |= 1 << pool[i]
+            picked = moved.get(j, j)
+            moved[j] = moved.get(i, i)
+            bits |= 1 << picked
         return bits

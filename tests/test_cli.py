@@ -179,3 +179,13 @@ def test_json_reports_carry_no_wall_time(runner):
     payload = json.loads(result.output)
     assert "wall_time" not in payload
     assert "wall time" not in result.output.lower()
+
+
+@pytest.mark.parametrize("caps", [("--max-a", "0"), ("--max-a", "-3"),
+                                  ("--max-a", "2", "--max-b", "0"),
+                                  ("--sum-cap", "1")])
+def test_degenerate_caps_exit_2(runner, caps):
+    result = invoke(runner, "verify", "--group", "cyclic:5", "--mode", "capped",
+                    *caps)
+    assert result.exit_code == 2
+    assert "must be at least" in result.output

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsetlab import engine
 from sumsetlab.corpus import corpus_group
-from sumsetlab.engine import (Caps, SamplingPlan, _verify_capped, cd_bound,
-                              find_extremal, product_set,
+from sumsetlab.engine import (Caps, SamplingPlan, _elements, _popcount, _Scan,
+                              cd_bound, find_extremal, product_set,
                               restricted_product_set, verify_exhaustive,
                               verify_sampled)
 from sumsetlab.factor_system import build_factor_system, extension_from_factor_system
 from sumsetlab.groups import SubsetMask, build_group
+from sumsetlab.jsonio import dumps_stable
 from sumsetlab.rng import SplitMix64
 from sumsetlab.structure import INFINITY, generated_subgroup
 
@@ -187,17 +189,41 @@ def test_capped_sum_cap_counts():
     assert report.violations == ()
 
 
-def test_capped_python_fallback_matches_fast_path():
-    g = build_group("quaternion")
-    caps = Caps(max_a_size=2, max_b_size=3, sum_cap=4)
-    fast = _verify_capped(g, "cd", caps, workers=1)
-    slow = _verify_capped(g, "cd", caps, workers=1, force_python=True)
-    assert fast[0] == slow[0]
-    assert fast[1] == slow[1]
-    assert [v.to_json_dict() for v in fast[2]] == [v.to_json_dict() for v in slow[2]]
-    fast_eh = _verify_capped(g, "eh", caps, workers=1)
-    slow_eh = _verify_capped(g, "eh", caps, workers=1, force_python=True)
-    assert (fast_eh[0], fast_eh[1]) == (slow_eh[0], slow_eh[1])
+# orders on each side of every word boundary of the kernel's masks
+BOUNDARY_SPECS = ["dihedral:8", "cyclic:17", "dihedral:16", "cyclic:33",
+                  "dihedral:32", "cyclic:65", "heisenberg:5"]
+
+
+def _mask_ints(words):
+    """Word-packed masks (last axis: little-endian words) as python ints."""
+    flat = words.reshape(-1, words.shape[-1])
+    return [int.from_bytes(row.tobytes(), "little") for row in flat]
+
+
+@pytest.mark.parametrize("spec", BOUNDARY_SPECS)
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_kernel_matches_the_naive_product_at_word_boundaries(spec, theorem):
+    g = build_group(spec)
+    n = g.order
+    oracle = product_set if theorem == "cd" else restricted_product_set
+    rng = SplitMix64(n)
+    a_masks = [rng.nonempty_mask(n) for _ in range(12)]
+    b_masks = [rng.subset_of_size(n, 1 + rng.below(n)) for _ in range(12)]
+    a_masks[0] = b_masks[0] = 1 << (n - 1)
+    scan = _Scan(g, theorem, n, n)
+    a_sizes, a_pad = _elements(a_masks, n)
+    b_sizes, b_pad = _elements(b_masks, n)
+    assert list(a_sizes) == [m.bit_count() for m in a_masks]
+    pair_masks = _mask_ints(scan.masks(a_pad, b_pad))
+    columns = _mask_ints(scan.masks(a_pad))
+    sizes = _popcount(scan.masks(a_pad, b_pad)[:, None])
+    for k, (a_bits, b_bits) in enumerate(zip(a_masks, b_masks)):
+        want = oracle(g, SubsetMask(a_bits, n), SubsetMask(b_bits, n))
+        assert pair_masks[k] == want.bits
+        assert sizes[k, 0] == len(want)
+        for y in range(n):
+            col = oracle(g, SubsetMask(a_bits, n), SubsetMask(1 << y, n))
+            assert columns[k * n + y] == col.bits
 
 
 def test_capped_mode_works_above_64_elements():
@@ -375,3 +401,76 @@ def test_multiset_of_sizes_is_invariant_under_the_pair_isomorphism():
         return out
 
     assert stats(g) == stats(ext)
+
+
+def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
+    # The bound holds on every real group, so pretend p(G) = |G| on
+    # Z/2 x Z/4, where products of subgroup cosets fall below |A| + |B| - 1.
+    # A small batch budget splits every scan, so three workers use the pool.
+    g = build_group("product:cyclic:2,cyclic:4")
+    n = g.order
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+
+    def naive_witnesses(pairs):
+        found = []
+        for a_bits, b_bits in pairs:
+            size = len(product_set(g, SubsetMask(a_bits, n), SubsetMask(b_bits, n)))
+            if size < min(n, a_bits.bit_count() + b_bits.bit_count() - 1):
+                found.append((a_bits, b_bits, size))
+        return found
+
+    every = [(a, b) for a in range(1, 1 << n) for b in range(1, 1 << n)]
+    capped = [(a, b) for a, b in every if a.bit_count() <= 2 and b.bit_count() <= 3]
+    rng = SplitMix64(3)
+    drawn = [(rng.nonempty_mask(n), rng.nonempty_mask(n)) for _ in range(500)]
+    runs = [
+        (lambda w: verify_exhaustive(g, "cd", workers=w), every, True),
+        (lambda w: verify_exhaustive(g, "cd", Caps(2, 3), workers=w), capped, True),
+        (lambda w: verify_sampled(g, "cd", SamplingPlan(3, 500), workers=w), drawn,
+         False),
+    ]
+    for run, pairs, mask_order in runs:
+        one, three = run(1), run(3)
+        want = naive_witnesses(pairs)
+        assert want
+        assert [(v.a.bits, v.b.bits, v.product_size) for v in one.violations] == want
+        assert all(not v.holds and v.bound == min(n, v.a_size + v.b_size - 1)
+                   for v in one.violations)
+        if mask_order:
+            assert want == sorted(want)
+        assert one.pairs_checked == len(pairs)
+        assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
+
+
+def vosper_extremal(p, a, b):
+    """Pairs (A, B) of sizes (a, b) in Z/p with |A + B| = min(p, a + b - 1)."""
+    if a == 1 or b == 1 or a + b - 1 >= p:
+        return math.comb(p, a) * math.comb(p, b)
+    if a + b == p:
+        return p * math.comb(p, a)
+    return p * p * (p - 1) // 2
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_extremal_search_matches_vosper_beyond_exhaustive_reach(p):
+    g = build_group(f"cyclic:{p}")
+    for a, b in [(1, 4), (2, 3), (3, 4), (4, 2), (2, p - 2), (3, p - 2)]:
+        pairs = find_extremal(g, a, b)
+        assert len(pairs) == vosper_extremal(p, a, b)
+        keys = [(x.bits, y.bits) for x, y in pairs]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_capped_extremal_counts_match_vosper(p):
+    g = build_group(f"cyclic:{p}")
+    for caps in (Caps(max_a_size=3, max_b_size=3), Caps(3, 4, sum_cap=6)):
+        report = verify_exhaustive(g, "cd", caps)
+        sizes = [(a, b) for a in range(1, caps.max_a_size + 1)
+                 for b in range(1, caps.max_b_size + 1)
+                 if caps.sum_cap is None or a + b <= caps.sum_cap]
+        assert report.pairs_checked == sum(math.comb(p, a) * math.comb(p, b)
+                                           for a, b in sizes)
+        assert report.extremal_count == sum(vosper_extremal(p, a, b) for a, b in sizes)
+        assert report.violations == ()
