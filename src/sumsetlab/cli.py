@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success with zero bound violations, 1 = at least one bound
-violation found (the report lists witnesses), 2 = usage or input error.
+violation found (the report lists witnesses), 2 = usage, input or output
+error.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ def _resolve_workers(workers: int | None) -> int:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {out_path}: {exc.strerror}")
     else:
         click.echo(text, nl=False)
 

@@ -6,14 +6,15 @@ min(p, |A| + |B| - 3) for products restricted to distinct elements, where p
 is the group's minimal torsion (INFINITY for the trivial group, in which case
 the minimum is the size term alone).
 
-``product_set`` and ``restricted_product_set`` follow the definition.  Every
-scan (exhaustive, capped, sampled, extremal search) runs one batched kernel:
-for a batch of sets A_k it builds the column masks of A_k * y, word-packed in
-the narrowest word that holds the group order (uint16, uint32, uint64, or
-ceil(n / 64) uint64 words above 64 elements).  Exhaustive scans OR the
-columns over every B by subset doubling, capped and extremal scans at each
-B's elements; sampled scans pack each A_k * B_k directly.  One scoring step
-compares popcounts with a bound table indexed by (|A|, |B|).
+``product_set`` and ``restricted_product_set`` follow the definition, as one
+gather over the Cayley table.  Every scan (exhaustive, capped, sampled,
+extremal search) runs one batched kernel: for a batch of sets A_k it builds
+the column masks of A_k * y, word-packed in the narrowest word that holds the
+group order (uint16, uint32, uint64, or ceil(n / 64) uint64 words above 64
+elements).  Exhaustive scans OR the columns over every B by subset doubling,
+capped and extremal scans at each B's elements; sampled scans pack each
+A_k * B_k directly.  One scoring step compares popcounts with a bound table
+indexed by (|A|, |B|).
 
 Verification enumerates ordered pairs (A, B) of nonempty subsets: products
 need not commute, so no symmetry reduction is applied.  Pairs are visited in
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, iter_bits
+from .groups import FiniteGroup, SubsetMask
 from .rng import SplitMix64
 from .structure import INFINITY, minimal_torsion
 
@@ -70,37 +71,24 @@ def _check_mask(g: FiniteGroup, m: SubsetMask, name: str) -> None:
 
 
 def product_set(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> SubsetMask:
-    """The product set {xy : x in a, y in b} as a mask.
-
-    Union over x in a of the row-x translate of b's mask.
-    """
-    _check_mask(g, a, "a")
-    _check_mask(g, b, "b")
-    rows = g.op_rows()
-    out = 0
-    for x in iter_bits(a.bits):
-        row = rows[x]
-        translated = 0
-        for y in iter_bits(b.bits):
-            translated |= 1 << row[y]
-        out |= translated
-    return SubsetMask(out, g.order)
+    """The product set {xy : x in a, y in b} as a mask."""
+    return _products(g, a, b, distinct=False)
 
 
 def restricted_product_set(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> SubsetMask:
     """The product set restricted to pairs of distinct elements (x != y)."""
+    return _products(g, a, b, distinct=True)
+
+
+def _products(g: FiniteGroup, a: SubsetMask, b: SubsetMask, distinct: bool) -> SubsetMask:
     _check_mask(g, a, "a")
     _check_mask(g, b, "b")
-    rows = g.op_rows()
-    out = 0
-    for x in iter_bits(a.bits):
-        row = rows[x]
-        rest = b.bits & ~(1 << x)
-        translated = 0
-        for y in iter_bits(rest):
-            translated |= 1 << row[y]
-        out |= translated
-    return SubsetMask(out, g.order)
+    xs = np.array(a.elements(), dtype=np.intp)
+    ys = np.array(b.elements(), dtype=np.intp)
+    products = g.op[np.ix_(xs, ys)]
+    if distinct:
+        products = products[xs[:, None] != ys]
+    return SubsetMask.from_elements(g.order, np.unique(products).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +415,16 @@ def verify_exhaustive(
 
 
 def _masks_by_size(n: int, min_size: int, max_size: int) -> list[int]:
-    """All masks with min_size <= popcount <= max_size, in ascending order."""
+    """All masks with min_size <= popcount <= max_size, in ascending order.
+
+    Refuses to list more than 2^EXHAUSTIVE_HARD_CEILING masks, as many as the
+    largest exhaustive scan lists.
+    """
+    count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
+    if count > 1 << EXHAUSTIVE_HARD_CEILING:
+        raise ValueError(
+            f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
+            f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
     return sorted(sum(1 << x for x in combo)
                   for size in range(min_size, max_size + 1)
                   for combo in combinations(range(n), size))

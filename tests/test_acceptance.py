@@ -16,7 +16,7 @@ from sumsetlab.engine import (Caps, SamplingPlan, cd_bound, product_set,
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
                                      extension_from_factor_system, star,
                                      verify_isomorphism)
-from sumsetlab.groups import SubsetMask, build_group, validate_group
+from sumsetlab.groups import SubsetMask, build_group, element_order, validate_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.replay import replay_solvable_proof
 from sumsetlab.rng import SplitMix64
@@ -70,7 +70,9 @@ def test_criterion_3_even_order_groups_are_trivially_clean():
 def test_criterion_4_minimal_torsion_equals_smallest_prime_factor():
     for spec in CORPUS_SPECS:
         g = corpus_group(spec)
-        assert minimal_torsion(g) == smallest_prime_factor(g.order), spec
+        least = min((element_order(g, x) for x in range(g.order) if x != g.identity),
+                    default=float("inf"))
+        assert minimal_torsion(g) == least == smallest_prime_factor(g.order), spec
     trivial = corpus_group("cyclic:1")
     assert minimal_torsion(trivial) == smallest_prime_factor(1) == float("inf")
     report(4, True,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -189,3 +190,28 @@ def test_degenerate_caps_exit_2(runner, caps):
                     *caps)
     assert result.exit_code == 2
     assert "must be at least" in result.output
+
+
+def test_non_integer_group_parameter_exits_2(runner):
+    result = invoke(runner, "verify", "--group", "cyclic:abc")
+    assert result.exit_code == 2
+    assert "must be integers" in result.output
+
+
+def test_unwritable_out_path_exits_2(runner, tmp_path):
+    out = tmp_path / "missing-dir" / "x.json"
+    result = invoke(runner, "validate", "--group", "cyclic:5", "--json",
+                    "--out", str(out))
+    assert result.exit_code == 2
+    assert "cannot write" in result.output
+    assert not out.exists()
+
+
+def test_oversized_capped_scan_exits_2_before_listing(runner):
+    # 2^27 - 1 sets A on heisenberg:3: refused from the count, not listed
+    start = time.perf_counter()
+    result = invoke(runner, "verify", "--group", "heisenberg:3", "--mode", "capped",
+                    "--max-a", "27", "--max-b", "1")
+    assert result.exit_code == 2
+    assert "exceed the limit 2^20" in result.output
+    assert time.perf_counter() - start < 5

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab.groups import (GroupBuildError, SubsetMask, as_candidate_group,
-                              build_group, element_order, parse_group_spec,
-                              validate_group)
+from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
+                              as_candidate_group, build_group, element_order,
+                              parse_group_spec, validate_group)
 
 QUATERNION_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
@@ -128,6 +131,13 @@ def test_element_order_of_j_in_quaternion_is_4():
     assert element_order(q, 4) == 4
 
 
+def test_element_order_raises_on_a_non_group_table():
+    # left projection: 1 * 1 = 1 forever, no power of 1 is the identity
+    g = as_candidate_group([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    with pytest.raises(ValueError, match="no power"):
+        element_order(g, 1)
+
+
 def test_validate_flags_constant_row():
     report = validate_group(as_candidate_group([[0, 1], [1, 1]]))
     assert any("row 1" in msg for msg in report)
@@ -156,6 +166,57 @@ def test_validate_flags_nonassociative_loop():
     assert all(msg.startswith("associativity:") for msg in report)
 
 
+def _brute_force_associative(op: np.ndarray) -> bool:
+    return bool((op[op] == op[:, op]).all())   # [a, b, c]: (ab)c vs a(bc)
+
+
+def _assert_genuine_associativity_witness(op: np.ndarray, message: str):
+    match = re.fullmatch(r"associativity: op\(op\((\d+),(\d+)\),(\d+)\) = (\d+) "
+                         r"but op\(\1,op\(\2,\3\)\) = (\d+)", message)
+    a, b, c, u, v = (int(v) for v in match.groups())
+    assert (op[op[a, b], c], op[a, op[b, c]]) == (u, v)
+    assert u != v
+
+
+def _relabelled(op: np.ndarray, rng) -> np.ndarray:
+    """The same table with every element but the identity 0 renamed."""
+    perm = np.concatenate(([0], 1 + rng.permutation(len(op) - 1)))
+    inv = np.argsort(perm)
+    return perm[op[inv][:, inv]]
+
+
+@pytest.mark.parametrize("spec", [s for s in CORPUS_SPECS
+                                  if 5 * corpus_group(s).order <= 150])
+def test_light_test_matches_brute_force_associativity(spec):
+    # oracle: the O(n^3) definition, on the corpus group and on its product
+    # with the 5-element loop, both under a random relabelling
+    rng = np.random.default_rng(corpus_group(spec).order)
+    group_op = corpus_group(spec).op
+    for op in (group_op, _product_table([np.array(NONASSOCIATIVE_LOOP), group_op])):
+        op = _relabelled(op, rng)
+        report = validate_group(as_candidate_group(op))
+        if _brute_force_associative(op):
+            assert report == []
+        else:
+            assert len(report) == 1
+            _assert_genuine_associativity_witness(op, report[0])
+
+
+def test_validate_flags_a_nonassociative_loop_of_order_600():
+    # an order-5 loop x Z/120: Latin, with identity and inverses, but not
+    # associative; the check runs at every order the loader accepts
+    op = _product_table([np.array(NONASSOCIATIVE_LOOP), build_group("cyclic:120").op])
+    report = validate_group(as_candidate_group(op))
+    assert len(report) == 1
+    assert report[0].startswith("associativity:")
+    _assert_genuine_associativity_witness(op, report[0])
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:13", "cyclic:4096"])
+def test_validate_is_clean_on_the_largest_groups(spec):
+    assert validate_group(build_group(spec)) == []
+
+
 def test_validate_constructor_output_is_clean():
     assert validate_group(build_group("cyclic:6")) == []
 
@@ -169,6 +230,13 @@ def test_spec_parse_errors():
         parse_group_spec("product:cyclic:3")
     with pytest.raises(GroupBuildError):
         parse_group_spec("product:product:cyclic:2,cyclic:3,cyclic:5")
+
+
+def test_spec_parse_rejects_non_integer_parameters():
+    with pytest.raises(GroupBuildError, match="must be integers"):
+        parse_group_spec("cyclic:abc")
+    with pytest.raises(GroupBuildError, match="must be integers"):
+        parse_group_spec("frobenius:7:3:x")
 
 
 def test_spec_validation_errors():

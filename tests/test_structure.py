@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import sumsetlab.structure as structure
 from sumsetlab.corpus import corpus_group, normal_subgroup_inventory
 from sumsetlab.groups import SubsetMask, build_group, element_order, validate_group
 from sumsetlab.structure import (INFINITY, choose_decomposition_subgroup,
@@ -28,6 +30,38 @@ def test_generated_subgroup_order_divides_group_order(corpus_member):
     for x in range(g.order):
         h = generated_subgroup(g, (x,))
         assert g.order % h.order == 0
+
+
+def _worklist_closure(g, gens) -> tuple[int, ...]:
+    """Oracle: close {identity} + gens under products, one pair at a time."""
+    members = {g.identity, *gens}
+    todo = list(members)
+    while todo:
+        x = todo.pop()
+        for y in list(members):
+            for v in (g.mul(x, y), g.mul(y, x)):
+                if v not in members:
+                    members.add(v)
+                    todo.append(v)
+    return tuple(sorted(members))
+
+
+def test_generated_subgroup_matches_a_worklist_closure(corpus_member):
+    g = corpus_member
+    rng = np.random.default_rng(g.order)
+    for size in (1, 1, 2, 2, 3):
+        gens = [int(x) for x in rng.integers(0, g.order, size)]
+        h = generated_subgroup(g, gens)
+        assert h.element_list == _worklist_closure(g, gens), gens
+        assert h.members.elements() == h.element_list
+
+
+def test_generated_subgroup_rejects_generators_outside_the_group():
+    g = build_group("cyclic:5")
+    with pytest.raises(ValueError, match="generator 5 outside"):
+        generated_subgroup(g, (1, 5))
+    with pytest.raises(ValueError, match="generator -1 outside"):
+        generated_subgroup(g, (-1,))
 
 
 def test_generated_subgroup_is_closed(corpus_member):
@@ -196,9 +230,25 @@ def test_smallest_prime_factor_values():
 
 
 def test_minimal_torsion_agrees_with_smallest_prime_factor(corpus_member):
-    assert minimal_torsion(corpus_member) == smallest_prime_factor(
-        corpus_member.order
-    )
+    # oracle: the definition, the least order of a non-identity element
+    g = corpus_member
+    orders = [element_order(g, x) for x in range(g.order) if x != g.identity]
+    least = min(orders) if orders else INFINITY
+    assert minimal_torsion(g) == least == smallest_prime_factor(g.order)
+
+
+def test_commutators_are_computed_once_per_group(monkeypatch):
+    calls = []
+    real = structure.derived_of
+    monkeypatch.setattr(structure, "derived_of",
+                        lambda h: calls.append(h.order) or real(h))
+    g = build_group("frobenius:7:3:2")
+    series = derived_series(g)
+    assert is_solvable(g)
+    assert commutator_subgroup(g).element_list == series[1].element_list
+    choose_decomposition_subgroup(g)
+    assert derived_series(g) == series
+    assert calls == [21, 7, 1]
 
 
 def test_infinity_orders_above_every_integer():
