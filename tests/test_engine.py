@@ -1,12 +1,14 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import engine
 from sumsetlab.corpus import corpus_group
-from sumsetlab.engine import (Caps, SamplingPlan, _elements, _popcount, _Scan,
+from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, verify_exhaustive,
                               verify_sampled)
@@ -216,7 +218,7 @@ def test_kernel_matches_the_naive_product_at_word_boundaries(spec, theorem):
     assert list(a_sizes) == [m.bit_count() for m in a_masks]
     pair_masks = _mask_ints(scan.masks(a_pad, b_pad))
     columns = _mask_ints(scan.masks(a_pad))
-    sizes = _popcount(scan.masks(a_pad, b_pad)[:, None])
+    sizes = scan.popcount(scan.masks(a_pad, b_pad)[:, None])
     for k, (a_bits, b_bits) in enumerate(zip(a_masks, b_masks)):
         want = oracle(g, SubsetMask(a_bits, n), SubsetMask(b_bits, n))
         assert pair_masks[k] == want.bits
@@ -224,6 +226,16 @@ def test_kernel_matches_the_naive_product_at_word_boundaries(spec, theorem):
         for y in range(n):
             col = oracle(g, SubsetMask(a_bits, n), SubsetMask(1 << y, n))
             assert columns[k * n + y] == col.bits
+
+
+def test_scan_work_arrays_are_reused_within_a_thread_only():
+    scan = _Scan(build_group("cyclic:5"), "cd", 5, 5)
+    first = scan.buffer("work", (4, 8), np.int16)
+    assert np.shares_memory(first, scan.buffer("work", (2, 8), np.int16))
+    assert scan.buffer("work", (5, 8), np.int16).shape == (5, 8)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(scan.buffer, "work", (4, 8), np.int16).result()
+    assert not np.shares_memory(first, other)
 
 
 def test_capped_mode_works_above_64_elements():
