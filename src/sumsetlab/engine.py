@@ -16,13 +16,19 @@ capped and extremal scans at each B's elements; sampled scans pack each
 A_k * B_k directly.  One scoring step compares popcounts with a bound table
 indexed by (|A|, |B|).
 
-Verification enumerates ordered pairs (A, B) of nonempty subsets: products
-need not commute, so no symmetry reduction is applied.  Pairs are visited in
-ascending mask order (A outer, B inner); sampled pairs are drawn in sequence
-from a SplitMix64 stream.  Batches are cut by a fixed memory budget, never
-by the worker count, and merged in order; several batches run on a thread
-pool, a single one on the calling thread.  So reports are identical for any
-worker count.
+Verification covers ordered pairs (A, B) of nonempty subsets; products
+need not commute.  Exhaustive and capped scans score one pair per
+translation orbit: |gA * Bh| = |A * B|, so a cd scan lists only the sets A
+and B that hold element 0, and on abelian groups |(A + g) *' (B + g)| =
+|A *' B| (x + g = y + g exactly when x = y), so an eh scan lists only the
+sets A that hold 0.  eh scans on non-abelian groups, sampled scans and the
+extremal search list every pair.  The counts are weighted back exactly and
+each violation is expanded into its orbit, so reports are those of the
+full scan.  Pairs are visited in ascending mask order (A outer, B inner);
+sampled pairs are drawn in sequence from a SplitMix64 stream.  Batches are
+cut by a fixed memory budget, never by the worker count, and merged in
+order; several batches run on a thread pool, a single one on the calling
+thread.  So reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,12 +40,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask
+from .groups import FiniteGroup, SubsetMask, iter_bits
 from .rng import SplitMix64
 from .structure import INFINITY, minimal_torsion
 
@@ -259,6 +265,8 @@ class _Scan:
     every size, so neither extremal nor a violation) where the caps leave
     that size pair out.  ``collect`` picks the pairs to report from (sizes,
     bounds): ``np.less`` finds violations, ``np.equal`` extremal pairs.
+    With ``orbits``, ``pivot_a`` and ``pivot_b`` say which sides list only
+    the sets that hold element 0 (see ``verify_exhaustive``).
 
     Each thread keeps its batch-sized work arrays for the whole run: made
     per batch, they went back to the OS and were faulted in again whenever
@@ -269,11 +277,16 @@ class _Scan:
     skip = np.iinfo(np.int16).min
 
     def __init__(self, g: FiniteGroup, theorem: str, max_a: int, max_b: int,
-                 sum_cap: int | None = None, collect: Callable = np.less):
+                 sum_cap: int | None = None, collect: Callable = np.less,
+                 orbits: bool = False):
         self.g = g
         self.theorem = theorem
         self.p = minimal_torsion(g)
         self.collect = collect
+        self.pivot_a = orbits and (theorem == "cd" or g.is_abelian())
+        self.pivot_b = orbits and theorem == "cd"
+        # each listed B is weighted lcm / |B|: integers, at most lcm(1..20)
+        self.lcm = math.lcm(*range(1, max_b + 1)) if self.pivot_b else 1
         # masks: the narrowest little-endian word that holds n bits, or
         # ceil(n / 64) uint64 words
         word = 16 if g.order <= 16 else 32 if g.order <= 32 else 64
@@ -339,12 +352,14 @@ class _Scan:
         words = np.packbits(plane[:count], axis=1, bitorder="little").view(self.dtype)
         return words.reshape(len(a_pad), n, self.words) if b_pad is None else words
 
-    def score(self, sizes: np.ndarray, bounds: np.ndarray, masks_of: Callable):
-        """The extremal count and the collected (a_bits, b_bits, size, bound)
-        of one batch, in row-major order, which is ascending (A, B) mask
-        order; ``masks_of(r, c)`` gives the masks at row r, column c."""
+    def score(self, sizes: np.ndarray, bounds: np.ndarray, masks_of: Callable,
+              count: Callable = np.count_nonzero):
+        """The extremal count (``count`` of the pairs that meet the bound)
+        and the collected (a_bits, b_bits, size, bound) of one batch, in
+        row-major order, which is ascending (A, B) mask order;
+        ``masks_of(r, c)`` gives the masks at row r, column c."""
         hits = np.equal(sizes, bounds, out=self.buffer("hits", sizes.shape, bool))
-        extremal = int(np.count_nonzero(hits))
+        extremal = count(hits)
         hits = self.collect(sizes, bounds, out=hits)
         if not hits.any():
             return extremal, []
@@ -354,18 +369,58 @@ class _Scan:
     def report(self, mode: dict, results: Iterable, start: float) -> VerificationReport:
         """Merge batch results, in order, into the run's report."""
         pairs = extremal = 0
-        violations = []
-        for batch_pairs, batch_extremal, found in results:
+        found = []
+        for batch_pairs, batch_extremal, batch_found in results:
             pairs += batch_pairs
             extremal += batch_extremal
-            violations.extend(_make_check(self.g, self.theorem, a_bits, b_bits, size,
-                                          self.p, bound)
-                              for a_bits, b_bits, size, bound in found)
+            found.extend(batch_found)
+        if self.pivot_a:
+            pairs, extremal, found = self.unreduce(extremal, found)
+        violations = tuple(_make_check(self.g, self.theorem, a_bits, b_bits, size,
+                                       self.p, bound)
+                           for a_bits, b_bits, size, bound in found)
         return VerificationReport(
             group=self.g.label, group_order=self.g.order, theorem=self.theorem,
-            mode=mode, p_g=self.p, pairs_checked=pairs, violations=tuple(violations),
-            extremal_count=extremal, wall_time=time.perf_counter() - start,
+            mode=mode, p_g=self.p, pairs_checked=pairs, violations=violations,
+            extremal_count=int(extremal), wall_time=time.perf_counter() - start,
         )
+
+    def unreduce(self, hits: np.ndarray, found: list) -> tuple[int, int, list]:
+        """The pair count, extremal count and violations of the full scan,
+        from the listed pairs.
+
+        ``hits[a]`` sums the tight listed pairs with |A| = a, each weighted
+        lcm / |B| where B is reduced.  By double counting: exactly |A| of
+        the n translates of a set A hold element 0, and each listed set is
+        the translate of n (set, shift) pairs.  So the full scan has R(a, b)
+        * n^2 / (a * b) tight pairs of sizes (a, b) for cd and R(a, b) * n / a
+        for eh, R(a, b) counting the tight listed ones; a remainder means
+        the listing was wrong.
+        """
+        n = self.g.order
+        cells = np.argwhere(self.bounds[1:, 1:] != self.skip) + 1
+        pairs = sum(math.comb(n, a) * math.comb(n, b) for a, b in cells.tolist())
+        extremal = 0
+        for a, weighted in enumerate(hits.tolist()):
+            if weighted:
+                tight, left = divmod(weighted * n * (n if self.pivot_b else 1),
+                                     a * self.lcm)
+                if left:
+                    raise ArithmeticError(f"orbit count for |A| = {a} is not whole")
+                extremal += tight
+        # every translate of a witness is one: (gA, Bh) for cd, (A + g, B + g) for eh
+        op, orbit = self.g.op, set()
+        for a_bits, b_bits, size, bound in found:
+            lefts = _row_masks(op[:, list(iter_bits(a_bits))])      # row g: gA
+            rights = _row_masks(op[list(iter_bits(b_bits))].T)      # row h: Bh
+            orbit.update((a, b, size, bound) for a, b in
+                         (product(lefts, rights) if self.pivot_b else zip(lefts, rights)))
+        return pairs, extremal, sorted(orbit)
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The mask of each row's elements."""
+    return [sum(1 << x for x in row) for row in rows.tolist()]
 
 
 def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
@@ -406,7 +461,14 @@ def verify_exhaustive(
 
     Without caps the group order must stay within ``exhaustive_limit``; with
     caps only pairs with |A| <= max_a_size, |B| <= max_b_size and
-    |A| + |B| <= sum_cap are enumerated.
+    |A| + |B| <= sum_cap are covered.
+
+    The scan lists one pair per translation orbit (see the module
+    docstring): only the sets A that hold element 0, and for cd only such
+    sets B.  The report is that of the full scan: counts are weighted back
+    exactly and violations expanded into their orbits.  This holds on
+    groups only; every group that reaches the engine is validated or built
+    from a factor system.
     """
     theorem = _check_theorem(theorem)
     start = time.perf_counter()
@@ -419,37 +481,43 @@ def verify_exhaustive(
             )
         if n > EXHAUSTIVE_HARD_CEILING:
             raise ValueError(f"order {n} exceeds the hard exhaustive ceiling")
-        scan = _Scan(g, theorem, n, n)
-        a_masks = b_masks = range(1, 1 << n)
-        b_sizes = np.bitwise_count(np.arange(1, 1 << n, dtype=np.uint64)).astype(np.intp)
+        scan = _Scan(g, theorem, n, n, orbits=True)
+        a_masks = range(1, 1 << n, 1 + scan.pivot_a)
+        b_masks = range(1, 1 << n, 1 + scan.pivot_b)
+        b_sizes = np.bitwise_count(np.arange(1, 1 << n, 1 + scan.pivot_b,
+                                             dtype=np.uint64)).astype(np.intp)
         results = _grid_scan(scan, a_masks, b_masks, b_sizes, None, workers)
         mode = {"kind": "exhaustive"}
     else:
         top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
         max_a, max_b = (top if cap is None else min(top, cap)
                         for cap in (caps.max_a_size, caps.max_b_size))
-        scan = _Scan(g, theorem, max_a, max_b, caps.sum_cap)
-        b_masks = _masks_by_size(n, 1, max_b)
-        results = _grid_scan(scan, _masks_by_size(n, 1, max_a), b_masks,
+        scan = _Scan(g, theorem, max_a, max_b, caps.sum_cap, orbits=True)
+        b_masks = _masks_by_size(n, 1, max_b, scan.pivot_b)
+        results = _grid_scan(scan, _masks_by_size(n, 1, max_a, scan.pivot_a), b_masks,
                              *_elements(b_masks, n), workers)
         mode = caps.to_json_dict()
     return scan.report(mode, results, start)
 
 
-def _masks_by_size(n: int, min_size: int, max_size: int) -> list[int]:
-    """All masks with min_size <= popcount <= max_size, in ascending order.
+def _masks_by_size(n: int, min_size: int, max_size: int,
+                   pivot: bool = False) -> list[int]:
+    """All masks with min_size <= popcount <= max_size, in ascending order;
+    with ``pivot`` only those with bit 0 set.
 
-    Refuses to list more than 2^EXHAUSTIVE_HARD_CEILING masks, as many as the
-    largest exhaustive scan lists.
+    Refuses sizes that have more than 2^EXHAUSTIVE_HARD_CEILING masks, as
+    many as the largest exhaustive scan covers, whether or not it lists them
+    all.
     """
     count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     if count > 1 << EXHAUSTIVE_HARD_CEILING:
         raise ValueError(
             f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
             f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
-    return sorted(sum(1 << x for x in combo)
-                  for size in range(min_size, max_size + 1)
-                  for combo in combinations(range(n), size))
+    bits = [1 << x for x in range(pivot, n)]
+    return sorted(pivot + sum(combo)
+                  for size in range(min_size - pivot, max_size + 1 - pivot)
+                  for combo in combinations(bits, size))
 
 
 def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
@@ -461,6 +529,10 @@ def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
     n = scan.g.order
     bounds = scan.bounds.take(b_sizes, axis=1)    # [sa]: |A| = sa with each B
     pairs = np.count_nonzero(bounds != scan.skip, axis=1)
+    # each listed B counts lcm / |B| tight pairs where B is reduced, else 1,
+    # in a dtype that holds the sum over a row
+    weights = scan.lcm // b_sizes if scan.pivot_b else np.ones_like(b_sizes)
+    weights = weights.astype(np.int32 if weights.sum() < 1 << 31 else np.int64)
     # bytes per A: the product words over every B (two arrays of them while
     # gathering B's columns), the kernel's index array and its byte plane
     words = scan.dtype.itemsize * scan.words * (len(b_masks) + 1)
@@ -468,25 +540,37 @@ def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
               n * scan.bits)
     step = max(1, _BATCH_BYTES // row)
     batches = (a_masks[lo:lo + step] for lo in range(0, len(a_masks), step))
-    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, pairs),
+    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, pairs, weights),
                        batches, workers)
 
 
-def _grid_batch(scan, b_masks, b_pad, bounds, pairs, a_masks: Sequence[int]):
+def _grid_batch(scan, b_masks, b_pad, bounds, pairs, weights, a_masks: Sequence[int]):
     a_sizes, a_pad = _elements(a_masks, scan.g.order)
     a_bounds = scan.buffer("a_bounds", (len(a_masks), len(b_masks)), np.int16)
+    count = (partial(_tight_by_size, scan, a_sizes, weights) if scan.pivot_a
+             else np.count_nonzero)
     extremal, found = scan.score(_grid_sizes(scan, scan.masks(a_pad), b_pad),
                                  bounds.take(a_sizes, axis=0, out=a_bounds, mode="clip"),
-                                 lambda r, c: (a_masks[r], b_masks[c]))
+                                 lambda r, c: (a_masks[r], b_masks[c]), count)
     return int(pairs.take(a_sizes).sum()), extremal, found
+
+
+def _tight_by_size(scan: _Scan, a_sizes: np.ndarray, weights: np.ndarray,
+                   hits: np.ndarray) -> np.ndarray:
+    """The weighted tight pairs of each row, summed by |A|.  int64 holds
+    the sums: below 2^63 even for the full scan at order 20."""
+    by_size = np.zeros(len(scan.bounds), dtype=np.int64)
+    np.add.at(by_size, a_sizes, np.einsum("ij,j->i", hits, weights))
+    return by_size
 
 
 def _grid_sizes(scan: _Scan, cols: np.ndarray, b_pad: np.ndarray | None) -> np.ndarray:
     """sizes[k, j] = |A_k * B_j| from A_k's column masks."""
     k, n, words = cols.shape
     if b_pad is None:
-        unions = scan.buffer("prods", (k, 1 << n, words), cols.dtype)
-        return scan.popcount(_all_unions(cols, unions)[:, 1:])
+        unions = scan.buffer("prods", (k, 1 << (n - scan.pivot_b), words), cols.dtype)
+        _all_unions(cols, unions, scan.pivot_b)
+        return scan.popcount(unions if scan.pivot_b else unions[:, 1:])
     shape = (k, len(b_pad), words)
     prods = np.take(cols, b_pad[:, 0], axis=1, mode="clip",
                     out=scan.buffer("prods", shape, cols.dtype))
@@ -496,15 +580,16 @@ def _grid_sizes(scan: _Scan, cols: np.ndarray, b_pad: np.ndarray | None) -> np.n
     return scan.popcount(prods)
 
 
-def _all_unions(cols: np.ndarray, unions: np.ndarray) -> np.ndarray:
+def _all_unions(cols: np.ndarray, unions: np.ndarray, pivot: bool) -> None:
     """Fill unions[k, m] with the mask of A_k * B for the set B with mask m,
-    by subset doubling: masks with top bit i are those below 2^i OR column i."""
+    by subset doubling: masks with top bit i are those below 2^i OR column i.
+    With ``pivot``, B has mask 2m + 1: seeded with column 0, doubled over
+    columns 1..n-1."""
     n = cols.shape[1]
-    unions[:, 0] = 0
-    for i in range(n):
-        half = 1 << i
+    unions[:, 0] = cols[:, 0] if pivot else 0
+    for i in range(pivot, n):
+        half = 1 << (i - pivot)
         np.bitwise_or(unions[:, :half], cols[:, i:i + 1], out=unions[:, half:2 * half])
-    return unions
 
 
 # ---------------------------------------------------------------------------

@@ -503,18 +503,29 @@ def validate_group(g: FiniteGroup) -> list[str]:
     closed = closure(g, ())
     while not closed.all():
         s = int(np.argmin(closed))    # lowest element outside the closure
-        lhs = op[op[:, s]]            # lhs[a, c] = (as)c
-        rhs = op[:, op[s]]            # rhs[a, c] = a(sc)
-        if not np.array_equal(lhs, rhs):
-            a, c = np.argwhere(lhs != rhs)[0]
-            problems.append(
-                f"associativity: op(op({a},{s}),{c}) = {int(lhs[a, c])} "
-                f"but op({a},op({s},{c})) = {int(rhs[a, c])}"
-            )
+        bad = _first_nonassociative(op, s)
+        if bad is not None:
+            problems.append(bad)
             break
         closed[s] = True
         closed = closure(g, np.flatnonzero(closed))
     return problems
+
+
+def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
+    """The first (lowest a, then c) failure of (as)c = a(sc), or None.
+
+    Rows a are compared 256 at a time, so no n x n table is built (two of
+    them and their comparison took 144 MB at order 4096)."""
+    right = op[s]                                   # right[c] = sc
+    for lo in range(0, len(op), 256):
+        lhs = op[op[lo:lo + 256, s]]                # lhs[a - lo, c] = (as)c
+        rhs = op[lo:lo + 256].take(right, axis=1)   # rhs[a - lo, c] = a(sc)
+        if not np.array_equal(lhs, rhs):
+            a, c = np.argwhere(lhs != rhs)[0]
+            return (f"associativity: op(op({lo + a},{s}),{c}) = {int(lhs[a, c])} "
+                    f"but op({lo + a},op({s},{c})) = {int(rhs[a, c])}")
+    return None
 
 
 def closure(g: FiniteGroup, elements) -> np.ndarray:

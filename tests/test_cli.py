@@ -1,12 +1,16 @@
 import json
+import math
 import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import sumsetlab.cli as cli
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
-from sumsetlab.groups import SubsetMask
+from sumsetlab.groups import SubsetMask, parse_group_spec, spec_order
 
 
 @pytest.fixture()
@@ -215,3 +219,57 @@ def test_oversized_capped_scan_exits_2_before_listing(runner):
     assert result.exit_code == 2
     assert "exceed the limit 2^20" in result.output
     assert time.perf_counter() - start < 5
+
+
+SMALL_SPECS = {spec: spec_order(parse_group_spec(spec)) for spec in CORPUS_SPECS
+               if spec_order(parse_group_spec(spec)) <= 12}
+SMALL_SPECS["cyclic:x"] = None    # malformed
+_maybe_int = st.none() | st.integers(-2, 14)
+
+
+def _closed_form_pairs(args, n):
+    """The pair count a clean verify run must report."""
+    if args["--mode"] == "exhaustive":
+        return (2 ** n - 1) ** 2
+    if args["--mode"] == "sampled":
+        return args["--count"]
+    top = {k: n if args[k] is None else min(n, args[k]) for k in ("--max-a", "--max-b")}
+    cap = math.inf if args["--sum-cap"] is None else args["--sum-cap"]
+    return sum(math.comb(n, a) * math.comb(n, b)
+               for a in range(1, top["--max-a"] + 1) for b in range(1, top["--max-b"] + 1)
+               if a + b <= cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(sorted(SMALL_SPECS)),
+       theorem=st.sampled_from(["cd", "eh"]),
+       mode=st.sampled_from(["exhaustive", "capped", "sampled"]),
+       max_a=_maybe_int, max_b=_maybe_int, sum_cap=_maybe_int,
+       seed=st.none() | st.integers(-3, 2 ** 64),
+       count=st.none() | st.integers(-2, 300),
+       fixed=st.none() | st.tuples(st.integers(-1, 13), st.integers(-1, 13))
+       | st.just("3"),
+       limit=st.sampled_from([None, 6, 12]),
+       workers=st.sampled_from([1, 2]))
+def test_verify_exit_codes_hold_for_any_arguments(spec, theorem, mode, max_a, max_b,
+                                                  sum_cap, seed, count, fixed, limit,
+                                                  workers):
+    args = {"--group": spec, "--theorem": theorem, "--mode": mode, "--max-a": max_a,
+            "--max-b": max_b, "--sum-cap": sum_cap, "--seed": seed, "--count": count,
+            "--fixed-sizes": fixed if not isinstance(fixed, tuple) else "%d,%d" % fixed,
+            "--exhaustive-limit": limit, "--workers": workers}
+    argv = ["verify", "--json"]
+    for flag, value in args.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    assert result.exit_code in (0, 1, 2)
+    event(f"{mode} exit {result.exit_code}")
+    if result.exit_code == 2:
+        return
+    payload = json.loads(result.stdout)
+    assert (result.exit_code == 1) == bool(payload["violations"])
+    if result.exit_code == 0:
+        assert payload["pairs_checked"] == _closed_form_pairs(args, SMALL_SPECS[spec])

@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import engine
-from sumsetlab.corpus import corpus_group
+from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, verify_exhaustive,
@@ -453,6 +454,95 @@ def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
             assert want == sorted(want)
         assert one.pairs_checked == len(pairs)
         assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
+
+
+@pytest.mark.parametrize("spec, theorem", [("product:cyclic:2,cyclic:4", "eh"),
+                                           ("dihedral:4", "eh"), ("dihedral:4", "cd")])
+def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch, spec,
+                                                                     theorem):
+    # The sibling of the test above for the orbit expansion.  Z/2 x Z/4 is
+    # abelian, so its eh scans list only the sets A that hold element 0 and
+    # expand each witness into (A + g, B + g); dihedral:4 is not, so its eh
+    # scans list every pair, and its cd witnesses expand into (gA, Bh),
+    # which differs from (gA, hB) there.
+    g = build_group(spec)
+    n = g.order
+    slack = 1 if theorem == "cd" else 3
+    reduced = (spec, theorem) != ("dihedral:4", "eh")
+    assert _Scan(g, theorem, n, n, orbits=True).pivot_a == reduced
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+
+    def naive_witnesses(pairs):
+        found = []
+        for a_bits, b_bits in pairs:
+            size = len(naive_product(g, SubsetMask(a_bits, n), SubsetMask(b_bits, n),
+                                     restricted=theorem == "eh"))
+            if size < min(n, a_bits.bit_count() + b_bits.bit_count() - slack):
+                found.append((a_bits, b_bits, size))
+        return found
+
+    every = [(a, b) for a in range(1, 1 << n) for b in range(1, 1 << n)]
+    capped = [(a, b) for a, b in every if a.bit_count() <= 3 and b.bit_count() <= 4]
+    runs = [
+        (lambda w: verify_exhaustive(g, theorem, workers=w), every),
+        (lambda w: verify_exhaustive(g, theorem, Caps(3, 4), workers=w), capped),
+    ]
+    for run, pairs in runs:
+        one, three = run(1), run(3)
+        want = naive_witnesses(pairs)
+        assert want
+        assert [(v.a.bits, v.b.bits, v.product_size) for v in one.violations] == want
+        assert all(not v.holds and v.bound == min(n, v.a_size + v.b_size - slack)
+                   for v in one.violations)
+        assert want == sorted(want)
+        assert one.pairs_checked == len(pairs)
+        assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
+
+
+def brute_force_scan(g, theorem, caps=None):
+    """pairs_checked, extremal_count and the violations (a_bits, b_bits,
+    size) of the full scan, in mask order, from g.op with Python sets."""
+    n = g.order
+    rows = g.op.tolist()
+    p = next((d for d in range(2, n + 1) if n % d == 0), math.inf)
+    slack = 1 if theorem == "cd" else 3
+    max_a = n if caps is None or caps.max_a_size is None else caps.max_a_size
+    max_b = n if caps is None or caps.max_b_size is None else caps.max_b_size
+    sum_cap = math.inf if caps is None or caps.sum_cap is None else caps.sum_cap
+    b_sets = {size: list(combinations(range(n), size)) for size in range(1, max_b + 1)}
+    pairs = extremal = 0
+    violations = []
+    for a_size in range(1, max_a + 1):
+        for a in combinations(range(n), a_size):
+            cols = [{rows[x][y] for x in a if theorem == "cd" or x != y}
+                    for y in range(n)]
+            for b_size, bs in b_sets.items():
+                if a_size + b_size > sum_cap:
+                    continue
+                bound = min(p, a_size + b_size - slack)
+                sizes = [len(set().union(*[cols[y] for y in b])) for b in bs]
+                pairs += len(sizes)
+                extremal += sizes.count(bound)
+                violations.extend((sum(1 << x for x in a), sum(1 << y for y in b), size)
+                                  for b, size in zip(bs, sizes) if size < bound)
+    return pairs, extremal, sorted(violations)
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
+    # oracle for the translation-orbit reduction: the full scan, written out
+    g = corpus_group(spec)
+    if g.order <= 8:
+        scans = [None]
+    else:
+        scans = [Caps(2, 2), Caps(3, 2, sum_cap=4)]
+    for caps in scans:
+        report = verify_exhaustive(g, theorem, caps, exhaustive_limit=8)
+        got = (report.pairs_checked, report.extremal_count,
+               [(v.a.bits, v.b.bits, v.product_size) for v in report.violations])
+        assert got == brute_force_scan(g, theorem, caps)
 
 
 def vosper_extremal(p, a, b):

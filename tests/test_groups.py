@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,34 @@ def test_validate_flags_a_nonassociative_loop_of_order_600():
     assert len(report) == 1
     assert report[0].startswith("associativity:")
     _assert_genuine_associativity_witness(op, report[0])
+
+
+def test_light_test_reports_the_first_failing_triple_past_the_first_row_block():
+    # loop x Z/300: rows 0..299 (loop part the identity) pass for every s, so
+    # the first failure, lowest a then c, lies past the first 256 rows that
+    # are compared at once
+    op = _product_table([np.array(NONASSOCIATIVE_LOOP), build_group("cyclic:300").op])
+    report = validate_group(as_candidate_group(op))
+    assert len(report) == 1
+    _assert_genuine_associativity_witness(op, report[0])
+    a, s, c = (int(v) for v in re.match(r"associativity: op\(op\((\d+),(\d+)\),(\d+)\)",
+                                        report[0]).groups())
+    first = np.argwhere(op[op[:, s]] != op[:, op[s]])[0]     # [a, c]: (as)c vs a(sc)
+    assert (a, c) == tuple(first.tolist())
+    assert a >= 256
+
+
+def test_light_test_memory_stays_bounded_at_order_4096():
+    # two n x n tables per generator took 144 MB here; row blocks leave the
+    # closure's n x n gather (64 MB) as the peak
+    g = build_group("cyclic:4096")
+    tracemalloc.start()
+    try:
+        assert validate_group(g) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["heisenberg:13", "cyclic:4096"])
