@@ -25,10 +25,13 @@ sets A that hold 0.  eh scans on non-abelian groups, sampled scans and the
 extremal search list every pair.  The counts are weighted back exactly and
 each violation is expanded into its orbit, so reports are those of the
 full scan.  Pairs are visited in ascending mask order (A outer, B inner);
-sampled pairs are drawn in sequence from a SplitMix64 stream.  Batches are
-cut by a fixed memory budget, never by the worker count, and merged in
-order; several batches run on a thread pool, a single one on the calling
-thread.  So reports are identical for any worker count.
+sampled pairs are drawn in sequence from a SplitMix64 stream, computed in
+numpy blocks that hold the words the scalar draws would take.  A sampled cd
+pair with |A| + |B| > |G| has A * B = G by pigeonhole and is counted
+without the kernel.  Batches are cut by a fixed memory budget, never by
+the worker count, and merged in order; several batches run on a thread
+pool, a single one on the calling thread.  So reports are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -243,19 +246,26 @@ def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:
 
 
 def _elements(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and padded element lists of nonempty n-bit masks: row k lists
-    ``masks[k]``'s elements in ascending order, padded to the longest row by
-    repeating its first element, which leaves an OR over the row unchanged."""
+    """Sizes and padded element lists of nonempty n-bit masks (see
+    ``_padded``)."""
     nbytes = (n + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
                         dtype=np.uint8).reshape(len(masks), nbytes)
-    member = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    return _padded(np.unpackbits(raw, axis=1, count=n, bitorder="little"))
+
+
+def _padded(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and padded element lists of the nonempty rows of a 0/1
+    membership array: row k lists row k's elements in ascending order,
+    padded to the longest row by repeating its first element, which leaves
+    an OR over the row unchanged."""
+    n = member.shape[1]
     sizes = member.sum(axis=1, dtype=np.intp)
-    rows, elts = np.nonzero(member)
-    starts = np.cumsum(sizes) - sizes
-    pad = np.repeat(elts[starts][:, None], sizes.max(), axis=1)
-    pad[rows, np.arange(len(rows)) - starts[rows]] = elts
-    return sizes, pad
+    # members keep their index, the others sort last as n
+    pad = np.where(member.view(bool), np.arange(n), n)
+    pad.sort(axis=1)
+    pad = pad[:, :sizes.max()]
+    return sizes, np.where(pad < n, pad, pad[:, :1])
 
 
 class _Scan:
@@ -419,8 +429,8 @@ class _Scan:
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
-    """The mask of each row's elements."""
-    return [sum(1 << x for x in row) for row in rows.tolist()]
+    """The mask of each row's elements (a row may repeat one)."""
+    return [sum(1 << x for x in set(row)) for row in rows.tolist()]
 
 
 def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
@@ -605,9 +615,10 @@ def verify_sampled(
 ) -> VerificationReport:
     """Check the bound over seeded random pairs.
 
-    Pairs are drawn in sequence from SplitMix64(seed) (A then B per pair),
-    one batch at a time, so identical (seed, group, plan) reproduce
-    identical reports and memory stays bounded for any count.
+    Pairs are drawn in sequence from SplitMix64(seed) (A then B per pair,
+    as ``nonempty_mask`` or ``subset_of_size`` draw them), one block at a
+    time, so identical (seed, group, plan) reproduce identical reports and
+    memory stays bounded for any count.
     """
     theorem = _check_theorem(theorem)
     if plan is None:
@@ -625,37 +636,118 @@ def verify_sampled(
 
 
 def _sampled_batches(rng: SplitMix64, plan: SamplingPlan, n: int):
-    """The plan's pairs in draw order, cut where the next pair would take
-    the kernel's padded (K, |A|, |B|) index arrays, two int64 arrays alive
-    at a time, past the byte budget."""
-    def draw(side: int) -> int:
-        if plan.fixed_sizes is None:
-            return rng.nonempty_mask(n)
-        return rng.subset_of_size(n, plan.fixed_sizes[side])
-
-    batch, wide_a, wide_b = [], 1, 1
-    for _ in range(plan.count):
-        a_bits = draw(0)
-        b_bits = draw(1)
-        wa, wb = max(wide_a, a_bits.bit_count()), max(wide_b, b_bits.bit_count())
-        if batch and 16 * (len(batch) + 1) * wa * wb > _BATCH_BYTES:
-            yield batch
-            batch, wa, wb = [], a_bits.bit_count(), b_bits.bit_count()
-        batch.append((a_bits, b_bits))
-        wide_a, wide_b = wa, wb
-    if batch:
-        yield batch
+    """The plan's pairs in draw order, as (a_sizes, a_pad, b_sizes, b_pad),
+    in blocks whose largest draw array fits the byte budget.  That array is
+    ``_padded``'s int64 sort key for uniform masks (n words a set); for
+    fixed sizes, the drawn words (|A| + |B| a pair) or the shuffle's slots
+    (n a set)."""
+    if plan.fixed_sizes is None:
+        per_pair, draw = 8 * n, _uniform_pairs
+    else:
+        per_pair = max(8 * sum(plan.fixed_sizes), n * _slot_type(n).itemsize)
+        draw = partial(_fixed_pairs, sizes=plan.fixed_sizes)
+    block = max(1, _BATCH_BYTES // per_pair)
+    for lo in range(0, plan.count, block):
+        yield from draw(rng, n, min(block, plan.count - lo))
 
 
-def _sampled_batch(scan: _Scan, batch: list[tuple[int, int]]):
-    n = scan.g.order
-    a_sizes, a_pad = _elements([a for a, _ in batch], n)
-    b_sizes, b_pad = _elements([b for _, b in batch], n)
-    prods = scan.masks(a_pad, b_pad)
-    extremal, found = scan.score(scan.popcount(prods[:, None]),
-                                 scan.bounds[a_sizes, b_sizes][:, None],
-                                 lambda r, c: batch[r])
-    return len(batch), extremal, found
+def _uniform_pairs(rng: SplitMix64, n: int, count: int):
+    """``count`` pairs of uniform nonempty masks, as ``nonempty_mask`` draws
+    them: ceil(n / 64) little-endian words per attempt, truncated to n bits,
+    zero attempts dropped; accepted masks alternate A, B."""
+    width = -(-n // 64)
+    top = np.uint64((1 << (n - 64 * (width - 1))) - 1)
+    drawn, need = [], 2 * count
+    while need:
+        attempts = rng.words(need * width).reshape(need, width)
+        attempts[:, -1] &= top
+        attempts = attempts[attempts.any(axis=1)]
+        drawn.append(attempts)
+        need -= len(attempts)
+    masks = np.concatenate(drawn).astype("<u8", copy=False).view(np.uint8)
+    member = np.unpackbits(masks, axis=1, count=n, bitorder="little")
+    yield *_padded(member[0::2]), *_padded(member[1::2])
+
+
+def _fixed_pairs(rng: SplitMix64, n: int, count: int, sizes: tuple[int, int]):
+    """``count`` pairs of masks of the given sizes, as ``subset_of_size``
+    draws them: slot i of a partial Fisher-Yates shuffle of 0..n-1 is
+    swapped with slot i + below(n - i), A's slots then B's.
+
+    ``below(m)`` rejects a word v >= 2^64 - 2^64 mod m.  That is rare, but
+    on one the pair is drawn by the scalar generator at its place in the
+    stream, and the block draw resumes after it.
+    """
+    sa, sb = sizes
+    moduli = [n - i for i in range(sa)] + [n - i for i in range(sb)]
+    highest = np.array([(1 << 64) - 1 - (1 << 64) % m for m in moduli], dtype=np.uint64)
+    moduli = np.array(moduli, dtype=np.uint64)
+    while count:
+        words = rng.words(count * len(moduli)).reshape(count, len(moduli))
+        rejected = (words > highest).any(axis=1)
+        good = int(rejected.argmax()) if rejected.any() else count
+        if good:
+            offsets = (words[:good] % moduli).astype(np.intp)
+            yield (np.full(good, sa), _shuffled(offsets[:, :sa], n),
+                   np.full(good, sb), _shuffled(offsets[:, sa:], n))
+        if good < count:
+            rng.jump((good - count) * len(moduli))
+            a_bits, b_bits = rng.subset_of_size(n, sa), rng.subset_of_size(n, sb)
+            yield *_elements([a_bits], n), *_elements([b_bits], n)
+            good += 1
+        count -= good
+
+
+def _slot_type(n: int) -> np.dtype:
+    """The narrowest integer type that holds 0..n-1."""
+    return np.min_scalar_type(n - 1)
+
+
+def _shuffled(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Row k: the first slots of a partial Fisher-Yates shuffle of 0..n-1
+    that swaps slot i with slot i + offsets[k, i], one step for all rows."""
+    count, size = offsets.shape
+    perm = np.tile(np.arange(n, dtype=_slot_type(n)), (count, 1))
+    rows = np.arange(count)
+    for i in range(size):
+        j = offsets[:, i] + i
+        picked = perm[rows, j]
+        perm[rows, j] = perm[:, i]
+        perm[:, i] = picked
+    return perm[:, :size].astype(np.intp)
+
+
+def _sampled_batch(scan: _Scan, batch):
+    """Score one block of drawn pairs.
+
+    For cd, a pair with |A| + |B| > |G| has A * B = G by pigeonhole (A
+    meets every g * B^-1), so it is counted, as extremal where the bound is
+    |G|, but not scored.  The pairs left go through the kernel in batches
+    cut where its padded (K, |A|, |B|) index arrays, two int64 arrays alive
+    at a time, would pass the byte budget.
+    """
+    a_sizes, a_pad, b_sizes, b_pad = batch
+    pairs, extremal, found = len(a_sizes), 0, []
+    if scan.theorem == "cd":
+        full = a_sizes + b_sizes > scan.g.order
+        if full.any():
+            extremal = int(np.count_nonzero(
+                scan.bounds[a_sizes[full], b_sizes[full]] == scan.g.order))
+            kept = ~full
+            a_sizes, b_sizes = a_sizes[kept], b_sizes[kept]
+            a_pad = a_pad[kept, :a_sizes.max(initial=1)]
+            b_pad = b_pad[kept, :b_sizes.max(initial=1)]
+    step = max(1, _BATCH_BYTES // (16 * a_pad.shape[1] * b_pad.shape[1]))
+    for lo in range(0, len(a_sizes), step):
+        part = slice(lo, lo + step)
+        tight, hits = scan.score(
+            scan.popcount(scan.masks(a_pad[part], b_pad[part])[:, None]),
+            scan.bounds[a_sizes[part], b_sizes[part]][:, None],
+            lambda r, c: (*_row_masks(a_pad[lo + r:lo + r + 1]),
+                          *_row_masks(b_pad[lo + r:lo + r + 1])))
+        extremal += tight
+        found.extend(hits)
+    return pairs, extremal, found
 
 
 # ---------------------------------------------------------------------------

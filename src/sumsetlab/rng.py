@@ -5,11 +5,17 @@ draws, seeded coset-representative choices) derives its bits from this one
 generator so that identical seeds reproduce identical output on any platform,
 forever.  The algorithm is the public-domain SplitMix64 mixer: 64-bit state,
 one addition and three xor-multiply-shift rounds per output word.
+
+Output k of a stream is mix(state + k * gamma), so ``words`` computes any
+block of it at once in numpy; the words are those ``next_u64`` gives.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -21,11 +27,28 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1F4EE3B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self.jump(count)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1F4EE3B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def jump(self, count: int) -> None:
+        """Move the stream on by ``count`` words (back, if negative)."""
+        self._state = (self._state + count * _GAMMA) & _MASK64
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection (no modulo bias)."""

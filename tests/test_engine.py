@@ -306,6 +306,107 @@ def test_sampled_plan_validation():
         verify_sampled(g, "cd", None)
 
 
+def scalar_sampled_report(g, theorem, plan):
+    """Oracle: a sampled report drawn pair by pair with the scalar generator
+    (A then B) and scored with ``cd_bound``, as bytes."""
+    rng = SplitMix64(plan.seed)
+    n = g.order
+    violations, extremal = [], 0
+    for _ in range(plan.count):
+        if plan.fixed_sizes is None:
+            a, b = rng.nonempty_mask(n), rng.nonempty_mask(n)
+        else:
+            a = rng.subset_of_size(n, plan.fixed_sizes[0])
+            b = rng.subset_of_size(n, plan.fixed_sizes[1])
+        check = cd_bound(g, SubsetMask(a, n), SubsetMask(b, n), theorem)
+        extremal += check.product_size == check.bound
+        if not check.holds:
+            violations.append(check.to_json_dict())
+    p = engine.minimal_torsion(g)
+    return dumps_stable({
+        "schema": "sumsetlab.verification/1", "group": g.label, "group_order": n,
+        "theorem": theorem, "mode": plan.to_json_dict(),
+        "p_g": None if p == INFINITY else int(p), "pairs_checked": plan.count,
+        "violations": violations, "extremal_count": extremal,
+    })
+
+
+def _unshift(y, s):
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def seed_with_word(word, position):
+    """A seed whose SplitMix64 output at ``position`` (from 0) is ``word``:
+    every round of the mixer is a bijection on 64-bit words, so invert it."""
+    mask64 = (1 << 64) - 1
+    z = _unshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1F4EE3B9, -1, 1 << 64) & mask64
+    return (_unshift(z, 30) - (position + 1) * 0x9E3779B97F4A7C15) & mask64
+
+
+@pytest.mark.parametrize("position", [0, 5 * 7 + 3, 200 * 7 + 6])
+def test_sampled_fixed_sizes_redraw_a_rejected_word_like_the_scalar_generator(
+        monkeypatch, position):
+    # 2^64 - 1 is rejected by below(m) for every m that is not a power of
+    # two; each pair of sizes (3, 4) on Z/12 takes 7 words, of moduli 12,
+    # 11, 10 then 12, 11, 10, 9.  Pretending p(G) = |G| makes the bound 6,
+    # which many pairs meet and some miss, so the report depends on the
+    # pairs drawn.  A small budget cuts the draw into blocks, so the
+    # rejection also falls inside a later block.
+    g = build_group("cyclic:12")
+    seed = seed_with_word((1 << 64) - 1, position)
+    rng = SplitMix64(seed)
+    rng.jump(position)
+    assert rng.next_u64() == (1 << 64) - 1
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    for theorem in ("cd", "eh"):
+        plan = SamplingPlan(seed=seed, count=300, fixed_sizes=(3, 4))
+        assert (dumps_stable(verify_sampled(g, theorem, plan).to_json_dict())
+                == scalar_sampled_report(g, theorem, plan))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3"])
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_sampled_uniform_zero_mask_redraws_match_the_scalar_generator(spec, theorem):
+    # at these orders a zero attempt is drawn every 2, 4 or 8 attempts
+    g = build_group(spec)
+    for seed in (0, 1, 2**64 - 1):
+        plan = SamplingPlan(seed=seed, count=400)
+        assert (dumps_stable(verify_sampled(g, theorem, plan).to_json_dict())
+                == scalar_sampled_report(g, theorem, plan))
+
+
+def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
+    # On Z/2 x Z/4 a pair with |A| + |B| > |G| = 8 is not extremal under the
+    # real p(G) = 2; pretending p(G) = |G| makes it extremal (bound 8) and
+    # lets other pairs fail.  A small budget cuts every run into blocks, so
+    # three workers use the pool.
+    g = build_group("product:cyclic:2,cyclic:4")
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    failing = 0
+    for torsion in (engine.minimal_torsion, lambda group: group.order):
+        monkeypatch.setattr(engine, "minimal_torsion", torsion)
+        for fixed in (None, (1, 8), (2, 3), (4, 4), (5, 4)):
+            plan = SamplingPlan(seed=17, count=600, fixed_sizes=fixed)
+            want = scalar_sampled_report(g, "cd", plan)
+            one, three = (dumps_stable(verify_sampled(g, "cd", plan, workers=w)
+                                       .to_json_dict()) for w in (1, 3))
+            assert one == three == want
+            failing += '"violations": []' not in want
+    assert failing
+    # sizes that sum past |G| never reach the kernel
+    monkeypatch.setattr(engine._Scan, "masks", None)
+    report = verify_sampled(g, "cd", SamplingPlan(seed=3, count=500, fixed_sizes=(5, 4)))
+    assert report.extremal_count == report.pairs_checked == 500
+
+
 def test_exhaustive_workers_do_not_change_the_report():
     z7 = build_group("cyclic:7")
     one = verify_exhaustive(z7, "cd", workers=1)
