@@ -66,10 +66,6 @@ class FactorSystem:
     def num_blocks(self) -> int:
         return len(self.reps)
 
-    @property
-    def kernel_elements(self) -> tuple[int, ...]:
-        return self.kernel.element_list
-
     def conj_element(self, block: int, k_elt: int) -> int:
         """conj_{block}(k) = rep(block) * k * rep(block)^-1, in element space."""
         p = int(self.kernel_pos[k_elt])
@@ -86,19 +82,16 @@ class PairRepresentation:
     """The bijection g <-> (kernel element, block) induced by a FactorSystem.
 
     ``pair_k[g]`` and ``pair_block[g]`` give the coordinates of g, with
-    g = pair_k[g] * reps[pair_block[g]] exactly.  ``backward`` inverts the
-    flat pair index ``kernel_position * num_blocks + block``.
+    g = pair_k[g] * reps[pair_block[g]] exactly.
     """
 
     fs: FactorSystem
     pair_k: np.ndarray
     pair_block: np.ndarray
-    backward: np.ndarray
 
     def __post_init__(self):
         self.pair_k.setflags(write=False)
         self.pair_block.setflags(write=False)
-        self.backward.setflags(write=False)
 
     def to_pair(self, g: int) -> tuple[int, int]:
         return int(self.pair_k[g]), int(self.pair_block[g])
@@ -108,9 +101,6 @@ class PairRepresentation:
         if pos < 0:
             raise ValueError(f"element {k_elt} is not in the kernel")
         return pos * self.fs.num_blocks + block
-
-    def from_pair(self, k_elt: int, block: int) -> int:
-        return int(self.backward[self.pair_index(k_elt, block)])
 
 
 def build_factor_system(
@@ -169,12 +159,7 @@ def build_factor_system(
 
     pair_block = q.project.astype(np.int32)
     pair_k = g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]].astype(np.int32)
-    flat = kernel_pos[pair_k].astype(np.int64) * nblocks + pair_block
-    backward = np.empty(g.order, dtype=np.int32)
-    backward[flat] = np.arange(g.order, dtype=np.int32)
-    pr = PairRepresentation(fs=fs, pair_k=pair_k, pair_block=pair_block,
-                            backward=backward)
-    return fs, pr
+    return fs, PairRepresentation(fs=fs, pair_k=pair_k, pair_block=pair_block)
 
 
 def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -8,6 +8,7 @@ subsets are uniform bit masks regardless of the group family.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,11 +221,7 @@ def validate_spec(spec: GroupSpec) -> None:
             raise GroupBuildError("product spec needs at least two children")
         for child in spec.children:
             validate_spec(child)
-    elif spec.kind == "quaternion":
-        pass
-    elif spec.kind == "table":
-        pass
-    else:
+    elif spec.kind not in ("quaternion", "table"):
         raise GroupBuildError(f"unknown group kind {spec.kind!r}")
 
 
@@ -233,67 +230,54 @@ def validate_spec(spec: GroupSpec) -> None:
 
 
 def _cyclic_table(n: int) -> np.ndarray:
-    idx = np.arange(n, dtype=np.int32)
-    return (idx[:, None] + idx[None, :]) % n
+    return _shifts(n)[:n].copy()
+
+
+def _shifts(m: int) -> np.ndarray:
+    """Windows of 0..m-1 twice over: row i reads (i + y) % m for y in 0..m-1,
+    so rows [:m] add and rows [m:0:-1] subtract, with no modulo pass."""
+    idx = np.arange(m, dtype=np.int32)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((idx, idx)), m)
 
 
 def _quaternion_table() -> np.ndarray:
-    # element index = 2*unit + sign with unit in (1, i, j, k), sign 0 = +, 1 = -
-    umul = {}
-    for v in range(4):
-        umul[(0, v)] = (0, v)
-        umul[(v, 0)] = (0, v)
-    umul[(1, 1)] = (1, 0)
-    umul[(2, 2)] = (1, 0)
-    umul[(3, 3)] = (1, 0)
-    umul[(1, 2)] = (0, 3)   # ij = k
-    umul[(2, 1)] = (1, 3)   # ji = -k
-    umul[(2, 3)] = (0, 1)   # jk = i
-    umul[(3, 2)] = (1, 1)   # kj = -i
-    umul[(3, 1)] = (0, 2)   # ki = j
-    umul[(1, 3)] = (1, 2)   # ik = -j
-    table = np.zeros((8, 8), dtype=np.int32)
-    for x in range(8):
-        for y in range(8):
-            s, u = umul[(x // 2, y // 2)]
-            table[x, y] = 2 * u + ((x + y + s) % 2)
-    return table
+    # index = 2*unit + sign with unit in (1, i, j, k), sign 0 = +, 1 = -; units
+    # multiply as u xor v (ij = k, ...), and flip[u, v] marks ii = -1, ik = -j, ...
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    unit, sign = np.arange(8) // 2, np.arange(8) % 2
+    u, v = unit[:, None], unit[None, :]
+    return (2 * (u ^ v) + (sign[:, None] ^ sign[None, :] ^ flip[u, v])).astype(np.int32)
 
 
 def _dihedral_table(m: int) -> np.ndarray:
     # index = flip*m + rotation; (f1,a1)(f2,a2) = (f1 xor f2, a2 + (-1)^f2 a1)
-    idx = np.arange(2 * m)
-    f = idx // m
-    a = idx % m
-    sign = np.where(f[None, :] == 1, -1, 1)
-    a_out = (a[None, :] + sign * a[:, None]) % m
-    f_out = f[:, None] ^ f[None, :]
-    return (f_out * m + a_out).astype(np.int32)
+    shifts = _shifts(m)
+    rotation = np.stack((shifts[:m], shifts[m:0:-1]), axis=1)    # [a1, f2, a2]
+    flip = np.array([[0, m], [m, 0]], dtype=np.int32)             # [f1, f2]
+    return (flip[:, None, :, None] + rotation[None]).reshape(2 * m, 2 * m)
 
 
 def _heisenberg_table(p: int) -> np.ndarray:
-    # index = a*p^2 + b*p + c for the unitriangular matrix [[1,a,c],[0,1,b],[0,0,1]]
-    n = p ** 3
-    idx = np.arange(n)
-    a = idx // (p * p)
-    b = (idx // p) % p
-    c = idx % p
-    a_out = (a[:, None] + a[None, :]) % p
-    b_out = (b[:, None] + b[None, :]) % p
-    c_out = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
-    return (a_out * p * p + b_out * p + c_out).astype(np.int32)
+    # index = a*p^2 + b*p + c for the unitriangular matrix [[1,a,c],[0,1,b],[0,0,1]];
+    # the product adds a and b and takes c = c1 + c2 + a1*b2, so the table is
+    # the sum of small int32 tables over axes (a1, b1, c1, a2, b2, c2)
+    add = _cyclic_table(p)
+    r = np.arange(p, dtype=np.int32)
+    c = (r[:, None, None, None] * r[None, None, :, None]            # a1 * b2
+         + add[None, :, None, :]) % p                                # + c1 + c2
+    ab = (add[:, None, None, :, None, None] * (p * p)
+          + add[None, :, None, None, :, None] * p)
+    return (ab + c[:, None, :, None, :, :]).reshape(p ** 3, p ** 3)
 
 
 def _frobenius_table(p: int, q: int, k: int) -> np.ndarray:
-    # index = x*q + y; (x1,y1)(x2,y2) = (x1 + k^y1 * x2 mod p, y1 + y2 mod q)
-    n = p * q
-    idx = np.arange(n)
-    x = idx // q
-    y = idx % q
+    # index = x*q + y; (x1,y1)(x2,y2) = (x1 + k^y1 * x2 mod p, y1 + y2 mod q),
+    # the sum of an int32 table over (x1, y1, x2) and one over (y1, y2)
     kpow = np.array([pow(k, e, p) for e in range(q)], dtype=np.int64)
-    x_out = (x[:, None] + kpow[y][:, None] * x[None, :]) % p
-    y_out = (y[:, None] + y[None, :]) % q
-    return (x_out * q + y_out).astype(np.int32)
+    x = np.arange(p)
+    x_out = (x[:, None, None] + kpow[None, :, None] * x[None, None, :]) % p * q
+    return (x_out.astype(np.int32)[:, :, :, None]
+            + _cyclic_table(q)[None, :, None, :]).reshape(p * q, p * q)
 
 
 def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -304,6 +288,11 @@ def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
             na * nb, na * nb
         ).astype(np.int32)
     return acc
+
+
+_BUILDERS = {"cyclic": _cyclic_table, "quaternion": _quaternion_table,
+             "dihedral": _dihedral_table, "heisenberg": _heisenberg_table,
+             "frobenius": _frobenius_table}
 
 
 def _inverse_table(op: np.ndarray, identity: int) -> np.ndarray:
@@ -345,31 +334,16 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
         raise GroupBuildError(f"order {order} exceeds the cap {ORDER_CAP}")
     if spec.kind == "table":
         return _load_table_group(Path(spec.table_source))
-    if spec.kind == "cyclic":
-        op = _cyclic_table(spec.params[0])
-    elif spec.kind == "quaternion":
-        op = _quaternion_table()
-    elif spec.kind == "dihedral":
-        op = _dihedral_table(spec.params[0])
-    elif spec.kind == "heisenberg":
-        op = _heisenberg_table(spec.params[0])
-    elif spec.kind == "frobenius":
-        op = _frobenius_table(*spec.params)
-    elif spec.kind == "direct_product":
+    if spec.kind == "direct_product":
         children = [build_group(c) for c in spec.children]
         built_order = math.prod(c.order for c in children)
         if built_order > ORDER_CAP:
             raise GroupBuildError(f"order {built_order} exceeds the cap {ORDER_CAP}")
         op = _product_table([c.op for c in children])
-    else:  # pragma: no cover - guarded by validate_spec
-        raise GroupBuildError(f"unknown group kind {spec.kind!r}")
-    return FiniteGroup(
-        order=len(op),
-        op=op,
-        identity=0,
-        inv=_inverse_table(op, 0),
-        label=spec.label(),
-    )
+    else:
+        op = _BUILDERS[spec.kind](*spec.params)
+    return FiniteGroup(order=len(op), op=op, identity=0, inv=_inverse_table(op, 0),
+                       label=spec.label())
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +357,8 @@ def _load_table_group(path: Path) -> FiniteGroup:
     swapping it with 0 and records the swap in the label.  Axiom violations
     are build errors reported with a concrete witness.
     """
-    try:
-        tokens = path.read_text().split()
-    except OSError as exc:
-        raise GroupBuildError(f"cannot read table file {path}: {exc}") from exc
-    if not tokens:
-        raise GroupBuildError(f"table file {path} is empty")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise GroupBuildError(f"table file {path}: non-integer entry") from exc
-    n = values[0]
+    values = _table_values(path)
+    n = int(values[0])
     if n < 1 or n > ORDER_CAP:
         raise GroupBuildError(f"table file {path}: order {n} outside 1..{ORDER_CAP}")
     if len(values) != 1 + n * n:
@@ -425,13 +390,39 @@ def _load_table_group(path: Path) -> FiniteGroup:
     return group
 
 
+_TABLE_BYTES = b"0123456789 \t\n\r\v\f"    # split alike by numpy and str.split
+
+
+def _table_values(path: Path):
+    """The integer tokens of a table file, parsed by numpy when the file holds
+    only ASCII digits and whitespace and every value fits in int32.  Any other
+    file is split as text and read by ``int`` token by token, which also takes
+    signs, underscores and Unicode digits."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise GroupBuildError(f"cannot read table file {path}: {exc}") from exc
+    digit = np.frombuffer(data, dtype=np.uint8) > ord(" ")
+    tokens = np.count_nonzero(digit[1:] & ~digit[:-1]) + digit[:1].sum()
+    if tokens and not data.translate(None, _TABLE_BYTES):
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+        if len(values) == tokens and values.max() < 2**31:
+            return values
+    tokens = io.TextIOWrapper(io.BytesIO(data)).read().split()   # as read_text()
+    if not tokens:
+        raise GroupBuildError(f"table file {path} is empty")
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise GroupBuildError(f"table file {path}: non-integer entry") from exc
+
+
 def _find_identity(op: np.ndarray) -> int | None:
-    n = len(op)
-    idx = np.arange(n)
-    for e in range(n):
-        if (op[e] == idx).all() and (op[:, e] == idx).all():
-            return e
-    return None
+    idx = np.arange(len(op))
+    # an identity e has e*0 = 0 = 0*e; check those candidates in full
+    cand = np.flatnonzero((op[:, 0] == 0) & (op[0] == 0))
+    ok = (op[cand] == idx).all(axis=1) & (op[:, cand].T == idx).all(axis=1)
+    return int(cand[ok][0]) if ok.any() else None
 
 
 def as_candidate_group(table, label: str = "candidate") -> FiniteGroup:
@@ -463,29 +454,23 @@ def as_candidate_group(table, label: str = "candidate") -> FiniteGroup:
 def validate_group(g: FiniteGroup) -> list[str]:
     """Check the group axioms; return a list of violations (empty if valid).
 
-    Latin-square rows/columns, the identity and inverse laws, and, once those
-    hold, associativity by Light's test: (xs)y = x(sy) for every x, y and each
-    s of a greedily grown generating set.  The elements s that pass form a
-    submagma, so passing generators generate the whole table; each one at
-    least doubles the closure, so at most log2(n) + 1 are checked.
+    The identity and inverse laws, then associativity by Light's test:
+    (xs)y = x(sy) for every x, y and each s, lowest first, outside the
+    ``closure`` of the s that passed.  Each s at least doubles it, so at most
+    log2(n) + 1 are checked; a passing set is cached as the group's
+    generators.  A table that passes is a group, hence a Latin square, so
+    rows and columns are sorted only after a failure; the report lists Latin,
+    identity and inverse violations, or else the associativity failure.
     Violations are data, not errors.
     """
-    problems: list[str] = []
     op = g.op
     n = g.order
     idx = np.arange(n)
 
     if op.shape != (n, n) or op.min() < 0 or op.max() >= n:
-        problems.append("table entries out of range")
-        return problems
+        return ["table entries out of range"]
 
-    row_ok = (np.sort(op, axis=1) == idx).all(axis=1)
-    for a in np.nonzero(~row_ok)[0]:
-        problems.append(f"latin: row {a} is not a permutation of 0..{n - 1}")
-    col_ok = (np.sort(op, axis=0) == idx[:, None]).all(axis=0)
-    for b in np.nonzero(~col_ok)[0]:
-        problems.append(f"latin: column {b} is not a permutation of 0..{n - 1}")
-
+    problems: list[str] = []
     e = g.identity
     if not ((op[e] == idx).all() and (op[:, e] == idx).all()):
         bad = int(np.nonzero((op[e] != idx) | (op[:, e] != idx))[0][0])
@@ -497,19 +482,34 @@ def validate_group(g: FiniteGroup) -> list[str]:
     if not ((left == e).all() and (right == e).all()):
         bad = int(np.nonzero((left != e) | (right != e))[0][0])
         problems.append(f"inverse: element {bad} has no valid inverse entry")
-    if problems:
-        return problems
 
-    closed = closure(g, ())
-    while not closed.all():
-        s = int(np.argmin(closed))    # lowest element outside the closure
-        bad = _first_nonassociative(op, s)
-        if bad is not None:
-            problems.append(bad)
-            break
-        closed[s] = True
-        closed = closure(g, np.flatnonzero(closed))
-    return problems
+    failure = None
+    if not problems:
+        gens: list[int] = []
+        closed = closure(g, gens)
+        while not closed.all():
+            s = int(np.argmin(closed))    # lowest element outside the closure
+            failure = _first_nonassociative(op, s)
+            if failure is not None:
+                break
+            gens.append(s)
+            closed = closure(g, gens)
+        else:
+            g._cache["generators"] = tuple(gens)
+            return []
+    return _latin_problems(op) + problems or [failure]
+
+
+def _latin_problems(op: np.ndarray) -> list[str]:
+    """Rows, then columns, that are not permutations, sorted 256 at a time."""
+    n = len(op)
+    bad = {"row": [], "column": []}
+    for lo in range(0, n, 256):
+        for kind, block in (("row", op[lo:lo + 256]), ("column", op[:, lo:lo + 256].T)):
+            wrong = (np.sort(block, axis=1) != np.arange(n)).any(axis=1)
+            bad[kind].extend(lo + np.flatnonzero(wrong))
+    return [f"latin: {kind} {i} is not a permutation of 0..{n - 1}"
+            for kind, found in bad.items() for i in found]
 
 
 def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
@@ -529,21 +529,27 @@ def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
 
 
 def closure(g: FiniteGroup, elements) -> np.ndarray:
-    """Membership of the smallest op-closed set holding ``elements`` and the
-    identity, as a bool array over 0..n-1.
+    """Membership of the identity and every left-nested product
+    ((x1 x2) x3) ... xk of ``elements``, as a bool array over 0..n-1.
 
-    Squares the member set until it stops growing; the set only grows, so
-    this ends on any table.  In a group the result is a subgroup: closure
-    under products suffices for inverses, x^(order-1) = x^-1.
+    Grows the set from a frontier by right multiplication with the given
+    elements, so k elements cost O(n * k).  In a group this is the subgroup
+    they generate: finite order makes x^-1 a positive power of x.  On any
+    table with an identity whose given elements all pass Light's test
+    ((xs)y = x(sy) for all x, y), it is also the smallest op-closed set that
+    holds them: passing elements are closed under products, and w(vt) =
+    (wv)t for a passing t, so a product of two left-nested words is one.
     """
+    gens = np.unique(np.asarray(elements, dtype=np.intp))
     member = np.zeros(g.order, dtype=bool)
     member[g.identity] = True
-    member[np.asarray(elements, dtype=np.intp)] = True
-    while True:
-        s = np.flatnonzero(member)
-        member[g.op[np.ix_(s, s)]] = True
-        if np.count_nonzero(member) == len(s):
-            return member
+    member[gens] = True
+    frontier = np.flatnonzero(member)
+    while len(frontier):
+        products = g.op[frontier[:, None], gens].ravel()
+        frontier = np.unique(products[~member[products]])
+        member[frontier] = True
+    return member
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

@@ -2,7 +2,10 @@
 solvability, quotients, and minimal torsion.
 
 Only closure-generated subgroups are ever materialized; nothing here
-enumerates the full subgroup lattice.
+enumerates the full subgroup lattice.  Normality and derived subgroups are
+decided on generating sets of at most log2(n) + 1 elements, never on the
+n x n products of a subgroup (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, closure, element_order
+from .groups import FiniteGroup, SubsetMask, closure
 
 INFINITY = float("inf")
 """Torsion value of the trivial group; compares above every integer."""
@@ -68,14 +71,40 @@ def generated_subgroup(g: FiniteGroup, gens: SubsetMask | Iterable[int]) -> Subg
     return _subgroup_from_members(g, np.flatnonzero(closure(g, elements)).tolist())
 
 
+def _members(h: Subgroup) -> np.ndarray:
+    member = np.zeros(h.parent.order, dtype=bool)
+    member[np.fromiter(h.element_list, dtype=np.intp, count=h.order)] = True
+    return member
+
+
+def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """Generators of the subgroup with membership ``members``, each the lowest
+    member outside the closure of those before it: at most log2|H| + 1, as
+    each one at least doubles the closure.  The whole group's set is cached
+    (``validate_group`` caches the same set)."""
+    whole = bool(members.all())
+    if whole and "generators" in g._cache:
+        return np.array(g._cache["generators"], dtype=np.intp)
+    gens: list[int] = []
+    closed = closure(g, gens)
+    while not closed[members].all():
+        gens.append(int(np.argmax(members & ~closed)))
+        closed = closure(g, gens)
+    if whole:
+        g._cache["generators"] = tuple(gens)
+    return np.array(gens, dtype=np.intp)
+
+
+def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    return g.op[g.op[by[:, None], elements], g.inv[by][:, None]].ravel()   # x y x^-1
+
+
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    """True iff x h x^-1 is contained in h for every x in g."""
-    members = np.fromiter(h.element_list, dtype=np.int64, count=h.order)
-    inside = np.zeros(g.order, dtype=bool)
-    inside[members] = True
-    xk = g.op[:, members]                     # xk[x, i] = x * h_i
-    conj = g.op[xk, g.inv[:, None]]           # conj[x, i] = x * h_i * x^-1
-    return bool(inside[conj].all())
+    """True iff x h x^-1 is contained in h for every x in g; it suffices that
+    g's generators conjugate h's generators into h."""
+    inside = _members(h)
+    whole = _generators(g, np.ones(g.order, dtype=bool))
+    return bool(inside[_conjugates(g, whole, _generators(g, inside))].all())
 
 
 def commutator_subgroup(g: FiniteGroup) -> Subgroup:
@@ -85,13 +114,18 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def derived_of(h: Subgroup) -> Subgroup:
-    """Derived subgroup of a subgroup, inside the same parent."""
+    """Derived subgroup of a subgroup, inside the same parent: the normal
+    closure in h of the commutators a b a^-1 b^-1 of h's generators."""
     g = h.parent
-    m = np.fromiter(h.element_list, dtype=np.int64, count=h.order)
-    ab = g.op[np.ix_(m, m)]
-    t = g.op[ab, g.inv[m][:, None]]
-    comm = g.op[t, g.inv[m][None, :]]
-    return generated_subgroup(g, np.unique(comm))
+    gens = _generators(g, _members(h))
+    a, b = gens[:, None], gens[None, :]
+    normal = np.unique(g.op[g.op[g.op[a, b], g.inv[a]], g.inv[b]])
+    while True:
+        closed = closure(g, normal)
+        conj = _conjugates(g, gens, normal)
+        if closed[conj].all():
+            return _subgroup_from_members(g, np.flatnonzero(closed).tolist())
+        normal = np.union1d(normal, conj[~closed[conj]])
 
 
 def derived_series(g: FiniteGroup) -> list[Subgroup]:
@@ -259,11 +293,11 @@ def choose_decomposition_subgroup(g: FiniteGroup) -> Subgroup:
     if not derived.is_trivial():
         # solvability of a nonabelian group forces derived to be proper
         return derived
-    target = minimal_torsion(g)
-    generator = next(
-        x for x in range(g.order)
-        if x != g.identity and element_order(g, x) == target
-    )
+    # x has prime order p iff x != e and x^p = e
+    idx = power = np.arange(g.order)
+    for _ in range(minimal_torsion(g) - 1):
+        power = g.op[power, idx]
+    generator = int(np.flatnonzero((power == g.identity) & (idx != g.identity))[0])
     candidate = generated_subgroup(g, (generator,))
     if candidate.is_whole():
         return trivial_subgroup(g)

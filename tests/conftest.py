@@ -20,18 +20,31 @@ def corpus_member(request):
 @pytest.fixture(scope="session")
 def alternating_5():
     """A5 built from even permutations: the smallest non-solvable group."""
-    elems = [p for p in permutations(range(5)) if _parity(p) == 0]
-    elems.sort()
-    identity = elems.index(tuple(range(5)))
-    elems[0], elems[identity] = elems[identity], elems[0]
+    return permutation_group(5, even=True, label="alternating:5")
+
+
+@pytest.fixture(scope="session")
+def permutation_groups(alternating_5):
+    """Groups whose derived subgroups need a normal closure: in A4 and S4 the
+    commutators of two generators generate a subgroup that is not normal."""
+    return {"alternating:4": permutation_group(4, even=True, label="alternating:4"),
+            "symmetric:4": permutation_group(4, even=False, label="symmetric:4"),
+            "alternating:5": alternating_5}
+
+
+def permutation_group(degree: int, even: bool, label: str) -> FiniteGroup:
+    """The (even, if ``even``) permutations of 0..degree-1 in sorted order,
+    so the identity is element 0, with (pq)(k) = p(q(k))."""
+    elems = sorted(p for p in permutations(range(degree))
+                   if not even or _parity(p) == 0)
     index = {p: i for i, p in enumerate(elems)}
     n = len(elems)
     op = np.zeros((n, n), dtype=np.int32)
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
-            op[i, j] = index[tuple(p[q[k]] for k in range(5))]
+            op[i, j] = index[tuple(p[q[k]] for k in range(degree))]
     inv = np.argmax(op == 0, axis=1).astype(np.int32)
-    return FiniteGroup(order=n, op=op, identity=0, inv=inv, label="alternating:5")
+    return FiniteGroup(order=n, op=op, identity=0, inv=inv, label=label)
 
 
 def _parity(perm):

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab.factor_system import build_factor_system
 from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
-                              as_candidate_group, build_group, element_order,
-                              parse_group_spec, validate_group)
+                              as_candidate_group, build_group, closure,
+                              element_order, parse_group_spec, validate_group)
+from sumsetlab.structure import choose_decomposition_subgroup
 
 QUATERNION_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
@@ -229,8 +231,8 @@ def test_light_test_reports_the_first_failing_triple_past_the_first_row_block():
 
 
 def test_light_test_memory_stays_bounded_at_order_4096():
-    # two n x n tables per generator took 144 MB here; row blocks leave the
-    # closure's n x n gather (64 MB) as the peak
+    # two n x n tables per generator took 144 MB here; Light's test compares
+    # 256-row blocks and the closure gathers n x k products, not n x n
     g = build_group("cyclic:4096")
     tracemalloc.start()
     try:
@@ -353,3 +355,303 @@ def test_subset_mask_elements_roundtrip(bits):
     m = SubsetMask(bits, 20)
     assert SubsetMask.from_elements(20, m.elements()).bits == bits
     assert len(m) == bin(bits).count("1")
+
+
+# ---------------------------------------------------------------------------
+# builders against the n^2 int64 formulas they replaced
+
+
+def _formula_cyclic(n):
+    idx = np.arange(n, dtype=np.int32)
+    return (idx[:, None] + idx[None, :]) % n
+
+
+def _formula_dihedral(m):
+    idx = np.arange(2 * m)
+    f, a = idx // m, idx % m
+    sign = np.where(f[None, :] == 1, -1, 1)
+    return ((f[:, None] ^ f[None, :]) * m + (a[None, :] + sign * a[:, None]) % m)
+
+
+def _formula_heisenberg(p):
+    idx = np.arange(p ** 3)
+    a, b, c = idx // (p * p), (idx // p) % p, idx % p
+    return (((a[:, None] + a[None, :]) % p) * p * p
+            + ((b[:, None] + b[None, :]) % p) * p
+            + (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p)
+
+
+def _formula_frobenius(p, q, k):
+    idx = np.arange(p * q)
+    x, y = idx // q, idx % q
+    kpow = np.array([pow(k, e, p) for e in range(q)], dtype=np.int64)
+    return (((x[:, None] + kpow[y][:, None] * x[None, :]) % p) * q
+            + (y[:, None] + y[None, :]) % q)
+
+
+def _formula_quaternion():
+    # index = 2*unit + sign with unit in (1, i, j, k): the unit products by rule
+    umul = {(0, v): (0, v) for v in range(4)} | {(v, 0): (0, v) for v in range(4)}
+    umul |= {(1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0), (1, 2): (0, 3),
+             (2, 1): (1, 3), (2, 3): (0, 1), (3, 2): (1, 1), (3, 1): (0, 2),
+             (1, 3): (1, 2)}
+    table = np.zeros((8, 8), dtype=np.int64)
+    for x in range(8):
+        for y in range(8):
+            s, u = umul[(x // 2, y // 2)]
+            table[x, y] = 2 * u + ((x + y + s) % 2)
+    return table
+
+
+FORMULAS = {"cyclic": _formula_cyclic, "dihedral": _formula_dihedral,
+            "heisenberg": _formula_heisenberg, "frobenius": _formula_frobenius,
+            "quaternion": _formula_quaternion}
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:8", "cyclic:25", "cyclic:4096",
+    "dihedral:1", "dihedral:2", "dihedral:3", "dihedral:5", "dihedral:32",
+    "dihedral:2048",
+    "heisenberg:3", "heisenberg:5", "heisenberg:7", "heisenberg:13", "quaternion",
+    "frobenius:7:3:2", "frobenius:7:3:4", "frobenius:13:3:3", "frobenius:11:5:3",
+    "frobenius:31:5:2",
+])
+def test_canonical_builders_match_their_int64_formulas(spec):
+    kind, *params = spec.split(":")
+    g = build_group(spec)
+    assert g.op.dtype == np.int32
+    assert np.array_equal(g.op, FORMULAS[kind](*map(int, params)))
+    assert np.array_equal(g.inv, np.argmax(g.op == 0, axis=1))
+
+
+def test_structure_path_memory_stays_bounded_at_heisenberg_13():
+    # build, validate, decomposition kernel and factor system: 184 MiB when
+    # the derived series and the normality test formed n x n products; about
+    # 26 MiB once they work on generating sets, most of it the table itself
+    tracemalloc.start()
+    try:
+        g = build_group("heisenberg:13")
+        assert validate_group(g) == []
+        build_factor_system(g, choose_decomposition_subgroup(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# validate_group against the Latin-first version it replaced
+
+
+def _reference_closure(g, elements) -> np.ndarray:
+    member = np.zeros(g.order, dtype=bool)
+    member[g.identity] = True
+    member[np.asarray(elements, dtype=np.intp)] = True
+    while True:
+        s = np.flatnonzero(member)
+        member[g.op[np.ix_(s, s)]] = True
+        if np.count_nonzero(member) == len(s):
+            return member
+
+
+def _reference_validate(g) -> list[str]:
+    """Latin rows and columns, then identity and inverses, then Light's test
+    over the op-closure by squaring, with the full-table first failure."""
+    problems = []
+    op, n = g.op, g.order
+    idx = np.arange(n)
+    if op.shape != (n, n) or op.min() < 0 or op.max() >= n:
+        return ["table entries out of range"]
+    row_ok = (np.sort(op, axis=1) == idx).all(axis=1)
+    for a in np.nonzero(~row_ok)[0]:
+        problems.append(f"latin: row {a} is not a permutation of 0..{n - 1}")
+    col_ok = (np.sort(op, axis=0) == idx[:, None]).all(axis=0)
+    for b in np.nonzero(~col_ok)[0]:
+        problems.append(f"latin: column {b} is not a permutation of 0..{n - 1}")
+    e = g.identity
+    if not ((op[e] == idx).all() and (op[:, e] == idx).all()):
+        bad = int(np.nonzero((op[e] != idx) | (op[:, e] != idx))[0][0])
+        problems.append(
+            f"identity: element {e} is not a two-sided identity (fails at {bad})")
+    left, right = op[idx, g.inv], op[g.inv, idx]
+    if not ((left == e).all() and (right == e).all()):
+        bad = int(np.nonzero((left != e) | (right != e))[0][0])
+        problems.append(f"inverse: element {bad} has no valid inverse entry")
+    if problems:
+        return problems
+    closed = _reference_closure(g, ())
+    while not closed.all():
+        s = int(np.argmin(closed))
+        lhs, rhs = op[op[:, s]], op[:, op[s]]        # [a, c]: (as)c, a(sc)
+        if not np.array_equal(lhs, rhs):
+            a, c = np.argwhere(lhs != rhs)[0]
+            return [f"associativity: op(op({a},{s}),{c}) = {int(lhs[a, c])} "
+                    f"but op({a},op({s},{c})) = {int(rhs[a, c])}"]
+        closed[s] = True
+        closed = _reference_closure(g, np.flatnonzero(closed))
+    return problems
+
+
+def _intercalate_switch(op: np.ndarray, rng) -> np.ndarray | None:
+    """Swap u and v in a 2x2 subsquare [[u, v], [v, u]] away from row and
+    column 0: the table stays Latin with identity 0, and usually stops being
+    associative."""
+    n = len(op)
+    found = [(a, b, x, y)
+             for a in range(1, n) for b in range(a + 1, n)
+             for x in range(1, n) for y in range(x + 1, n)
+             if op[a, x] == op[b, y] and op[a, y] == op[b, x]]
+    if not found:
+        return None
+    a, b, x, y = found[rng.integers(len(found))]
+    out = op.copy()
+    out[[a, a, b, b], [x, y, x, y]] = op[[a, a, b, b], [y, x, y, x]]
+    return out
+
+
+def _crafted_invalid_tables(rng):
+    """(kind, candidate group) pairs; kind names the check meant to fail."""
+    groups = [corpus_group(s) for s in CORPUS_SPECS if 1 < corpus_group(s).order <= 27]
+    loop = np.array(NONASSOCIATIVE_LOOP)
+    for _ in range(150):
+        n = int(rng.integers(1, 8))
+        yield "latin", as_candidate_group(rng.integers(0, n, size=(n, n)))
+    for g in groups:
+        for _ in range(4):
+            op = g.op.copy()
+            op[rng.integers(g.order), rng.integers(g.order)] = rng.integers(g.order)
+            yield "latin", as_candidate_group(op)
+        yield "identity", type(g)(order=g.order, op=g.op.copy(), identity=1,
+                                  inv=g.inv.copy(), label="moved identity")
+        yield "inverse", type(g)(order=g.order, op=g.op.copy(), identity=0,
+                                 inv=np.roll(g.inv, 1), label="rolled inverses")
+        yield "loop", as_candidate_group(_relabelled(_product_table([loop, g.op]), rng))
+        op = g.op
+        for _ in range(3):
+            op = _intercalate_switch(op, rng) if op is not None else None
+            if op is not None:
+                yield "loop", as_candidate_group(_relabelled(op, rng))
+    yield "range", type(groups[0])(order=2, op=np.array([[0, 1], [1, 2]]), identity=0,
+                                   inv=np.array([0, 1]), label="out of range")
+
+
+def test_validate_matches_the_latin_first_reference_on_crafted_tables():
+    rng = np.random.default_rng(6)
+    reached = {}
+    for kind, g in _crafted_invalid_tables(rng):
+        report = validate_group(g)
+        assert report == _reference_validate(g), (kind, g.op.tolist())
+        first = report[0].split(":")[0] if report else "clean"
+        if report and all(msg.startswith("latin:") for msg in report):
+            first = "latin after Light's test"    # identity and inverses held
+        reached[first] = reached.get(first, 0) + 1
+    # every branch of the report is reached, associativity on loops often
+    assert reached.get("associativity", 0) >= 20, reached
+    assert reached.get("latin after Light's test", 0) >= 20, reached
+    assert {"latin", "identity", "inverse", "table entries out of range"} \
+        <= set(reached)
+
+
+def test_validate_caches_the_passing_generators(corpus_member):
+    g = build_group(corpus_member.label)
+    assert validate_group(g) == []
+    gens = g._cache["generators"]
+    assert len(gens) <= max(1, g.order.bit_length())
+    assert closure(g, gens).all()
+
+
+# ---------------------------------------------------------------------------
+# table files: the numpy parse against today's token-by-token parse
+
+
+def _reference_find_identity(op):
+    idx = np.arange(len(op))
+    for e in range(len(op)):
+        if (op[e] == idx).all() and (op[:, e] == idx).all():
+            return e
+    return None
+
+
+def _reference_load(path):
+    """(op, label) or the error, as the loader read tables with int()."""
+    try:
+        tokens = path.read_text().split()
+    except OSError as exc:
+        raise GroupBuildError(f"cannot read table file {path}: {exc}") from exc
+    if not tokens:
+        raise GroupBuildError(f"table file {path} is empty")
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise GroupBuildError(f"table file {path}: non-integer entry") from exc
+    n = values[0]
+    if n < 1 or n > 4096:
+        raise GroupBuildError(f"table file {path}: order {n} outside 1..4096")
+    if len(values) != 1 + n * n:
+        raise GroupBuildError(
+            f"table file {path}: expected {n * n} entries, got {len(values) - 1}")
+    op = np.array(values[1:], dtype=np.int32).reshape(n, n)
+    if op.min() < 0 or op.max() >= n:
+        bad = np.argwhere((op < 0) | (op >= n))[0]
+        raise GroupBuildError(
+            f"table file {path}: entry op({bad[0]},{bad[1]}) out of range")
+    identity = _reference_find_identity(op)
+    label = f"table:{path.name}"
+    if identity is None:
+        raise GroupBuildError(f"table file {path}: no two-sided identity element")
+    if identity != 0:
+        perm = np.arange(n, dtype=np.int32)
+        perm[[0, identity]] = perm[[identity, 0]]
+        op = perm[op[perm][:, perm]]
+        label += f"|identity={identity}->0"
+    problems = _reference_validate(as_candidate_group(op))
+    if problems:
+        raise GroupBuildError(f"table file {path}: {problems[0]}")
+    return op, label
+
+
+Z3 = ["0 1 2", "1 2 0", "2 0 1"]
+Z3_AT_1 = ["2 0 1", "0 1 2", "1 2 0"]          # identity at 1
+TABLE_FILES = {
+    "plain": "3\n" + "\n".join(Z3) + "\n",
+    "relabelled": "3\n" + "\n".join(Z3_AT_1) + "\n",
+    "tabs": "3\t" + "\t".join(Z3),
+    "crlf": "3\r\n" + "\r\n".join(Z3) + "\r\n",
+    "vt-ff": "  3\v" + "\f".join(Z3) + "   ",
+    "leading zeros": "003\n" + "\n".join(Z3).replace("1", "01"),
+    "plus": "+3\n" + "\n".join(Z3).replace("2", "+2"),
+    "minus zero": "3\n" + "\n".join(Z3).replace("0", "-0"),
+    "underscore": "1_1\n" + "\n".join(" ".join(str((x + y) % 11).replace("10", "1_0")
+                                                for y in range(11)) for x in range(11)),
+    "unicode digits": "٣\n" + "\n".join(Z3).replace("2", "２"),
+    "unicode space": "3 " + "\n".join(Z3),
+    "file separator": "3\x1c" + "\n".join(Z3),
+    "trailing garbage": "3\n" + "\n".join(Z3) + "\nx\n",
+    "trailing digit": "3\n" + "\n".join(Z3) + "\n7\n",
+    "empty": "",
+    "blank": " \n\t\r\n",
+    "zero order": "0\n",
+    "huge order": "99999999999999999999999\n0\n",
+    "huge entry": "2\n0 1\n1 4294967296\n",
+    "int32 entry": "2\n0 1\n1 2147483647\n",
+    "short": "3\n0 1 2\n",
+    "no identity": "2\n1 1\n1 1\n",
+    "left identities only": "2\n0 1\n0 1\n",
+    "not latin": "2\n0 1\n1 1\n",
+    "loop": "5\n" + "\n".join(" ".join(map(str, r)) for r in NONASSOCIATIVE_LOOP),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_FILES)
+def test_table_file_parse_matches_the_int_token_parse(tmp_path, name):
+    path = tmp_path / "t.cay"
+    path.write_bytes(TABLE_FILES[name].encode("utf-8"))
+    try:
+        expected = _reference_load(path)
+    except Exception as exc:                         # noqa: BLE001 - compared below
+        with pytest.raises(type(exc)) as got:
+            build_group(f"table:{path}")
+        assert str(got.value) == str(exc)
+    else:
+        g = build_group(f"table:{path}")
+        assert np.array_equal(g.op, expected[0]) and g.label == expected[1]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import sumsetlab.structure as structure
-from sumsetlab.corpus import corpus_group, normal_subgroup_inventory
-from sumsetlab.groups import SubsetMask, build_group, element_order, validate_group
-from sumsetlab.structure import (INFINITY, choose_decomposition_subgroup,
+from sumsetlab.corpus import CORPUS_SPECS, corpus_group, normal_subgroup_inventory
+from sumsetlab.groups import (SubsetMask, build_group, closure, element_order,
+                              validate_group)
+from sumsetlab.structure import (INFINITY, _members, choose_decomposition_subgroup,
                                  commutator_subgroup, derived_series,
                                  generated_subgroup, is_normal, is_solvable,
                                  minimal_torsion, quotient,
@@ -320,3 +321,104 @@ def test_subgroup_masks_are_consistent(corpus_member):
     assert len(h.members) == h.order
     mask = SubsetMask.from_elements(g.order, h.element_list)
     assert mask.bits == h.members.bits
+
+
+# ---------------------------------------------------------------------------
+# oracles: the n^2 definitions that the generating-set layer replaced
+
+ORACLE_SPECS = CORPUS_SPECS + ("heisenberg:13", "dihedral:2048",
+                               "product:heisenberg:5,cyclic:5",
+                               "alternating:4", "symmetric:4", "alternating:5")
+
+
+@pytest.fixture(scope="module", params=ORACLE_SPECS)
+def oracle_group(request):
+    if request.param in ("alternating:4", "symmetric:4", "alternating:5"):
+        return request.getfixturevalue("permutation_groups")[request.param]
+    return build_group(request.param)
+
+
+def _squaring_closure(g, elements) -> np.ndarray:
+    """The op-closure by squaring the member set until it stops growing."""
+    member = np.zeros(g.order, dtype=bool)
+    member[g.identity] = True
+    member[np.asarray(elements, dtype=np.intp)] = True
+    while True:
+        s = np.flatnonzero(member)
+        for lo in range(0, len(s), 256):
+            member[g.op[np.ix_(s[lo:lo + 256], s)]] = True
+        if np.count_nonzero(member) == len(s):
+            return member
+
+
+def _n2_derived_series(g) -> list[tuple[int, ...]]:
+    """G, G', ... with each G^(i+1) generated by every commutator of G^(i)."""
+    series = [np.ones(g.order, dtype=bool)]
+    while True:
+        m = np.flatnonzero(series[-1])
+        comm = np.zeros(g.order, dtype=bool)
+        for lo in range(0, len(m), 256):
+            a = m[lo:lo + 256, None]
+            comm[g.op[g.op[g.op[a, m[None, :]], g.inv[a]], g.inv[m][None, :]]] = True
+        nxt = _squaring_closure(g, np.flatnonzero(comm))
+        if (nxt == series[-1]).all():
+            return [tuple(np.flatnonzero(s).tolist()) for s in series]
+        series.append(nxt)
+
+
+def _n2_is_normal(g, member: np.ndarray) -> bool:
+    h = np.flatnonzero(member)
+    for lo in range(0, g.order, 256):
+        x = np.arange(lo, min(lo + 256, g.order))[:, None]
+        if not member[g.op[g.op[x, h[None, :]], g.inv[x]]].all():   # x h_i x^-1
+            return False
+    return True
+
+
+def _oracle_element_sets(g):
+    rng = np.random.default_rng(g.order)
+    sets = [(), (g.order - 1,)]
+    sets += [tuple(rng.choice(g.order, size=k).tolist()) for k in (1, 1, 2, 3)]
+    return sets
+
+
+def test_closure_matches_the_squaring_closure(oracle_group):
+    g = oracle_group
+    for elements in _oracle_element_sets(g):
+        expected = _squaring_closure(g, elements)
+        assert (closure(g, elements) == expected).all(), elements
+        assert generated_subgroup(g, elements).element_list == \
+            tuple(np.flatnonzero(expected).tolist())
+
+
+def test_derived_series_matches_the_n2_commutator_definition(oracle_group):
+    g = oracle_group
+    assert [h.element_list for h in derived_series(g)] == _n2_derived_series(g)
+
+
+def test_is_normal_matches_the_n2_conjugation_definition(oracle_group):
+    g = oracle_group
+    subgroups = [_squaring_closure(g, s) for s in _oracle_element_sets(g)]
+    subgroups += [_members(h) for h in derived_series(g)]
+    for member in subgroups:
+        h = generated_subgroup(g, np.flatnonzero(member))
+        assert is_normal(g, h) == _n2_is_normal(g, member)
+
+
+def _element_order_kernel(g):
+    """The abelian branch as a scan: the lowest x with element_order == p."""
+    target = minimal_torsion(g)
+    x = next(x for x in range(g.order)
+             if x != g.identity and element_order(g, x) == target)
+    candidate = generated_subgroup(g, (x,))
+    return trivial_subgroup(g) if candidate.is_whole() else candidate
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + ("cyclic:2187",
+                                                 "product:cyclic:64,cyclic:64"))
+def test_abelian_kernel_choice_matches_the_element_order_scan(spec):
+    g = build_group(spec)
+    if g.order == 1 or not g.is_abelian():
+        return
+    assert choose_decomposition_subgroup(g).element_list == \
+        _element_order_kernel(g).element_list
