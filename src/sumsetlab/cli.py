@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success with zero bound violations, 1 = at least one bound
 violation found (the report lists witnesses), 2 = usage, input or output
-error.
+error, 3 = internal error (a failed consistency check or any other
+unexpected exception: a bug in this library, named on one stderr line).
 """
 
 from __future__ import annotations
@@ -23,7 +24,20 @@ from .structure import (INFINITY, choose_decomposition_subgroup,
                         generated_subgroup)
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns an exception that is not click's own into exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.Abort, click.exceptions.Exit):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Finite-group sumset laboratory: verify product-size bounds, decompose
     groups into factor systems, search extremal pairs, and replay the
@@ -174,11 +188,7 @@ def decompose(spec, kernel_raw, rep_policy, as_json, out_path):
         else:
             gens = _parse_elements(kernel_raw, g.order, "--kernel")
             kernel = generated_subgroup(g, gens)
-        if rep_policy.startswith("explicit:"):
-            policy = [int(v) for v in rep_policy[len("explicit:"):].split(",")]
-        else:
-            policy = rep_policy
-        fs, pr = build_factor_system(g, kernel, policy)
+        fs, pr = build_factor_system(g, kernel, rep_policy)
     except ValueError as exc:
         _fail(str(exc))
     payload = factor_system_json(fs, pr)

@@ -55,6 +55,7 @@ from .structure import INFINITY, minimal_torsion
 THEOREMS = ("cd", "eh")
 EXHAUSTIVE_DEFAULT_LIMIT = 11   # (2^11 - 1)^2 pairs is seconds of work
 EXHAUSTIVE_HARD_CEILING = 20
+EXTREMAL_SEARCH_CAP = 4_000_000   # ordered pairs find_extremal may list
 # bytes in the largest array of one batch (2^19 uint16 words): a few MB of
 # arrays for each worker
 _BATCH_BYTES = 1 << 20
@@ -760,13 +761,12 @@ def find_extremal(
     size_b: int,
     *,
     limit: int | None = None,
-    search_cap: int = 4_000_000,
 ) -> list[tuple[SubsetMask, SubsetMask]]:
     """All pairs with the given sizes whose product meets the bound exactly.
 
     Pairs come out in ascending mask order (A outer, B inner); ``limit``
     truncates to the first N.  Raises if the search space exceeds
-    ``search_cap`` ordered pairs.
+    ``EXTREMAL_SEARCH_CAP`` ordered pairs.
     """
     n = g.order
     if not (1 <= size_a <= n and 1 <= size_b <= n):
@@ -774,8 +774,9 @@ def find_extremal(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     space = math.comb(n, size_a) * math.comb(n, size_b)
-    if space > search_cap:
-        raise ValueError(f"search space of {space} pairs exceeds cap {search_cap}")
+    if space > EXTREMAL_SEARCH_CAP:
+        raise ValueError(
+            f"search space of {space} pairs exceeds cap {EXTREMAL_SEARCH_CAP}")
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal)
     b_masks = _masks_by_size(n, size_b, size_b)
     found = []

@@ -23,9 +23,13 @@ from .groups import FiniteGroup, GroupBuildError, SubsetMask, iter_bits, validat
 from .rng import SplitMix64
 from .structure import QuotientGroup, Subgroup, quotient
 
+_ISOMORPHISM_CHUNK = 512    # rows of G per vectorised step of verify_isomorphism
+
+
 def _normalize_policy(rep_policy) -> tuple:
-    """Accepts 'lowest_index', ('seeded_random', seed), or an explicit
-    representative list; returns a normalized tuple."""
+    """Accepts 'lowest_index', ('seeded_random', seed) or 'seeded_random:SEED',
+    and an explicit representative list or 'explicit:R0,R1,...'; returns a
+    normalized tuple."""
     if rep_policy == "lowest_index":
         return ("lowest_index",)
     if isinstance(rep_policy, tuple) and len(rep_policy) == 2 and \
@@ -33,6 +37,8 @@ def _normalize_policy(rep_policy) -> tuple:
         return ("seeded_random", int(rep_policy[1]))
     if isinstance(rep_policy, str) and rep_policy.startswith("seeded_random:"):
         return ("seeded_random", int(rep_policy.split(":", 1)[1]))
+    if isinstance(rep_policy, str) and rep_policy.startswith("explicit:"):
+        rep_policy = [int(v) for v in rep_policy[len("explicit:"):].split(",")]
     if isinstance(rep_policy, (list, tuple)):
         return ("explicit", tuple(int(r) for r in rep_policy))
     raise ValueError(f"unknown representative policy {rep_policy!r}")
@@ -177,7 +183,7 @@ def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int,
 
 
 def verify_isomorphism(
-    fs: FactorSystem, pr: PairRepresentation, chunk: int = 512
+    fs: FactorSystem, pr: PairRepresentation
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check that the pairing is an isomorphism onto the pair group.
 
@@ -199,8 +205,8 @@ def verify_isomorphism(
         return False, (bad, bad)
 
     pos2 = fs.kernel_pos[pr.pair_k].astype(np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _ISOMORPHISM_CHUNK):
+        hi = min(lo + _ISOMORPHISM_CHUNK, n)
         h1 = pr.pair_block[lo:hi, None].astype(np.int64)
         k1 = pr.pair_k[lo:hi, None].astype(np.int64)
         twisted = ke[fs.conj[h1, pos2[None, :]]]

@@ -485,17 +485,11 @@ def validate_group(g: FiniteGroup) -> list[str]:
 
     failure = None
     if not problems:
-        gens: list[int] = []
-        closed = closure(g, gens)
-        while not closed.all():
-            s = int(np.argmin(closed))    # lowest element outside the closure
+        for s in lowest_first_generators(g):
             failure = _first_nonassociative(op, s)
             if failure is not None:
                 break
-            gens.append(s)
-            closed = closure(g, gens)
         else:
-            g._cache["generators"] = tuple(gens)
             return []
     return _latin_problems(op) + problems or [failure]
 
@@ -550,6 +544,25 @@ def closure(g: FiniteGroup, elements) -> np.ndarray:
         frontier = np.unique(products[~member[products]])
         member[frontier] = True
     return member
+
+
+def lowest_first_generators(g: FiniteGroup, members=None) -> Iterator[int]:
+    """Yield the lowest element of ``members`` (a bool array; default: all of
+    g) outside the ``closure`` of those yielded before it, until none is left;
+    each one at least doubles the closure, so at most log2(n) + 1 come out.
+    A finished whole-group sequence is cached as ``g._cache["generators"]``."""
+    whole = members is None or bool(members.all())
+    if whole and "generators" in g._cache:
+        yield from g._cache["generators"]
+        return
+    gens: list[int] = []
+    outside = ~closure(g, gens) if whole else members & ~closure(g, gens)
+    while outside.any():
+        gens.append(int(np.argmax(outside)))
+        yield gens[-1]
+        outside &= ~closure(g, gens)
+    if whole:
+        g._cache["generators"] = tuple(gens)
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

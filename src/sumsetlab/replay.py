@@ -10,15 +10,18 @@ the quotient bound and block disjointness, and assemble the counting chain
              = beta * a1 + |B| - beta + alpha - 1
             >= |A| + |B| - 1.
 
-Abelian groups are a base case checked directly.  Every inequality recorded in
-a trace is verified numerically as it is recorded; a failure raises
-ReplayInvariantError, because the bound is a theorem on this input regime and
-a numeric failure can only mean a bug in this library.
+Abelian groups are a base case checked directly.  The preconditions are
+checked once, on the input: each block instance inside K meets them because
+K is a subgroup of the solvable G, p(K) >= p(G) as |K| divides |G|, and
+|A1| + |B_j| <= |A| + |B|.  Every inequality recorded in a trace is verified
+numerically as it is recorded; a failure raises ReplayInvariantError, because
+the bound is a theorem on this input regime and a numeric failure can only
+mean a bug in this library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import product_set
 from .factor_system import build_factor_system, decompose_subset
@@ -52,10 +55,6 @@ class BaseCheck:
     target: int
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {"product_size": self.product_size, "target": self.target,
-                "holds": self.holds}
-
 
 @dataclass(frozen=True)
 class BlockCheck:
@@ -76,29 +75,12 @@ class BlockCheck:
     holds: bool
     subtrace: "ProofTrace"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_block": self.a_block,
-            "b_block": self.b_block,
-            "a1_size": self.a1_size,
-            "b_size": self.b_size,
-            "translated_b": list(self.translated_b),
-            "product_size": self.product_size,
-            "lower_bound": self.lower_bound,
-            "holds": self.holds,
-            "subtrace": self.subtrace.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class QuotientCheck:
     product_size: int
     lower_bound: int
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {"product_size": self.product_size,
-                "lower_bound": self.lower_bound, "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -107,10 +89,6 @@ class DisjointnessCheck:
 
     second_coordinates: tuple[int, ...]
     distinct: bool
-
-    def to_json_dict(self) -> dict:
-        return {"second_coordinates": list(self.second_coordinates),
-                "distinct": self.distinct}
 
 
 @dataclass(frozen=True)
@@ -123,14 +101,14 @@ class FinalChain:
     target: int
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "product_size": self.product_size,
-            "sum_bound": self.sum_bound,
-            "closed_form": self.closed_form,
-            "target": self.target,
-            "holds": self.holds,
-        }
+
+def _record_json(record) -> dict:
+    """A check record's fields in declaration order (tuples dump as lists),
+    with a block check's subtrace as its own payload."""
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    if isinstance(record, BlockCheck):
+        payload["subtrace"] = record.subtrace.to_json_dict()
+    return payload
 
 
 @dataclass(frozen=True)
@@ -162,17 +140,6 @@ class ProofTrace:
     disjointness_check: DisjointnessCheck | None = None
     final_chain: FinalChain | None = None
 
-    def all_holds(self) -> bool:
-        """Every inequality recorded anywhere in the trace holds."""
-        if self.kind == "base":
-            return self.base.holds
-        return (
-            all(bc.holds and bc.subtrace.all_holds() for bc in self.block_checks)
-            and self.quotient_check.holds
-            and self.disjointness_check.distinct
-            and self.final_chain.holds
-        )
-
     def to_json_dict(self) -> dict:
         payload = {
             "schema": "sumsetlab.proof-trace/1",
@@ -186,17 +153,17 @@ class ProofTrace:
             "kind": self.kind,
         }
         if self.kind == "base":
-            payload["base"] = self.base.to_json_dict()
+            payload["base"] = _record_json(self.base)
         else:
             payload["kernel"] = list(self.kernel)
             payload["alpha"] = self.alpha
             payload["beta"] = self.beta
             payload["a_sizes"] = list(self.a_sizes)
             payload["b_sizes"] = list(self.b_sizes)
-            payload["block_checks"] = [bc.to_json_dict() for bc in self.block_checks]
-            payload["quotient_check"] = self.quotient_check.to_json_dict()
-            payload["disjointness_check"] = self.disjointness_check.to_json_dict()
-            payload["final_chain"] = self.final_chain.to_json_dict()
+            payload["block_checks"] = [_record_json(bc) for bc in self.block_checks]
+            payload["quotient_check"] = _record_json(self.quotient_check)
+            payload["disjointness_check"] = _record_json(self.disjointness_check)
+            payload["final_chain"] = _record_json(self.final_chain)
         return payload
 
 
@@ -221,19 +188,24 @@ def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> Proof
         raise ReplayPreconditionError("mask width does not match the group order")
     if len(a) == 0 or len(b) == 0:
         raise ReplayPreconditionError("both sets must be nonempty")
-    if not is_solvable(g):
+    if not (g.is_abelian() or is_solvable(g)):
         raise ReplayPreconditionError(f"{g.label} is not solvable")
-    p = minimal_torsion(g)
-    target = len(a) + len(b) - 1
+    p, target = minimal_torsion(g), len(a) + len(b) - 1
     if target > p:
         raise ReplayPreconditionError(
             f"|A| + |B| - 1 = {target} exceeds the minimal torsion {p}"
         )
+    return _replay(g, a, b)
 
+
+def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
+    """The replay of an instance whose preconditions hold."""
+    p = minimal_torsion(g)
+    target = len(a) + len(b) - 1
     if g.is_abelian():
         size = len(product_set(g, a, b))
         _invariant(size >= target,
-                   f"base case |A*B| = {size} < {target} in {g.label}")
+                   f"{g.label}: base case |A*B| = {size} < {target}")
         return ProofTrace(
             group=g.label, group_order=g.order, a=a, b=b, swapped=False,
             p_g=p, target=target, kind="base",
@@ -258,6 +230,7 @@ def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> Proof
     ke = fs.kernel.element_list
     block_checks = []
     for bj in db.blocks:
+        where = f"{g.label}: block ({h1},{bj.block})"
         carry_elt = fs.carry_element(h1, bj.block)
         translated_bits = 0
         for pos in bj.members.elements():
@@ -266,39 +239,38 @@ def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> Proof
             translated_bits |= 1 << int(fs.kernel_pos[shifted])
         translated = SubsetMask(translated_bits, kernel.order)
         _invariant(len(translated) == bj.size,
-                   "translation into the kernel changed a block size")
+                   f"{where} translation into the kernel changed its size")
         sub_product = product_set(kernel_group, top.members, translated)
         lower = a1 + bj.size - 1
         _invariant(len(sub_product) >= lower,
-                   f"block product size {len(sub_product)} < {lower}")
-        subtrace = replay_solvable_proof(kernel_group, top.members, translated)
+                   f"{where} product size {len(sub_product)} < {lower}")
         block_checks.append(BlockCheck(
             a_block=h1, b_block=bj.block, a1_size=a1, b_size=bj.size,
             translated_b=tuple(ke[pos] for pos in translated.elements()),
             product_size=len(sub_product), lower_bound=lower, holds=True,
-            subtrace=subtrace,
+            subtrace=_replay(kernel_group, top.members, translated),
         ))
 
     quot_product = product_set(fs.quot.table, da.block_part, db.block_part)
     quot_lower = alpha + beta - 1
     _invariant(len(quot_product) >= quot_lower,
-               f"quotient product size {len(quot_product)} < {quot_lower}")
+               f"{g.label}: quotient product size {len(quot_product)} < {quot_lower}")
     quotient_check = QuotientCheck(product_size=len(quot_product),
                                    lower_bound=quot_lower, holds=True)
 
     seconds = tuple(int(fs.quot.table.op[h1, bj.block]) for bj in db.blocks)
     _invariant(len(set(seconds)) == beta,
-               "block products do not have distinct second coordinates")
+               f"{g.label}: block products do not have distinct second coordinates")
     disjointness = DisjointnessCheck(second_coordinates=seconds, distinct=True)
 
     ab_size = len(product_set(g, a, b))
     sum_bound = sum(a1 + bj - 1 for bj in b_sizes) + alpha - 1
     closed_form = beta * a1 + len(b) - beta + alpha - 1
-    _invariant(sum_bound == closed_form, "counting chain arithmetic mismatch")
+    _invariant(sum_bound == closed_form, f"{g.label}: counting chain arithmetic mismatch")
     _invariant(ab_size >= sum_bound,
-               f"|A*B| = {ab_size} < assembled bound {sum_bound}")
+               f"{g.label}: |A*B| = {ab_size} < assembled bound {sum_bound}")
     _invariant(sum_bound >= target,
-               f"assembled bound {sum_bound} < target {target}")
+               f"{g.label}: assembled bound {sum_bound} < target {target}")
     final = FinalChain(product_size=ab_size, sum_bound=sum_bound,
                        closed_form=closed_form, target=target, holds=True)
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, closure
+from .groups import FiniteGroup, SubsetMask, closure, lowest_first_generators
 
 INFINITY = float("inf")
 """Torsion value of the trivial group; compares above every integer."""
@@ -77,22 +77,8 @@ def _members(h: Subgroup) -> np.ndarray:
     return member
 
 
-def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """Generators of the subgroup with membership ``members``, each the lowest
-    member outside the closure of those before it: at most log2|H| + 1, as
-    each one at least doubles the closure.  The whole group's set is cached
-    (``validate_group`` caches the same set)."""
-    whole = bool(members.all())
-    if whole and "generators" in g._cache:
-        return np.array(g._cache["generators"], dtype=np.intp)
-    gens: list[int] = []
-    closed = closure(g, gens)
-    while not closed[members].all():
-        gens.append(int(np.argmax(members & ~closed)))
-        closed = closure(g, gens)
-    if whole:
-        g._cache["generators"] = tuple(gens)
-    return np.array(gens, dtype=np.intp)
+def _generators(g: FiniteGroup, members: np.ndarray | None = None) -> np.ndarray:
+    return np.fromiter(lowest_first_generators(g, members), dtype=np.intp)
 
 
 def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -103,7 +89,7 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """True iff x h x^-1 is contained in h for every x in g; it suffices that
     g's generators conjugate h's generators into h."""
     inside = _members(h)
-    whole = _generators(g, np.ones(g.order, dtype=bool))
+    whole = _generators(g)
     return bool(inside[_conjugates(g, whole, _generators(g, inside))].all())
 
 
@@ -129,14 +115,15 @@ def derived_of(h: Subgroup) -> Subgroup:
 
 
 def derived_series(g: FiniteGroup) -> list[Subgroup]:
-    """G, G', G'', ... until stabilization (last entry repeats nothing).
+    """G, G', G'', ... until the trivial subgroup or a subgroup that is its
+    own derived subgroup, with no entry repeated.
 
     Computed once per group and cached.
     """
     series = g._cache.get("derived_series")
     if series is None:
         series = [whole_subgroup(g)]
-        while True:
+        while not series[-1].is_trivial():
             nxt = derived_of(series[-1])
             if nxt.members.bits == series[-1].members.bits:
                 break

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import sumsetlab.cli as cli
+import sumsetlab.replay as replay
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
 from sumsetlab.groups import SubsetMask, parse_group_spec, spec_order
@@ -122,6 +123,20 @@ def test_usage_errors_exit_2(runner, tmp_path):
                   "--set-a", "zero", "--set-b", "0").exit_code == 2
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("explicit:0,x", "invalid literal for int() with base 10: 'x'"),
+    ("explicit:", "invalid literal for int() with base 10: ''"),
+    ("explicit:0,4,5", "expected 2 representatives, got 3"),
+    ("seeded_random:q", "invalid literal for int() with base 10: 'q'"),
+    ("lowest", "unknown representative policy 'lowest'"),
+])
+def test_bad_rep_policies_exit_2(runner, policy, message):
+    result = invoke(runner, "decompose", "--group", "quaternion",
+                    "--kernel", "6", "--rep-policy", policy)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_sampled_runs_are_byte_identical_across_workers(runner):
     args = ("verify", "--group", "frobenius:7:3:2", "--mode", "sampled",
             "--seed", "42", "--count", "2000", "--json")
@@ -177,6 +192,36 @@ def test_violations_drive_exit_code_1(runner, monkeypatch):
     text = invoke(runner, "verify", "--group", "cyclic:5")
     assert text.exit_code == 1
     assert "VIOLATION" in text.output
+
+
+def test_replay_invariant_failure_exits_3_and_names_the_check(runner, monkeypatch):
+    # |A1 * B_j| = 2 meets its bound exactly for this pair, so a product set
+    # one element short must fail the block check, not pass as a weaker bound
+    real = replay.product_set
+
+    def one_short(g, a, b):
+        full = real(g, a, b)
+        return SubsetMask(full.bits & (full.bits - 1), full.width)
+
+    monkeypatch.setattr(replay, "product_set", one_short)
+    result = invoke(runner, "trace", "--group", "heisenberg:3",
+                    "--set-a", "0,1", "--set-b", "0,3", "--json")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "ReplayInvariantError" in result.stderr
+    assert "heisenberg:3: block (0,0) product size 1 < 2" in result.stderr
+
+
+def test_unexpected_exceptions_exit_3(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("orbit count for |A| = 2 is not whole")
+
+    monkeypatch.setattr(cli, "verify_exhaustive", broken)
+    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
+    assert result.exit_code == 3
+    assert result.stderr == ("internal error: ArithmeticError: "
+                             "orbit count for |A| = 2 is not whole\n")
 
 
 def test_json_reports_carry_no_wall_time(runner):

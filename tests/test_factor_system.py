@@ -167,6 +167,14 @@ def test_explicit_representative_validation(quaternion_k):
         build_factor_system(q, K, (1, 4))
 
 
+def test_policy_strings_parse_like_their_tuples(quaternion_k):
+    q, K = quaternion_k
+    for text, value in (("explicit:0,4", (0, 4)),
+                        ("seeded_random:3", ("seeded_random", 3))):
+        from_text = factor_system_json(*build_factor_system(q, K, text))
+        assert from_text == factor_system_json(*build_factor_system(q, K, value))
+
+
 def test_extension_round_trip_for_named_pairs():
     cases = [
         ("quaternion", (6,)),

@@ -10,7 +10,8 @@ from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.factor_system import build_factor_system
 from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
                               as_candidate_group, build_group, closure,
-                              element_order, parse_group_spec, validate_group)
+                              element_order, lowest_first_generators,
+                              parse_group_spec, validate_group)
 from sumsetlab.structure import choose_decomposition_subgroup
 
 QUATERNION_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -558,6 +559,15 @@ def test_validate_caches_the_passing_generators(corpus_member):
     gens = g._cache["generators"]
     assert len(gens) <= max(1, g.order.bit_length())
     assert closure(g, gens).all()
+
+
+def test_structure_and_validation_share_one_generating_sequence(corpus_member):
+    fresh = build_group(corpus_member.label)
+    gens = tuple(lowest_first_generators(fresh))
+    assert fresh._cache["generators"] == gens
+    validated = build_group(corpus_member.label)
+    validate_group(validated)
+    assert validated._cache["generators"] == gens
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from sumsetlab import structure
 from sumsetlab.engine import cd_bound
 from sumsetlab.groups import SubsetMask, build_group
 from sumsetlab.jsonio import dumps_stable
@@ -59,7 +62,6 @@ def test_heisenberg_replay_matches_hand_computation():
     assert trace.final_chain.product_size == 4
     assert trace.final_chain.sum_bound == 4
     assert trace.final_chain.target == 3
-    assert trace.all_holds()
     audit_trace(g, trace)
     for check in trace.block_checks:
         assert check.subtrace.kind == "base"
@@ -156,10 +158,58 @@ def test_seeded_replays_audit_cleanly():
             a = SubsetMask(rng.subset_of_size(g.order, sa), g.order)
             b = SubsetMask(rng.subset_of_size(g.order, sb), g.order)
             trace = replay_solvable_proof(g, a, b)
-            assert trace.all_holds()
             audit_trace(g, trace)
 
 
 def test_invariant_failure_message_names_a_library_bug():
     with pytest.raises(ReplayInvariantError, match="bug in this library"):
         _invariant(False, "synthetic failure for the diagnostic test")
+
+
+def _nodes(trace, depth=1):
+    """(depth, node) for a trace and every subtrace below it."""
+    yield depth, trace
+    for check in trace.block_checks or ():
+        yield from _nodes(check.subtrace, depth + 1)
+
+
+# SHA-256 of the 300 reports below, recorded before the replay's recursion
+# stopped re-checking its preconditions at every level
+SYMMETRIC_4_REPORTS = "7be5f8125130e447e0ae220e486d562ed0f9cefb336e7b33555b593dfeb1c8ff"
+
+
+def test_symmetric_4_replays_recurse_below_the_pinned_mix(permutation_groups):
+    # S4 > A4 > V4 > 1: derived length 3, deeper than any group the pinned
+    # trace mix replays; p(S4) = 2 allows |A| + |B| <= 3
+    g = permutation_groups["symmetric:4"]
+    rng = SplitMix64(4)
+    digest = hashlib.sha256()
+    shapes = set()
+    for _ in range(300):
+        sa = 1 + rng.below(2)
+        sb = 1 + rng.below(3 - sa)
+        a = SubsetMask(rng.subset_of_size(g.order, sa), g.order)
+        b = SubsetMask(rng.subset_of_size(g.order, sb), g.order)
+        trace = replay_solvable_proof(g, a, b)
+        audit_trace(g, trace)
+        for depth, node in _nodes(trace):
+            assert len(node.a) and len(node.b)
+            assert node.a.width == node.b.width == node.group_order
+            assert node.target == len(node.a) + len(node.b) - 1 <= node.p_g
+            shapes.add((depth, node.kind, node.swapped))
+        digest.update(dumps_stable(trace.to_json_dict()).encode())
+    assert max(depth for depth, _, _ in shapes) == 3
+    assert (2, "inductive", True) in shapes
+    assert digest.hexdigest() == SYMMETRIC_4_REPORTS
+
+
+def test_replay_derives_only_the_input_group(monkeypatch):
+    calls = []
+    real = structure.derived_of
+    monkeypatch.setattr(structure, "derived_of",
+                        lambda h: calls.append(h.order) or real(h))
+    replay_solvable_proof(build_group("heisenberg:3"), mask(27, 0, 1), mask(27, 0, 3))
+    assert calls == [27, 3]
+    calls.clear()
+    replay_solvable_proof(build_group("cyclic:25"), mask(25, 0, 1), mask(25, 0, 2))
+    assert calls == []
