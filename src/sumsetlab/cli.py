@@ -8,6 +8,7 @@ unexpected exception: a bug in this library, named on one stderr line).
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 
@@ -44,16 +45,28 @@ def main():
     solvable-group induction on concrete sets."""
 
 
+def _command(fn):
+    """A subcommand called with the group that --group names; its options
+    start with --group and end with --json and --out."""
+    @functools.wraps(fn)
+    def run(spec, **options):
+        try:
+            g = build_group(spec)
+        except GroupBuildError as exc:
+            _fail(str(exc))
+        return fn(g, **options)
+
+    cmd = main.command(params=[click.Option(["--group", "spec"], required=True,
+                                            help="Group spec, e.g. cyclic:7.")])(run)
+    cmd.params += [click.Option(["--json", "as_json"], is_flag=True,
+                                help="Emit the JSON report."),
+                   click.Option(["--out", "out_path"], type=click.Path(dir_okay=False))]
+    return cmd
+
+
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
-
-
-def _build(spec: str):
-    try:
-        return build_group(spec)
-    except GroupBuildError as exc:
-        _fail(str(exc))
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -68,7 +81,8 @@ def _resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(text: str, out_path: str | None, code: int = 0):
+    """Write the report to ``out_path`` (stdout if None), then exit with ``code``."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -77,6 +91,7 @@ def _emit(text: str, out_path: str | None):
             _fail(f"cannot write {out_path}: {exc.strerror}")
     else:
         click.echo(text, nl=False)
+    sys.exit(code)
 
 
 def _parse_elements(raw: str, order: int, name: str) -> SubsetMask:
@@ -94,8 +109,7 @@ def _fmt_p(p) -> str:
     return "infinity" if p == INFINITY else str(int(p))
 
 
-@main.command()
-@click.option("--group", "spec", required=True, help="Group spec, e.g. cyclic:7.")
+@_command
 @click.option("--theorem", type=click.Choice(["cd", "eh"]), default="cd")
 @click.option("--mode", type=click.Choice(["exhaustive", "capped", "sampled"]),
               default="exhaustive")
@@ -111,12 +125,9 @@ def _fmt_p(p) -> str:
               help="Largest order allowed for full enumeration.")
 @click.option("--workers", type=int, default=None,
               help="Worker threads (default: SUMSETLAB_WORKERS or CPU count).")
-@click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def verify(spec, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
+def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
            sum_cap, exhaustive_limit, workers, as_json, out_path):
     """Verify the product-size bound over pairs of subsets."""
-    g = _build(spec)
     workers = _resolve_workers(workers)
     try:
         if mode == "exhaustive":
@@ -141,47 +152,39 @@ def verify(spec, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
                 sizes = (sa, sb)
             plan = SamplingPlan(seed=seed, count=count, fixed_sizes=sizes)
             report = verify_sampled(g, theorem, plan, workers=workers)
-    except click.UsageError:
-        raise
     except ValueError as exc:
         _fail(str(exc))
 
-    if as_json:
-        _emit(dumps_stable(report.to_json_dict()), out_path)
-    else:
-        lines = [
-            f"group           {report.group} (order {report.group_order})",
-            f"theorem         {report.theorem}",
-            f"mode            {report.mode}",
-            f"minimal torsion {_fmt_p(report.p_g)}",
-            f"pairs checked   {report.pairs_checked}",
-            f"violations      {len(report.violations)}",
-            f"extremal pairs  {report.extremal_count}",
-            f"wall time       {report.wall_time:.3f}s",
-        ]
-        for v in report.violations[:10]:
-            lines.append(
-                f"  VIOLATION a={list(v.a.elements())} b={list(v.b.elements())} "
-                f"|ab|={v.product_size} < bound {v.bound}"
-            )
-        if len(report.violations) > 10:
-            lines.append(f"  ... {len(report.violations) - 10} more")
-        _emit("\n".join(lines) + "\n", out_path)
-    sys.exit(1 if report.violations else 0)
+    _emit(dumps_stable(report.to_json_dict()) if as_json else _verify_text(report),
+          out_path, 1 if report.violations else 0)
 
 
-@main.command()
-@click.option("--group", "spec", required=True)
+def _verify_text(report) -> str:
+    lines = [
+        f"group           {report.group} (order {report.group_order})",
+        f"theorem         {report.theorem}",
+        f"mode            {report.mode}",
+        f"minimal torsion {_fmt_p(report.p_g)}",
+        f"pairs checked   {report.pairs_checked}",
+        f"violations      {len(report.violations)}",
+        f"extremal pairs  {report.extremal_count}",
+        f"wall time       {report.wall_time:.3f}s",
+        *(f"  VIOLATION a={list(v.a.elements())} b={list(v.b.elements())} "
+          f"|ab|={v.product_size} < bound {v.bound}" for v in report.violations[:10]),
+    ]
+    if len(report.violations) > 10:
+        lines.append(f"  ... {len(report.violations) - 10} more")
+    return "\n".join(lines) + "\n"
+
+
+@_command
 @click.option("--kernel", "kernel_raw", default=None, metavar="ELEMS",
               help="Comma-separated generators of the kernel subgroup "
                    "(default: the decomposition policy's choice).")
 @click.option("--rep-policy", default="lowest_index", metavar="POLICY",
               help="lowest_index, seeded_random:SEED, or explicit:R0,R1,...")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def decompose(spec, kernel_raw, rep_policy, as_json, out_path):
+def decompose(g, kernel_raw, rep_policy, as_json, out_path):
     """Build and print the factor system for a group over a normal subgroup."""
-    g = _build(spec)
     try:
         if kernel_raw is None:
             kernel = choose_decomposition_subgroup(g)
@@ -192,89 +195,76 @@ def decompose(spec, kernel_raw, rep_policy, as_json, out_path):
     except ValueError as exc:
         _fail(str(exc))
     payload = factor_system_json(fs, pr)
-    if as_json:
-        _emit(dumps_stable(payload), out_path)
-    else:
-        lines = [
-            f"group           {payload['group']} (order {payload['group_order']})",
-            f"kernel          {payload['kernel']}",
-            f"representatives {payload['representatives']}",
-            "pairs (element -> [kernel, block]):",
-        ]
-        for x, pair in enumerate(payload["pairs"]):
-            lines.append(f"  {x} -> {pair}")
-        lines.append("carry table (rows/columns are blocks):")
-        for row in payload["carry"]:
-            lines.append(f"  {row}")
-        _emit("\n".join(lines) + "\n", out_path)
-    sys.exit(0)
+    _emit(dumps_stable(payload) if as_json else _decompose_text(payload), out_path)
 
 
-@main.command()
-@click.option("--group", "spec", required=True)
+def _decompose_text(payload: dict) -> str:
+    lines = [
+        f"group           {payload['group']} (order {payload['group_order']})",
+        f"kernel          {payload['kernel']}",
+        f"representatives {payload['representatives']}",
+        "pairs (element -> [kernel, block]):",
+        *(f"  {x} -> {pair}" for x, pair in enumerate(payload["pairs"])),
+        "carry table (rows/columns are blocks):",
+        *(f"  {row}" for row in payload["carry"]),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@_command
 @click.option("--size-a", type=int, required=True)
 @click.option("--size-b", type=int, required=True)
 @click.option("--limit", type=int, default=None,
               help="Stop after this many extremal pairs.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def extremal(spec, size_a, size_b, limit, as_json, out_path):
+def extremal(g, size_a, size_b, limit, as_json, out_path):
     """List pairs whose product size meets the bound exactly."""
-    g = _build(spec)
     try:
         pairs = find_extremal(g, size_a, size_b, limit=limit)
     except ValueError as exc:
         _fail(str(exc))
-    bound = size_bound(g, size_a, size_b)
     payload = {
         "schema": "sumsetlab.extremal/1",
         "group": g.label,
         "group_order": g.order,
         "size_a": size_a,
         "size_b": size_b,
-        "bound": bound,
+        "bound": size_bound(g, size_a, size_b),
         "count": len(pairs),
         "pairs": [
             {"a": list(a.elements()), "b": list(b.elements())} for a, b in pairs
         ],
     }
-    if as_json:
-        _emit(dumps_stable(payload), out_path)
-    else:
-        lines = [
-            f"group   {g.label} (order {g.order})",
-            f"sizes   |A|={size_a} |B|={size_b}, bound {bound}",
-            f"extremal pairs found: {len(pairs)}",
-        ]
-        for a, b in pairs[:10]:
-            lines.append(f"  a={list(a.elements())} b={list(b.elements())}")
-        if len(pairs) > 10:
-            lines.append(f"  ... {len(pairs) - 10} more")
-        _emit("\n".join(lines) + "\n", out_path)
-    sys.exit(0)
+    _emit(dumps_stable(payload) if as_json else _extremal_text(payload), out_path)
 
 
-@main.command()
-@click.option("--group", "spec", required=True)
+def _extremal_text(payload: dict) -> str:
+    pairs = payload["pairs"]
+    lines = [
+        f"group   {payload['group']} (order {payload['group_order']})",
+        f"sizes   |A|={payload['size_a']} |B|={payload['size_b']}, "
+        f"bound {payload['bound']}",
+        f"extremal pairs found: {len(pairs)}",
+        *(f"  a={pair['a']} b={pair['b']}" for pair in pairs[:10]),
+    ]
+    if len(pairs) > 10:
+        lines.append(f"  ... {len(pairs) - 10} more")
+    return "\n".join(lines) + "\n"
+
+
+@_command
 @click.option("--set-a", "set_a", required=True, metavar="ELEMS",
               help="Comma-separated element indices.")
 @click.option("--set-b", "set_b", required=True, metavar="ELEMS")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def trace(spec, set_a, set_b, as_json, out_path):
+def trace(g, set_a, set_b, as_json, out_path):
     """Replay the solvable-group induction on one concrete pair."""
-    g = _build(spec)
     a = _parse_elements(set_a, g.order, "--set-a")
     b = _parse_elements(set_b, g.order, "--set-b")
     try:
         result = replay_solvable_proof(g, a, b)
     except ReplayPreconditionError as exc:
         _fail(str(exc))
-    if as_json:
-        _emit(dumps_stable(result.to_json_dict()), out_path)
-    else:
-        _emit(_trace_text(result), out_path)
-    sys.exit(0)
+    _emit(dumps_stable(result.to_json_dict()) if as_json else _trace_text(result),
+          out_path)
 
 
 def _trace_text(t, indent: str = "") -> str:
@@ -315,13 +305,9 @@ def _trace_text(t, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command()
-@click.option("--group", "spec", required=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def validate(spec, as_json, out_path):
+@_command
+def validate(g, as_json, out_path):
     """Build a group and check the group axioms; exit 2 on any violation."""
-    g = _build(spec)
     problems = validate_group(g)
     payload = {
         "schema": "sumsetlab.validation/1",
@@ -329,16 +315,15 @@ def validate(spec, as_json, out_path):
         "group_order": g.order,
         "violations": problems,
     }
-    if as_json:
-        _emit(dumps_stable(payload), out_path)
-    else:
-        lines = [f"group {g.label} (order {g.order})"]
-        if problems:
-            lines.extend(f"  {p}" for p in problems)
-        else:
-            lines.append("  all group axioms hold")
-        _emit("\n".join(lines) + "\n", out_path)
-    sys.exit(2 if problems else 0)
+    _emit(dumps_stable(payload) if as_json else _validate_text(payload), out_path,
+          2 if problems else 0)
+
+
+def _validate_text(payload: dict) -> str:
+    lines = [f"group {payload['group']} (order {payload['group_order']})"]
+    lines.extend(f"  {p}" for p in payload["violations"]
+                 or ["all group axioms hold"])
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupBuildError, SubsetMask, iter_bits, validate_group
+from .groups import (FiniteGroup, GroupBuildError, SubsetMask, iter_bits, table_group,
+                     validate_group)
 from .rng import SplitMix64
 from .structure import QuotientGroup, Subgroup, quotient
 
@@ -138,6 +139,8 @@ def build_factor_system(
         if len(reps) != nblocks:
             raise ValueError(f"expected {nblocks} representatives, got {len(reps)}")
         for h, r in enumerate(reps):
+            if not 0 <= r < g.order:
+                raise ValueError(f"representative {r} outside 0..{g.order - 1}")
             if q.block_of(r) != h:
                 raise ValueError(f"representative {r} does not lie in block {h}")
         if reps[0] != g.identity:
@@ -182,6 +185,16 @@ def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int,
     return k_out, int(fs.quot.table.op[h1, h2])
 
 
+def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
+    """Flat indices (kernel position * num_blocks + block) of the products
+    (k1, h1) * (k2, h2), for kernel positions and blocks given as arrays
+    that broadcast together; the vectorised ``star``."""
+    g = fs.parent
+    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
+    k_out = g.op[g.op[ke[pos1], ke[fs.conj[blk1, pos2]]], ke[fs.carry[blk1, blk2]]]
+    return fs.kernel_pos[k_out] * fs.num_blocks + fs.quot.table.op[blk1, blk2]
+
+
 def verify_isomorphism(
     fs: FactorSystem, pr: PairRepresentation
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -193,28 +206,20 @@ def verify_isomorphism(
     """
     g = fs.parent
     n = g.order
-    nb = fs.num_blocks
-    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
-
-    flat = fs.kernel_pos[pr.pair_k].astype(np.int64) * nb + pr.pair_block
+    pos = fs.kernel_pos[pr.pair_k]
+    blk = pr.pair_block
+    flat = pos * fs.num_blocks + blk
     if len(np.unique(flat)) != n:
         return False, (0, 0)
-    rebuilt = g.op[pr.pair_k, np.fromiter(fs.reps, dtype=np.int64)[pr.pair_block]]
+    rebuilt = g.op[pr.pair_k, np.fromiter(fs.reps, dtype=np.int64)[blk]]
     if not (rebuilt == np.arange(n)).all():
         bad = int(np.nonzero(rebuilt != np.arange(n))[0][0])
         return False, (bad, bad)
 
-    pos2 = fs.kernel_pos[pr.pair_k].astype(np.int64)
     for lo in range(0, n, _ISOMORPHISM_CHUNK):
         hi = min(lo + _ISOMORPHISM_CHUNK, n)
-        h1 = pr.pair_block[lo:hi, None].astype(np.int64)
-        k1 = pr.pair_k[lo:hi, None].astype(np.int64)
-        twisted = ke[fs.conj[h1, pos2[None, :]]]
-        carried = ke[fs.carry[h1, pr.pair_block[None, :].astype(np.int64)]]
-        k_star = g.op[g.op[k1, twisted], carried]
-        h_star = fs.quot.table.op[h1, pr.pair_block[None, :].astype(np.int64)]
-        prod = g.op[lo:hi, :]
-        ok = (pr.pair_k[prod] == k_star) & (pr.pair_block[prod] == h_star)
+        expected = pair_products(fs, pos[lo:hi, None], blk[lo:hi, None], pos, blk)
+        ok = flat[g.op[lo:hi, :]] == expected
         if not ok.all():
             g1, g2 = np.argwhere(~ok)[0]
             return False, (int(g1) + lo, int(g2))
@@ -230,29 +235,9 @@ def extension_from_factor_system(fs: FactorSystem) -> FiniteGroup:
     """
     g = fs.parent
     nb = fs.num_blocks
-    m = fs.kernel.order
-    n = m * nb
-    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=m)
-
-    idx = np.arange(n)
-    pos = idx // nb
-    blk = idx % nb
-    k_elt = ke[pos]
-
-    twisted = ke[fs.conj[blk[:, None], pos[None, :]]]
-    carried = ke[fs.carry[blk[:, None], blk[None, :]]]
-    k_out = g.op[g.op[k_elt[:, None], twisted], carried]
-    h_out = fs.quot.table.op[blk[:, None], blk[None, :]]
-    table = (fs.kernel_pos[k_out].astype(np.int64) * nb + h_out).astype(np.int32)
-
-    identity = int(fs.kernel_pos[g.identity]) * nb + 0
-    ext = FiniteGroup(
-        order=n,
-        op=table,
-        identity=identity,
-        inv=np.argmax(table == identity, axis=1).astype(np.int32),
-        label=f"pairs({g.label})",
-    )
+    pos, blk = np.divmod(np.arange(fs.kernel.order * nb), nb)
+    table = pair_products(fs, pos[:, None], blk[:, None], pos, blk)
+    ext = table_group(table, f"pairs({g.label})", int(fs.kernel_pos[g.identity]) * nb)
     problems = validate_group(ext)
     if problems:
         raise GroupBuildError(f"factor system does not define a group: {problems[0]}")

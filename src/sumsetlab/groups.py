@@ -18,6 +18,9 @@ import numpy as np
 
 ORDER_CAP = 4096          # tables above this order are refused outright
 
+INFINITY = float("inf")
+"""Torsion value of the trivial group; compares above every integer."""
+
 
 class GroupBuildError(ValueError):
     """An invalid group spec, or a table that violates the group axioms."""
@@ -122,12 +125,16 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
+def table_group(op: np.ndarray, label: str, identity: int = 0) -> FiniteGroup:
+    """The group on a Cayley table, with each inverse read off its row."""
+    op = np.asarray(op, dtype=np.int32)
+    return FiniteGroup(order=len(op), op=op, identity=identity,
+                       inv=np.argmax(op == identity, axis=1).astype(np.int32),
+                       label=label)
+
+
 # ---------------------------------------------------------------------------
 # group specs and the spec DSL
-
-
-_PARAM_COUNTS = {"cyclic": 1, "quaternion": 0, "dihedral": 1, "heisenberg": 1,
-                 "frobenius": 3}
 
 
 @dataclass(frozen=True)
@@ -173,27 +180,33 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise GroupBuildError("table spec needs a file path")
         return GroupSpec(kind="table", table_source=source)
     name, _, rest = text.partition(":")
-    if name not in _PARAM_COUNTS:
+    if name not in _FAMILIES:
         raise GroupBuildError(f"unknown group kind {name!r}")
     try:
         params = tuple(int(p) for p in rest.split(":")) if rest else ()
     except ValueError:
         raise GroupBuildError(
             f"{name} parameters must be integers, got {rest!r}") from None
-    if len(params) != _PARAM_COUNTS[name]:
-        raise GroupBuildError(
-            f"{name} takes {_PARAM_COUNTS[name]} parameter(s), got {len(params)}"
-        )
+    count = _FAMILIES[name][0]
+    if len(params) != count:
+        raise GroupBuildError(f"{name} takes {count} parameter(s), got {len(params)}")
     return GroupSpec(kind=name, params=params)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def smallest_prime_factor(n: int):
+    """Least prime dividing n; INFINITY for n = 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return INFINITY
     for d in range(2, int(math.isqrt(n)) + 1):
         if n % d == 0:
-            return False
-    return True
+            return d
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def validate_spec(spec: GroupSpec) -> None:
@@ -290,27 +303,20 @@ def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-_BUILDERS = {"cyclic": _cyclic_table, "quaternion": _quaternion_table,
-             "dihedral": _dihedral_table, "heisenberg": _heisenberg_table,
-             "frobenius": _frobenius_table}
-
-
-def _inverse_table(op: np.ndarray, identity: int) -> np.ndarray:
-    return np.argmax(op == identity, axis=1).astype(np.int32)
+# kind -> (parameter count, order from the parameters, table builder)
+_FAMILIES = {
+    "cyclic": (1, lambda n: n, _cyclic_table),
+    "quaternion": (0, lambda: 8, _quaternion_table),
+    "dihedral": (1, lambda m: 2 * m, _dihedral_table),
+    "heisenberg": (1, lambda p: p ** 3, _heisenberg_table),
+    "frobenius": (3, lambda p, q, k: p * q, _frobenius_table),
+}
 
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Order implied by a spec, or None for table specs (known only on load)."""
-    if spec.kind == "cyclic":
-        return spec.params[0]
-    if spec.kind == "quaternion":
-        return 8
-    if spec.kind == "dihedral":
-        return 2 * spec.params[0]
-    if spec.kind == "heisenberg":
-        return spec.params[0] ** 3
-    if spec.kind == "frobenius":
-        return spec.params[0] * spec.params[1]
+    if spec.kind in _FAMILIES:
+        return _FAMILIES[spec.kind][1](*spec.params)
     if spec.kind == "direct_product":
         child_orders = [spec_order(c) for c in spec.children]
         if any(o is None for o in child_orders):
@@ -341,9 +347,8 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
             raise GroupBuildError(f"order {built_order} exceeds the cap {ORDER_CAP}")
         op = _product_table([c.op for c in children])
     else:
-        op = _BUILDERS[spec.kind](*spec.params)
-    return FiniteGroup(order=len(op), op=op, identity=0, inv=_inverse_table(op, 0),
-                       label=spec.label())
+        op = _FAMILIES[spec.kind][2](*spec.params)
+    return table_group(op, spec.label())
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +370,10 @@ def _load_table_group(path: Path) -> FiniteGroup:
         raise GroupBuildError(
             f"table file {path}: expected {n * n} entries, got {len(values) - 1}"
         )
-    op = np.array(values[1:], dtype=np.int32).reshape(n, n)
+    entries = values[1:]
+    if isinstance(entries, list):            # int() tokens may not fit in int32
+        entries = [v if 0 <= v < n else -1 for v in entries]
+    op = np.array(entries, dtype=np.int32).reshape(n, n)
     if op.min() < 0 or op.max() >= n:
         bad = np.argwhere((op < 0) | (op >= n))[0]
         raise GroupBuildError(
@@ -382,8 +390,7 @@ def _load_table_group(path: Path) -> FiniteGroup:
         op = perm[op[perm][:, perm]]  # transposition is its own inverse
         label += f"|identity={identity}->0"
 
-    group = FiniteGroup(order=n, op=op, identity=0,
-                        inv=_inverse_table(op, 0), label=label)
+    group = table_group(op, label)
     problems = validate_group(group)
     if problems:
         raise GroupBuildError(f"table file {path}: {problems[0]}")

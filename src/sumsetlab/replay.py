@@ -22,9 +22,10 @@ mean a bug in this library.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .engine import product_set
-from .factor_system import build_factor_system, decompose_subset
+from .factor_system import build_factor_system, decompose_subset, pair_products
 from .groups import FiniteGroup, SubsetMask
 from .structure import (INFINITY, choose_decomposition_subgroup, is_solvable,
                         minimal_torsion, subgroup_as_group)
@@ -228,16 +229,15 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     h1 = top.block
     a1 = top.size
     ke = fs.kernel.element_list
+    # B_j moves into K as the kernel parts of (1, h1) * (k, b_j); one call for all j
+    flat = pair_products(fs, fs.kernel_pos[g.identity], h1,
+                         [pos for bj in db.blocks for pos in bj.members.elements()],
+                         [bj.block for bj in db.blocks for _ in range(bj.size)])
+    moved = iter((flat // fs.num_blocks).tolist())
     block_checks = []
     for bj in db.blocks:
         where = f"{g.label}: block ({h1},{bj.block})"
-        carry_elt = fs.carry_element(h1, bj.block)
-        translated_bits = 0
-        for pos in bj.members.elements():
-            twisted = ke[int(fs.conj[h1, pos])]
-            shifted = int(g.op[twisted, carry_elt])
-            translated_bits |= 1 << int(fs.kernel_pos[shifted])
-        translated = SubsetMask(translated_bits, kernel.order)
+        translated = SubsetMask.from_elements(kernel.order, islice(moved, bj.size))
         _invariant(len(translated) == bj.size,
                    f"{where} translation into the kernel changed its size")
         sub_product = product_set(kernel_group, top.members, translated)

@@ -10,16 +10,13 @@ Computational Group Theory*, 2005).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, closure, lowest_first_generators
-
-INFINITY = float("inf")
-"""Torsion value of the trivial group; compares above every integer."""
+from .groups import (INFINITY, FiniteGroup, SubsetMask, closure,
+                     lowest_first_generators, smallest_prime_factor, table_group)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +172,8 @@ def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
             project[coset] = len(blocks)
             blocks.append(tuple(int(v) for v in coset))
     reps = np.array([b[0] for b in blocks], dtype=np.int64)
-    table = project[g.op[reps[:, None], reps[None, :]]].astype(np.int32)
-    quot_group = FiniteGroup(
-        order=len(blocks),
-        op=table,
-        identity=0,
-        inv=np.argmax(table == 0, axis=1).astype(np.int32),
-        label=f"{g.label}/<{k.order}>",
-    )
+    quot_group = table_group(project[g.op[reps[:, None], reps[None, :]]],
+                             f"{g.label}/<{k.order}>")
     return QuotientGroup(parent=g, kernel=k, blocks=tuple(blocks),
                          table=quot_group, project=project)
 
@@ -204,13 +195,7 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     table = pos[g.op[np.ix_(m, m)]]
     if (table < 0).any():
         raise ValueError("member set is not closed under the group operation")
-    group = FiniteGroup(
-        order=h.order,
-        op=table.astype(np.int32),
-        identity=int(pos[g.identity]),
-        inv=np.argmax(table == int(pos[g.identity]), axis=1).astype(np.int32),
-        label=f"{g.label}|sub<{h.order}>",
-    )
+    group = table_group(table, f"{g.label}|sub<{h.order}>", int(pos[g.identity]))
     g._cache[cache_key] = group
     return group
 
@@ -242,18 +227,6 @@ def solvable_chain(g: FiniteGroup) -> SolvableChain:
 
 # ---------------------------------------------------------------------------
 # minimal torsion
-
-
-def smallest_prime_factor(n: int):
-    """Least prime dividing n; INFINITY for n = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return INFINITY
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return d
-    return n
 
 
 def minimal_torsion(g: FiniteGroup):

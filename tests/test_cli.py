@@ -127,6 +127,8 @@ def test_usage_errors_exit_2(runner, tmp_path):
     ("explicit:0,x", "invalid literal for int() with base 10: 'x'"),
     ("explicit:", "invalid literal for int() with base 10: ''"),
     ("explicit:0,4,5", "expected 2 representatives, got 3"),
+    ("explicit:0,-6", "representative -6 outside 0..7"),
+    ("explicit:0,99", "representative 99 outside 0..7"),
     ("seeded_random:q", "invalid literal for int() with base 10: 'q'"),
     ("lowest", "unknown representative policy 'lowest'"),
 ])
@@ -135,6 +137,15 @@ def test_bad_rep_policies_exit_2(runner, policy, message):
                     "--kernel", "6", "--rep-policy", policy)
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entry", ["4294967296", "-4294967296000000000000"])
+def test_table_entries_beyond_int32_exit_2(runner, tmp_path, entry):
+    path = tmp_path / "t.tbl"
+    path.write_text(f"2\n0 1\n1 {entry}\n")
+    result = invoke(runner, "validate", "--group", f"table:{path}")
+    assert result.exit_code == 2
+    assert result.stderr == f"error: table file {path}: entry op(1,1) out of range\n"
 
 
 def test_sampled_runs_are_byte_identical_across_workers(runner):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
                                      decompose_subset,
                                      extension_from_factor_system,
-                                     factor_system_json, star,
-                                     verify_isomorphism)
+                                     factor_system_json, pair_products,
+                                     star, verify_isomorphism)
 from sumsetlab.corpus import normal_subgroup_inventory
 from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group,
                               validate_group)
@@ -112,6 +112,21 @@ def test_conjugation_tables_are_automorphisms_of_the_kernel(corpus_member):
                     )
 
 
+@pytest.mark.parametrize("policy", ["lowest_index", "seeded_random:7"])
+def test_pair_products_match_star_on_every_pair(corpus_member, policy):
+    g = corpus_member
+    for k in normal_subgroup_inventory(g):
+        fs, _ = build_factor_system(g, k, policy)
+        nb = fs.num_blocks
+        pos, blk = np.divmod(np.arange(g.order), nb)
+        pairs = [(k.element_list[p], int(h)) for p, h in zip(pos, blk)]
+        expected = np.array([[int(fs.kernel_pos[kx]) * nb + hx
+                              for kx, hx in (star(fs, x, y) for y in pairs)]
+                             for x in pairs])
+        got = pair_products(fs, pos[:, None], blk[:, None], pos, blk)
+        assert np.array_equal(got, expected), (g.label, k.order, policy)
+
+
 def test_carry_identity_row_and_column_are_trivial(corpus_member):
     g = corpus_member
     for k in normal_subgroup_inventory(g):
@@ -165,6 +180,9 @@ def test_explicit_representative_validation(quaternion_k):
         build_factor_system(q, K, (0, 6))   # 6 lies in the kernel block
     with pytest.raises(ValueError, match="identity"):
         build_factor_system(q, K, (1, 4))
+    for outside in (-6, 99, 8):       # numpy would wrap -6 onto element 2
+        with pytest.raises(ValueError, match=rf"representative {outside} outside 0\.\.7"):
+            build_factor_system(q, K, (0, outside))
 
 
 def test_policy_strings_parse_like_their_tuples(quaternion_k):

@@ -600,11 +600,11 @@ def _reference_load(path):
     if len(values) != 1 + n * n:
         raise GroupBuildError(
             f"table file {path}: expected {n * n} entries, got {len(values) - 1}")
-    op = np.array(values[1:], dtype=np.int32).reshape(n, n)
-    if op.min() < 0 or op.max() >= n:
-        bad = np.argwhere((op < 0) | (op >= n))[0]
+    bad = next((i for i, v in enumerate(values[1:]) if not 0 <= v < n), None)
+    if bad is not None:                  # before the int32 cast, which may overflow
         raise GroupBuildError(
-            f"table file {path}: entry op({bad[0]},{bad[1]}) out of range")
+            f"table file {path}: entry op({bad // n},{bad % n}) out of range")
+    op = np.array(values[1:], dtype=np.int32).reshape(n, n)
     identity = _reference_find_identity(op)
     label = f"table:{path.name}"
     if identity is None:
@@ -643,6 +643,8 @@ TABLE_FILES = {
     "zero order": "0\n",
     "huge order": "99999999999999999999999\n0\n",
     "huge entry": "2\n0 1\n1 4294967296\n",
+    "huge negative entry": "2\n0 1\n-4294967296000000000000 1\n",
+    "huge digits-only entry": "2\n0 1\n1 99999999999999999999999\n",
     "int32 entry": "2\n0 1\n1 2147483647\n",
     "short": "3\n0 1 2\n",
     "no identity": "2\n1 1\n1 1\n",
