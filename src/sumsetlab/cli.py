@@ -159,11 +159,28 @@ def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
           out_path, 1 if report.violations else 0)
 
 
+def _mode_text(mode: dict) -> str:
+    """A report's mode in words, e.g. ``sampled (seed 5, 1000 pairs, uniform)``."""
+    kind = mode["kind"]
+    if kind == "size_capped":
+        parts = [f"no {name}" if mode[key] is None else f"{name} {mode[key]}"
+                 for key, name in (("max_a_size", "max |A|"), ("max_b_size", "max |B|"),
+                                   ("sum_cap", "sum cap"))]
+    elif kind == "sampled":
+        dist = mode["distribution"]
+        parts = [f"seed {mode['seed']}", f"{mode['count']} pairs",
+                 dist if dist == "uniform"
+                 else "fixed sizes " + ",".join(map(str, dist["fixed_sizes"]))]
+    else:
+        return kind
+    return f"{kind} ({', '.join(parts)})"
+
+
 def _verify_text(report) -> str:
     lines = [
         f"group           {report.group} (order {report.group_order})",
         f"theorem         {report.theorem}",
-        f"mode            {report.mode}",
+        f"mode            {_mode_text(report.mode)}",
         f"minimal torsion {_fmt_p(report.p_g)}",
         f"pairs checked   {report.pairs_checked}",
         f"violations      {len(report.violations)}",

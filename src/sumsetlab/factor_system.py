@@ -307,22 +307,16 @@ def factor_system_json(fs: FactorSystem, pr: PairRepresentation) -> dict:
         policy = {"seeded_random": fs.policy[1]}
     else:
         policy = {"explicit": list(fs.policy[1])}
-    ke = fs.kernel.element_list
+    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
     return {
         "schema": "sumsetlab.factor-system/1",
         "group": fs.parent.label,
         "group_order": fs.parent.order,
         "policy": policy,
-        "kernel": list(ke),
+        "kernel": ke.tolist(),
         "blocks": [list(b) for b in fs.quot.blocks],
         "representatives": list(fs.reps),
-        "conjugation": [
-            [ke[int(p)] for p in fs.conj[h]] for h in range(fs.num_blocks)
-        ],
-        "carry": [
-            [ke[int(p)] for p in fs.carry[h]] for h in range(fs.num_blocks)
-        ],
-        "pairs": [
-            [int(pr.pair_k[x]), int(pr.pair_block[x])] for x in range(fs.parent.order)
-        ],
+        "conjugation": ke[fs.conj].tolist(),
+        "carry": ke[fs.carry].tolist(),
+        "pairs": np.stack((pr.pair_k, pr.pair_block), axis=1).tolist(),
     }

@@ -162,19 +162,15 @@ def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
     """Quotient by a normal subgroup; raises ValueError if k is not normal."""
     if not is_normal(g, k):
         raise ValueError("kernel is not a normal subgroup")
-    n = g.order
-    members = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
-    project = np.full(n, -1, dtype=np.int32)
-    blocks: list[tuple[int, ...]] = []
-    for x in range(n):
-        if project[x] < 0:
-            coset = np.sort(g.op[members, x])
-            project[coset] = len(blocks)
-            blocks.append(tuple(int(v) for v in coset))
-    reps = np.array([b[0] for b in blocks], dtype=np.int64)
+    members = np.fromiter(k.element_list, dtype=np.intp, count=k.order)
+    # label each right coset Kx by its least element; np.unique orders the
+    # labels, so the blocks come out ordered by their smallest element
+    reps, project = np.unique(g.op[members].min(axis=0), return_inverse=True)
+    project = project.astype(np.int32)
+    blocks = np.argsort(project, kind="stable").reshape(len(reps), k.order)
     quot_group = table_group(project[g.op[reps[:, None], reps[None, :]]],
                              f"{g.label}/<{k.order}>")
-    return QuotientGroup(parent=g, kernel=k, blocks=tuple(blocks),
+    return QuotientGroup(parent=g, kernel=k, blocks=tuple(map(tuple, blocks.tolist())),
                          table=quot_group, project=project)
 
 

@@ -40,6 +40,26 @@ def test_verify_text_output_mentions_pairs(runner):
     assert "violations      0" in result.output
 
 
+@pytest.mark.parametrize("options, words", [
+    ((), "exhaustive"),
+    (("--mode", "capped", "--max-a", "3", "--max-b", "3"),
+     "size_capped (max |A| 3, max |B| 3, no sum cap)"),
+    (("--mode", "capped", "--sum-cap", "4"),
+     "size_capped (no max |A|, no max |B|, sum cap 4)"),
+    (("--mode", "sampled", "--seed", "5", "--count", "1000"),
+     "sampled (seed 5, 1000 pairs, uniform)"),
+    (("--mode", "sampled", "--seed", "5", "--count", "10", "--fixed-sizes", "3,3"),
+     "sampled (seed 5, 10 pairs, fixed sizes 3,3)"),
+])
+def test_verify_text_output_names_the_mode_in_words(runner, options, words):
+    result = invoke(runner, "verify", "--group", "cyclic:5", *options)
+    assert result.exit_code == 0
+    assert f"mode            {words}\n" in result.output
+    report = json.loads(invoke(runner, "verify", "--group", "cyclic:5", *options,
+                               "--json").output)
+    assert report["mode"]["kind"] == words.split()[0]
+
+
 def test_trace_command_emits_a_full_proof_trace(runner):
     result = invoke(runner, "trace", "--group", "heisenberg:3",
                     "--set-a", "0,1", "--set-b", "0,3", "--json")

@@ -11,8 +11,8 @@ from sumsetlab.factor_system import (FactorSystem, build_factor_system,
 from sumsetlab.corpus import normal_subgroup_inventory
 from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group,
                               validate_group)
-from sumsetlab.structure import (generated_subgroup, trivial_subgroup,
-                                 whole_subgroup)
+from sumsetlab.structure import (derived_series, generated_subgroup, quotient,
+                                 trivial_subgroup, whole_subgroup)
 
 # pair coordinates of the quaternion elements over the kernel {1,-1,k,-k}
 # with coset representatives 1 and j (element indices 0 and 4):
@@ -301,3 +301,83 @@ def test_factor_system_json_shape(quaternion_k):
     assert payload["carry"][1][1] == 1
     lowest, pr2 = build_factor_system(q, K)
     assert factor_system_json(lowest, pr2)["policy"] == "lowest_index"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the loops that structure.quotient and factor_system_json replaced
+
+
+def _loop_quotient(g, k):
+    """(blocks, project, table) from a scan of the right cosets Kx in order of x."""
+    members = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
+    project = np.full(g.order, -1, dtype=np.int32)
+    blocks = []
+    for x in range(g.order):
+        if project[x] < 0:
+            coset = np.sort(g.op[members, x])
+            project[coset] = len(blocks)
+            blocks.append(tuple(int(v) for v in coset))
+    reps = np.array([b[0] for b in blocks], dtype=np.int64)
+    return tuple(blocks), project, project[g.op[reps[:, None], reps[None, :]]]
+
+
+def _loop_payload(fs, pr):
+    """factor_system_json with its per-element comprehensions."""
+    payload = factor_system_json(fs, pr)
+    ke = fs.kernel.element_list
+    payload.update({
+        "kernel": list(ke),
+        "conjugation": [[ke[int(p)] for p in fs.conj[h]] for h in range(fs.num_blocks)],
+        "carry": [[ke[int(p)] for p in fs.carry[h]] for h in range(fs.num_blocks)],
+        "pairs": [[int(pr.pair_k[x]), int(pr.pair_block[x])]
+                  for x in range(fs.parent.order)],
+    })
+    return payload
+
+
+def _kernels(g):
+    seen = {h.members.bits: h for h in normal_subgroup_inventory(g)}
+    seen.update((h.members.bits, h) for h in derived_series(g))   # V4 in S4
+    return [seen[bits] for bits in sorted(seen)]
+
+
+def _policies(blocks):
+    return ["lowest_index", "seeded_random:11",
+            "explicit:" + ",".join(str(b[-1] if h else b[0]) for h, b in enumerate(blocks))]
+
+
+def _assert_matches_the_loops(g, kernels):
+    for k in kernels:
+        blocks, project, table = _loop_quotient(g, k)
+        q = quotient(g, k)
+        assert q.blocks == blocks, (g.label, k.order)
+        assert q.project.dtype == project.dtype and np.array_equal(q.project, project)
+        assert np.array_equal(q.table.op, table)
+        for policy in _policies(blocks):
+            fs, pr = build_factor_system(g, k, policy)
+            assert factor_system_json(fs, pr) == _loop_payload(fs, pr), \
+                (g.label, k.order, policy)
+
+
+def test_quotient_and_payload_match_the_loops_on_the_corpus(corpus_member):
+    _assert_matches_the_loops(corpus_member, _kernels(corpus_member))
+
+
+@pytest.mark.parametrize("label", ["alternating:4", "symmetric:4", "alternating:5"])
+def test_quotient_and_payload_match_the_loops_on_permutation_groups(
+        permutation_groups, label):
+    g = permutation_groups[label]
+    _assert_matches_the_loops(g, _kernels(g))
+
+
+def test_quotient_and_payload_match_the_loops_on_heisenberg_13():
+    # payloads over the whole group and its centre, the decompose kernel;
+    # over the trivial kernel (a carry table of 2197^2 entries) they would
+    # take seconds, so that kernel checks the quotient only
+    g = build_group("heisenberg:13")
+    whole, centre, trivial = derived_series(g)
+    _assert_matches_the_loops(g, [whole, centre])
+    blocks, project, table = _loop_quotient(g, trivial)
+    q = quotient(g, trivial)
+    assert q.blocks == blocks and np.array_equal(q.project, project)
+    assert np.array_equal(q.table.op, table)
