@@ -118,7 +118,7 @@ def build_factor_system(
     Policies: ``lowest_index`` takes the smallest element index of each block;
     ``('seeded_random', seed)`` draws uniformly per block; an explicit
     sequence gives one representative per block.  Every policy pins the
-    identity as the representative of the identity block, which forces the
+    identity as the representative of block 0, the kernel, which forces the
     carry table's identity row and column to be trivial.
     """
     policy = _normalize_policy(rep_policy)
@@ -127,7 +127,7 @@ def build_factor_system(
     nblocks = len(blocks)
 
     if policy[0] == "lowest_index":
-        reps = tuple(b[0] for b in blocks)
+        reps = (g.identity,) + tuple(b[0] for b in blocks[1:])
     elif policy[0] == "seeded_random":
         rng = SplitMix64(policy[1])
         chosen = [g.identity]

@@ -529,45 +529,64 @@ def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
     return None
 
 
-def closure(g: FiniteGroup, elements) -> np.ndarray:
+def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.ndarray:
     """Membership of the identity and every left-nested product
     ((x1 x2) x3) ... xk of ``elements``, as a bool array over 0..n-1.
 
     Grows the set from a frontier by right multiplication with the given
-    elements, so k elements cost O(n * k).  In a group this is the subgroup
-    they generate: finite order makes x^-1 a positive power of x.  On any
-    table with an identity whose given elements all pass Light's test
-    ((xs)y = x(sy) for all x, y), it is also the smallest op-closed set that
-    holds them: passing elements are closed under products, and w(vt) =
-    (wv)t for a passing t, so a product of two left-nested words is one.
+    elements, so k elements cost O(n * k).  ``members``, if given, must be
+    the closure of some of the elements; it is grown, not rebuilt: being
+    op-closed, it gains only from its products with the other elements, and
+    each element gained joins the frontier, the other elements first (as
+    their products with the identity).  Each round marks its new products
+    in a scratch array, so the frontier holds each element once without a
+    sort.  In a group this is the subgroup they generate: finite order makes
+    x^-1 a positive power of x.  On any table with an identity whose given
+    elements all pass Light's test ((xs)y = x(sy) for all x, y), it is also
+    the smallest op-closed set that holds them: passing elements are closed
+    under products, and w(vt) = (wv)t for a passing t, so a product of two
+    left-nested words is one.
     """
-    gens = np.unique(np.asarray(elements, dtype=np.intp))
-    member = np.zeros(g.order, dtype=bool)
-    member[g.identity] = True
-    member[gens] = True
-    frontier = np.flatnonzero(member)
-    while len(frontier):
-        products = g.op[frontier[:, None], gens].ravel()
-        frontier = np.unique(products[~member[products]])
+    gens = np.asarray(elements, dtype=np.intp)
+    if members is None:
+        member = np.zeros(g.order, dtype=bool)
+        member[g.identity] = True
+    else:
+        member = members.copy()
+    letters = gens[~member[gens]]
+    if not len(letters):
+        return member
+    frontier, fresh = np.flatnonzero(member), np.zeros(g.order, dtype=bool)
+    while True:
+        products = g.op[frontier[:, None], letters]
+        products = products[~member[products]]
+        if not len(products):
+            return member
+        fresh[products] = True
+        frontier = fresh.nonzero()[0]
+        fresh[frontier] = False
         member[frontier] = True
-    return member
+        letters = gens
 
 
 def lowest_first_generators(g: FiniteGroup, members=None) -> Iterator[int]:
     """Yield the lowest element of ``members`` (a bool array; default: all of
     g) outside the ``closure`` of those yielded before it, until none is left;
     each one at least doubles the closure, so at most log2(n) + 1 come out.
-    A finished whole-group sequence is cached as ``g._cache["generators"]``."""
+    The closure grows with each one, O(n * k) in all.  A finished
+    whole-group sequence is cached as ``g._cache["generators"]``."""
     whole = members is None or bool(members.all())
     if whole and "generators" in g._cache:
         yield from g._cache["generators"]
         return
     gens: list[int] = []
-    outside = ~closure(g, gens) if whole else members & ~closure(g, gens)
+    closed = closure(g, gens)
+    outside = ~closed if whole else members & ~closed
     while outside.any():
         gens.append(int(np.argmax(outside)))
         yield gens[-1]
-        outside &= ~closure(g, gens)
+        closed = closure(g, gens, closed)
+        outside &= ~closed
     if whole:
         g._cache["generators"] = tuple(gens)
 

@@ -199,19 +199,23 @@ def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> Proof
     return _replay(g, a, b)
 
 
+def _base_trace(g: FiniteGroup, a: SubsetMask, b: SubsetMask, size: int) -> ProofTrace:
+    """The base case on an abelian group, given |A * B|."""
+    target = len(a) + len(b) - 1
+    _invariant(size >= target, f"{g.label}: base case |A*B| = {size} < {target}")
+    return ProofTrace(
+        group=g.label, group_order=g.order, a=a, b=b, swapped=False,
+        p_g=minimal_torsion(g), target=target, kind="base",
+        base=BaseCheck(product_size=size, target=target, holds=True),
+    )
+
+
 def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     """The replay of an instance whose preconditions hold."""
+    if g.is_abelian():
+        return _base_trace(g, a, b, len(product_set(g, a, b)))
     p = minimal_torsion(g)
     target = len(a) + len(b) - 1
-    if g.is_abelian():
-        size = len(product_set(g, a, b))
-        _invariant(size >= target,
-                   f"{g.label}: base case |A*B| = {size} < {target}")
-        return ProofTrace(
-            group=g.label, group_order=g.order, a=a, b=b, swapped=False,
-            p_g=p, target=target, kind="base",
-            base=BaseCheck(product_size=size, target=target, holds=True),
-        )
 
     kernel, fs, pr, kernel_group = _replay_context(g)
     da = decompose_subset(pr, a)
@@ -240,15 +244,17 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
         translated = SubsetMask.from_elements(kernel.order, islice(moved, bj.size))
         _invariant(len(translated) == bj.size,
                    f"{where} translation into the kernel changed its size")
-        sub_product = product_set(kernel_group, top.members, translated)
+        size = len(product_set(kernel_group, top.members, translated))
         lower = a1 + bj.size - 1
-        _invariant(len(sub_product) >= lower,
-                   f"{where} product size {len(sub_product)} < {lower}")
+        _invariant(size >= lower, f"{where} product size {size} < {lower}")
+        # an abelian kernel is the base case, on the product just counted
+        subtrace = (_base_trace(kernel_group, top.members, translated, size)
+                    if kernel_group.is_abelian()
+                    else _replay(kernel_group, top.members, translated))
         block_checks.append(BlockCheck(
             a_block=h1, b_block=bj.block, a1_size=a1, b_size=bj.size,
             translated_b=tuple(ke[pos] for pos in translated.elements()),
-            product_size=len(sub_product), lower_bound=lower, holds=True,
-            subtrace=_replay(kernel_group, top.members, translated),
+            product_size=size, lower_bound=lower, holds=True, subtrace=subtrace,
         ))
 
     quot_product = product_set(fs.quot.table, da.block_part, db.block_part)

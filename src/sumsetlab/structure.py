@@ -2,15 +2,17 @@
 solvability, quotients, and minimal torsion.
 
 Only closure-generated subgroups are ever materialized; nothing here
-enumerates the full subgroup lattice.  Normality and derived subgroups are
-decided on generating sets of at most log2(n) + 1 elements, never on the
-n x n products of a subgroup (Holt, Eick & O'Brien, *Handbook of
-Computational Group Theory*, 2005).
+enumerates the full subgroup lattice.  Each subgroup carries the generating
+set it was built from, of at most log2(n) + 1 elements: an element joins
+it only from outside the closure of those before it, and the closure grows
+with it rather than being rebuilt.  Normality and derived subgroups are
+decided on these sets, never on the n x n products of a subgroup (Holt,
+Eick & O'Brien, *Handbook of Computational Group Theory*, 2005).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -21,11 +23,14 @@ from .groups import (INFINITY, FiniteGroup, SubsetMask, closure,
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent`` as a member mask plus sorted element list."""
+    """A subgroup of ``parent`` as a member mask plus sorted element list,
+    and the generating set it was built from, of at most log2(order) + 1
+    elements."""
 
     parent: FiniteGroup
     members: SubsetMask
     element_list: tuple[int, ...]
+    generators: tuple[int, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -44,28 +49,47 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.label!r})"
 
 
-def _subgroup_from_members(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    element_list = tuple(sorted(set(members)))
-    mask = SubsetMask.from_elements(parent.order, element_list)
-    return Subgroup(parent=parent, members=mask, element_list=element_list)
+def _subgroup(parent: FiniteGroup, member: np.ndarray, generators) -> Subgroup:
+    """The subgroup whose members a bool array marks."""
+    bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+    return Subgroup(parent=parent, members=SubsetMask(bits, parent.order),
+                    element_list=tuple(np.flatnonzero(member).tolist()),
+                    generators=tuple(generators))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return _subgroup_from_members(g, (g.identity,))
+    return _subgroup(g, closure(g, ()), ())
 
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
-    return _subgroup_from_members(g, range(g.order))
+    return _subgroup(g, np.ones(g.order, dtype=bool), lowest_first_generators(g))
+
+
+def _grow(g: FiniteGroup, candidates: np.ndarray, gens: list[int],
+          closed: np.ndarray) -> np.ndarray:
+    """Append to ``gens``, in order, each candidate outside ``closed``, the
+    closure of gens, and grow it; return the grown closure.  Each appended
+    element at least doubles the closure, so gens stays within
+    log2(order) + 1 elements of the subgroup it generates."""
+    outside = candidates[~closed[candidates]]
+    while len(outside):
+        gens.append(int(outside[0]))
+        closed = closure(g, gens, closed)
+        outside = outside[~closed[outside]]
+    return closed
 
 
 def generated_subgroup(g: FiniteGroup, gens: SubsetMask | Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing ``gens``; the trivial one for no generators."""
+    """Smallest subgroup containing ``gens``; the trivial one for no generators.
+    Its generating set is ``gens`` less each element already generated by
+    those before it."""
     elements = np.fromiter(gens.elements() if isinstance(gens, SubsetMask) else gens,
                            dtype=np.intp)
     outside = elements[(elements < 0) | (elements >= g.order)]
     if len(outside):
         raise ValueError(f"generator {outside[0]} outside 0..{g.order - 1}")
-    return _subgroup_from_members(g, np.flatnonzero(closure(g, elements)).tolist())
+    kept: list[int] = []
+    return _subgroup(g, _grow(g, elements, kept, closure(g, kept)), kept)
 
 
 def _members(h: Subgroup) -> np.ndarray:
@@ -74,8 +98,8 @@ def _members(h: Subgroup) -> np.ndarray:
     return member
 
 
-def _generators(g: FiniteGroup, members: np.ndarray | None = None) -> np.ndarray:
-    return np.fromiter(lowest_first_generators(g, members), dtype=np.intp)
+def _generators(h: Subgroup) -> np.ndarray:
+    return np.array(h.generators, dtype=np.intp)
 
 
 def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -85,9 +109,8 @@ def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndar
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """True iff x h x^-1 is contained in h for every x in g; it suffices that
     g's generators conjugate h's generators into h."""
-    inside = _members(h)
-    whole = _generators(g)
-    return bool(inside[_conjugates(g, whole, _generators(g, inside))].all())
+    by = np.fromiter(lowest_first_generators(g), dtype=np.intp)
+    return bool(_members(h)[_conjugates(g, by, _generators(h))].all())
 
 
 def commutator_subgroup(g: FiniteGroup) -> Subgroup:
@@ -98,24 +121,30 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
 
 def derived_of(h: Subgroup) -> Subgroup:
     """Derived subgroup of a subgroup, inside the same parent: the normal
-    closure in h of the commutators a b a^-1 b^-1 of h's generators."""
+    closure in h of the commutators a b a^-1 b^-1 of h's generators.
+
+    Its generating set grows with the closure: a commutator, or a conjugate
+    of a kept element by h's generators, is kept only when it lies outside
+    the closure of those kept before it."""
     g = h.parent
-    gens = _generators(g, _members(h))
-    a, b = gens[:, None], gens[None, :]
-    normal = np.unique(g.op[g.op[g.op[a, b], g.inv[a]], g.inv[b]])
-    while True:
-        closed = closure(g, normal)
-        conj = _conjugates(g, gens, normal)
-        if closed[conj].all():
-            return _subgroup_from_members(g, np.flatnonzero(closed).tolist())
-        normal = np.union1d(normal, conj[~closed[conj]])
+    by = _generators(h)
+    a, b = by[:, None], by[None, :]
+    candidates = g.op[g.op[g.op[a, b], g.inv[a]], g.inv[b]].ravel()
+    gens: list[int] = []
+    closed = closure(g, gens)
+    while len(candidates):
+        closed = _grow(g, candidates, gens, closed)
+        conj = _conjugates(g, by, np.array(gens, dtype=np.intp))
+        candidates = conj[~closed[conj]]
+    return _subgroup(g, closed, gens)
 
 
 def derived_series(g: FiniteGroup) -> list[Subgroup]:
     """G, G', G'', ... until the trivial subgroup or a subgroup that is its
     own derived subgroup, with no entry repeated.
 
-    Computed once per group and cached.
+    Computed once per group and cached; ``subgroup_as_group`` hands the tail
+    of the series to the group it makes of a non-abelian term.
     """
     series = g._cache.get("derived_series")
     if series is None:
@@ -138,8 +167,9 @@ def is_solvable(g: FiniteGroup) -> bool:
 class QuotientGroup:
     """G/K as a block partition plus a group table on block indices.
 
-    Blocks are the right cosets of the kernel; block 0 is the kernel itself
-    and the remaining blocks are ordered by their smallest element.
+    Blocks are the right cosets of the kernel; block 0 is the kernel itself,
+    whatever the index of the identity, and the remaining blocks are ordered
+    by their smallest element.
     """
 
     parent: FiniteGroup
@@ -163,10 +193,16 @@ def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
     if not is_normal(g, k):
         raise ValueError("kernel is not a normal subgroup")
     members = np.fromiter(k.element_list, dtype=np.intp, count=k.order)
-    # label each right coset Kx by its least element; np.unique orders the
-    # labels, so the blocks come out ordered by their smallest element
-    reps, project = np.unique(g.op[members].min(axis=0), return_inverse=True)
-    project = project.astype(np.int32)
+    # label each right coset Kx by its least element, a running minimum over
+    # 256 rows of the table at a time; K's own label is its least element
+    labels = g.op[members[:256]].min(axis=0)
+    for lo in range(256, k.order, 256):
+        np.minimum(labels, g.op[members[lo:lo + 256]].min(axis=0), out=labels)
+    reps = np.unique(labels)
+    reps = np.concatenate((members[:1], reps[reps != members[0]]))
+    index = np.empty(g.order, dtype=np.int32)
+    index[reps] = np.arange(len(reps), dtype=np.int32)
+    project = index[labels]
     blocks = np.argsort(project, kind="stable").reshape(len(reps), k.order)
     quot_group = table_group(project[g.op[reps[:, None], reps[None, :]]],
                              f"{g.label}/<{k.order}>")
@@ -178,7 +214,9 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a group on positions 0..|h|-1.
 
     Positions follow the sorted element list, so the identity lands at
-    position 0 whenever it is element 0 of the parent.
+    position 0 whenever it is element 0 of the parent.  When h is a
+    non-abelian term of the parent's cached derived series, the rest of that
+    series, with its generating sets, becomes the new group's derived series.
     """
     g = h.parent
     cache_key = ("subgroup_as_group", h.members.bits)
@@ -192,6 +230,15 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     if (table < 0).any():
         raise ValueError("member set is not closed under the group operation")
     group = table_group(table, f"{g.label}|sub<{h.order}>", int(pos[g.identity]))
+    # an abelian group's series is itself and the trivial group, one
+    # derived_of away; the replay takes it as a base case and never asks
+    series = () if group.is_abelian() else g._cache.get("derived_series", ())
+    for depth, term in enumerate(series):
+        if term.members.bits == h.members.bits:
+            tail = tuple(_subgroup(group, _members(s)[m], pos[_generators(s)].tolist())
+                         for s in series[depth:])
+            group._cache["derived_series"] = tail
+            break
     g._cache[cache_key] = group
     return group
 
@@ -209,16 +256,12 @@ def solvable_chain(g: FiniteGroup) -> SolvableChain:
     series = derived_series(g)
     if not series[-1].is_trivial():
         raise ValueError(f"{g.label} is not solvable")
-    ascending = series[::-1]
     witnesses = []
-    for lower, upper in zip(ascending, ascending[1:]):
+    for upper in series[:-1]:
         upper_group = subgroup_as_group(upper)
-        pos = {x: i for i, x in enumerate(upper.element_list)}
-        kernel_in_upper = _subgroup_from_members(
-            upper_group, (pos[x] for x in lower.element_list)
-        )
-        witnesses.append(quotient(upper_group, kernel_in_upper))
-    return SolvableChain(groups=tuple(ascending), quotient_witnesses=tuple(witnesses))
+        witnesses.append(quotient(upper_group, derived_series(upper_group)[1]))
+    return SolvableChain(groups=tuple(series[::-1]),
+                         quotient_witnesses=tuple(witnesses[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from sumsetlab.factor_system import (FactorSystem, build_factor_system,
                                      star, verify_isomorphism)
 from sumsetlab.corpus import normal_subgroup_inventory
 from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group,
-                              validate_group)
+                              table_group, validate_group)
 from sumsetlab.structure import (derived_series, generated_subgroup, quotient,
                                  trivial_subgroup, whole_subgroup)
 
@@ -381,3 +381,28 @@ def test_quotient_and_payload_match_the_loops_on_heisenberg_13():
     q = quotient(g, trivial)
     assert q.blocks == blocks and np.array_equal(q.project, project)
     assert np.array_equal(q.table.op, table)
+
+
+def _heisenberg_3_with_identity_22():
+    """heisenberg:3 with every element x renamed x - 5 mod 27."""
+    h = build_group("heisenberg:3")
+    rename = (np.arange(27) - 5) % 27
+    op = np.empty_like(h.op)
+    op[rename[:, None], rename[None, :]] = rename[h.op]
+    return table_group(op, "heisenberg:3 renamed", identity=22)
+
+
+@pytest.mark.parametrize("policy", ["lowest_index", "seeded_random:3", "explicit"])
+def test_block_0_is_the_kernel_when_the_identity_is_not_element_0(policy):
+    g = _heisenberg_3_with_identity_22()
+    k = derived_series(g)[1]
+    q = quotient(g, k)
+    assert q.blocks[0] == k.element_list == (22, 23, 24)
+    assert [b[0] for b in q.blocks[1:]] == sorted(b[0] for b in q.blocks[1:])
+    assert validate_group(q.table) == []
+    if policy == "explicit":
+        policy = [22] + [b[-1] for b in q.blocks[1:]]
+    fs, pr = build_factor_system(g, k, policy)
+    assert fs.reps[0] == 22
+    assert fs.carry_element(0, 0) == 22
+    assert verify_isomorphism(fs, pr) == (True, None)

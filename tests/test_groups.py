@@ -561,6 +561,18 @@ def test_validate_caches_the_passing_generators(corpus_member):
     assert closure(g, gens).all()
 
 
+# the lowest-first sequences as the closure from scratch gave them; validate
+# names its first failing triple by these generators, so they must not move
+@pytest.mark.parametrize("spec, gens", [
+    ("heisenberg:13", (1, 13, 169)), ("heisenberg:7", (1, 7, 49)),
+    ("quaternion", (1, 2, 4)), ("frobenius:31:5:2", (1, 5)), ("cyclic:4096", (1,)),
+    ("product:heisenberg:3,cyclic:5", (1, 5, 15, 45)),
+    ("product:cyclic:64,cyclic:64", (1, 64)),
+])
+def test_lowest_first_generators_are_unchanged(spec, gens):
+    assert tuple(lowest_first_generators(build_group(spec))) == gens
+
+
 def test_structure_and_validation_share_one_generating_sequence(corpus_member):
     fresh = build_group(corpus_member.label)
     gens = tuple(lowest_first_generators(fresh))

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumsetlab.structure as structure
 from sumsetlab.corpus import CORPUS_SPECS, corpus_group, normal_subgroup_inventory
 from sumsetlab.groups import (SubsetMask, build_group, closure, element_order,
-                              validate_group)
+                              table_group, validate_group)
 from sumsetlab.structure import (INFINITY, _members, choose_decomposition_subgroup,
                                  commutator_subgroup, derived_series,
                                  generated_subgroup, is_normal, is_solvable,
@@ -194,6 +198,21 @@ def test_quotient_projection_is_a_homomorphism(corpus_member):
                 assert qt.block_of(g.mul(a, b)) == qt.table.mul(
                     qt.block_of(a), qt.block_of(b)
                 )
+
+
+def test_whole_group_quotient_memory_stays_bounded_at_order_4096():
+    # labelling cosets by a minimum over every row of K at once copied
+    # |K| x n entries of the table, 64 MiB here
+    g = build_group("cyclic:4096")
+    whole = whole_subgroup(g)
+    tracemalloc.start()
+    try:
+        q = quotient(g, whole)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.blocks == (whole.element_list,)
+    assert peak < 16 * 2**20
 
 
 def test_quotient_rejects_non_normal_kernel():
@@ -389,6 +408,56 @@ def test_closure_matches_the_squaring_closure(oracle_group):
         assert (closure(g, elements) == expected).all(), elements
         assert generated_subgroup(g, elements).element_list == \
             tuple(np.flatnonzero(expected).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_incremental_closure_matches_the_closure_from_scratch(data):
+    g = corpus_group(data.draw(st.sampled_from(CORPUS_SPECS)))
+    elements = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
+    start = data.draw(st.integers(0, len(elements)))
+    grown = closure(g, elements[:start])
+    for stop in range(start + 1, len(elements) + 1):     # one element at a time
+        grown = closure(g, elements[:stop], grown)
+    expected = _squaring_closure(g, elements)
+    assert (closure(g, elements) == expected).all()
+    assert (grown == expected).all()
+
+
+def _recorded_subgroups(g):
+    yield trivial_subgroup(g)
+    yield from derived_series(g)
+    yield from normal_subgroup_inventory(g)
+    yield generated_subgroup(g, range(g.order))
+    yield generated_subgroup(g, range(g.order - 1, -1, -1))
+    for term in derived_series(g):
+        yield from derived_series(subgroup_as_group(term))
+
+
+@pytest.fixture(params=CORPUS_SPECS + ("heisenberg:13", "alternating:4",
+                                       "symmetric:4", "alternating:5"))
+def generating_set_group(request):
+    if request.param in ("alternating:4", "symmetric:4", "alternating:5"):
+        return request.getfixturevalue("permutation_groups")[request.param]
+    return build_group(request.param)
+
+
+def test_generating_sets_close_to_exactly_their_subgroups(generating_set_group):
+    for h in _recorded_subgroups(generating_set_group):
+        gens = h.generators
+        assert len(gens) <= h.order.bit_length(), (h, gens)      # log2|H| + 1
+        assert (closure(h.parent, gens) == _members(h)).all(), (h, gens)
+
+
+def test_derived_series_of_a_term_is_the_tail_of_the_series(generating_set_group):
+    g = generating_set_group
+    series = derived_series(g)
+    for depth, term in enumerate(series):
+        group = subgroup_as_group(term)
+        fresh = table_group(group.op, group.label, group.identity)   # nothing cached
+        assert [h.element_list for h in derived_series(group)] == \
+            [h.element_list for h in derived_series(fresh)]
+        assert len(derived_series(group)) == len(series) - depth
 
 
 def test_derived_series_matches_the_n2_commutator_definition(oracle_group):
