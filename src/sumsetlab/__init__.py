@@ -9,10 +9,10 @@ induction on concrete inputs.
 from .engine import (BoundCheck, Caps, SamplingPlan, VerificationReport,
                      cd_bound, find_extremal, product_set,
                      restricted_product_set, verify_exhaustive, verify_sampled)
-from .factor_system import (FactorSystem, PairRepresentation,
-                            SubsetDecomposition, build_factor_system,
-                            decompose_subset, extension_from_factor_system,
-                            factor_system_json, star, verify_isomorphism)
+from .factor_system import (FactorSystem, SubsetDecomposition,
+                            build_factor_system, decompose_subset,
+                            extension_from_factor_system, factor_system_json,
+                            star, verify_isomorphism)
 from .groups import (FiniteGroup, GroupBuildError, GroupSpec, SubsetMask,
                      as_candidate_group, build_group, element_order,
                      parse_group_spec, validate_group)

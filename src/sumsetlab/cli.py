@@ -208,10 +208,10 @@ def decompose(g, kernel_raw, rep_policy, as_json, out_path):
         else:
             gens = _parse_elements(kernel_raw, g.order, "--kernel")
             kernel = generated_subgroup(g, gens)
-        fs, pr = build_factor_system(g, kernel, rep_policy)
+        fs = build_factor_system(g, kernel, rep_policy)
     except ValueError as exc:
         _fail(str(exc))
-    payload = factor_system_json(fs, pr)
+    payload = factor_system_json(fs)
     _emit(dumps_stable(payload) if as_json else _decompose_text(payload), out_path)
 
 

@@ -4,7 +4,11 @@ Product sets are bit masks built from Cayley-table rows.  The lower bound
 checked everywhere is min(p, |A| + |B| - 1) for plain products and
 min(p, |A| + |B| - 3) for products restricted to distinct elements, where p
 is the group's minimal torsion (INFINITY for the trivial group, in which case
-the minimum is the size term alone).
+the minimum is the size term alone).  The restricted bound holds in every
+finite group (Balister and Wheeler, Acta Arith. 140, 2009); on Z/p only equal
+sizes meet it, as |A| != |B| gives min(p, |A| + |B| - 2) (Alon, Nathanson and
+Ruzsa 1996) and arithmetic progressions A = B give 2|A| - 3 (Dias da Silva and
+Hamidoune 1994).
 
 ``product_set`` and ``restricted_product_set`` follow the definition, as one
 gather over the Cayley table.  Every scan (exhaustive, capped, sampled,
@@ -766,7 +770,8 @@ def find_extremal(
 
     Pairs come out in ascending mask order (A outer, B inner); ``limit``
     truncates to the first N.  Raises if the search space exceeds
-    ``EXTREMAL_SEARCH_CAP`` ordered pairs.
+    ``EXTREMAL_SEARCH_CAP`` ordered pairs, or if either size has more than
+    2^EXHAUSTIVE_HARD_CEILING sets, the most that one side may list.
     """
     n = g.order
     if not (1 <= size_a <= n and 1 <= size_b <= n):
@@ -777,6 +782,10 @@ def find_extremal(
     if space > EXTREMAL_SEARCH_CAP:
         raise ValueError(
             f"search space of {space} pairs exceeds cap {EXTREMAL_SEARCH_CAP}")
+    for name, size in (("A", size_a), ("B", size_b)):
+        if (sets := math.comb(n, size)) > 1 << EXHAUSTIVE_HARD_CEILING:
+            raise ValueError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
+                             f"the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal)
     b_masks = _masks_by_size(n, size_b, size_b)
     found = []

@@ -22,37 +22,33 @@ import numpy as np
 from .groups import (FiniteGroup, GroupBuildError, SubsetMask, iter_bits, table_group,
                      validate_group)
 from .rng import SplitMix64
-from .structure import QuotientGroup, Subgroup, quotient
+from .structure import QuotientGroup, Subgroup, quotient, subgroup_as_group
 
 _ISOMORPHISM_CHUNK = 512    # rows of G per vectorised step of verify_isomorphism
 
 
-def _normalize_policy(rep_policy) -> tuple:
-    """Accepts 'lowest_index', ('seeded_random', seed) or 'seeded_random:SEED',
-    and an explicit representative list or 'explicit:R0,R1,...'; returns a
-    normalized tuple."""
+def _normalize_policy(rep_policy: str) -> tuple:
+    """Parses 'lowest_index', 'seeded_random:SEED' or 'explicit:R0,R1,...'
+    into a normalized tuple."""
     if rep_policy == "lowest_index":
         return ("lowest_index",)
-    if isinstance(rep_policy, tuple) and len(rep_policy) == 2 and \
-            rep_policy[0] == "seeded_random":
-        return ("seeded_random", int(rep_policy[1]))
-    if isinstance(rep_policy, str) and rep_policy.startswith("seeded_random:"):
+    if rep_policy.startswith("seeded_random:"):
         return ("seeded_random", int(rep_policy.split(":", 1)[1]))
-    if isinstance(rep_policy, str) and rep_policy.startswith("explicit:"):
-        rep_policy = [int(v) for v in rep_policy[len("explicit:"):].split(",")]
-    if isinstance(rep_policy, (list, tuple)):
-        return ("explicit", tuple(int(r) for r in rep_policy))
+    if rep_policy.startswith("explicit:"):
+        return ("explicit", tuple(int(v) for v in rep_policy[len("explicit:"):].split(",")))
     raise ValueError(f"unknown representative policy {rep_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class FactorSystem:
-    """Representative, conjugation, and carry tables for a normal subgroup.
+    """Representative, conjugation, carry and pairing tables for a normal
+    subgroup.
 
     ``reps[h]`` is the representative element of block h (the identity for
-    block 0, by normalization).  ``conj[h, p]`` and ``carry[h1, h2]`` are
-    kernel *positions* (indices into ``kernel.element_list``); use
-    ``conj_element`` / ``carry_element`` for element-space values.
+    block 0, by normalization).  ``conj[h, p]``, ``carry[h1, h2]`` and
+    ``pair_pos[x]`` are kernel *positions* (indices into
+    ``kernel.element_list``): element x is k * reps[pair_block[x]] for the
+    kernel element k at position ``pair_pos[x]``.
     """
 
     parent: FiniteGroup
@@ -61,63 +57,26 @@ class FactorSystem:
     reps: tuple[int, ...]
     conj: np.ndarray
     carry: np.ndarray
-    kernel_pos: np.ndarray
+    pair_pos: np.ndarray
+    pair_block: np.ndarray
     policy: tuple
 
     def __post_init__(self):
-        self.conj.setflags(write=False)
-        self.carry.setflags(write=False)
-        self.kernel_pos.setflags(write=False)
+        for table in (self.conj, self.carry, self.pair_pos, self.pair_block):
+            table.setflags(write=False)
 
     @property
     def num_blocks(self) -> int:
         return len(self.reps)
 
-    def conj_element(self, block: int, k_elt: int) -> int:
-        """conj_{block}(k) = rep(block) * k * rep(block)^-1, in element space."""
-        p = int(self.kernel_pos[k_elt])
-        if p < 0:
-            raise ValueError(f"element {k_elt} is not in the kernel")
-        return self.kernel.element_list[int(self.conj[block, p])]
 
-    def carry_element(self, block1: int, block2: int) -> int:
-        return self.kernel.element_list[int(self.carry[block1, block2])]
-
-
-@dataclass(frozen=True, eq=False)
-class PairRepresentation:
-    """The bijection g <-> (kernel element, block) induced by a FactorSystem.
-
-    ``pair_k[g]`` and ``pair_block[g]`` give the coordinates of g, with
-    g = pair_k[g] * reps[pair_block[g]] exactly.
-    """
-
-    fs: FactorSystem
-    pair_k: np.ndarray
-    pair_block: np.ndarray
-
-    def __post_init__(self):
-        self.pair_k.setflags(write=False)
-        self.pair_block.setflags(write=False)
-
-    def to_pair(self, g: int) -> tuple[int, int]:
-        return int(self.pair_k[g]), int(self.pair_block[g])
-
-    def pair_index(self, k_elt: int, block: int) -> int:
-        pos = int(self.fs.kernel_pos[k_elt])
-        if pos < 0:
-            raise ValueError(f"element {k_elt} is not in the kernel")
-        return pos * self.fs.num_blocks + block
-
-
-def build_factor_system(
-    g: FiniteGroup, k: Subgroup, rep_policy="lowest_index"
-) -> tuple[FactorSystem, PairRepresentation]:
+def build_factor_system(g: FiniteGroup, k: Subgroup,
+                        rep_policy: str = "lowest_index") -> FactorSystem:
     """Fix coset representatives and build the conjugation/carry tables.
 
     Policies: ``lowest_index`` takes the smallest element index of each block;
-    ``('seeded_random', seed)`` draws uniformly per block; an explicit
-    sequence gives one representative per block.  Every policy pins the
+    ``seeded_random:SEED`` draws uniformly per block; ``explicit:R0,R1,...``
+    gives one representative per block.  Every policy pins the
     identity as the representative of block 0, the kernel, which forces the
     carry table's identity row and column to be trivial.
     """
@@ -130,10 +89,7 @@ def build_factor_system(
         reps = (g.identity,) + tuple(b[0] for b in blocks[1:])
     elif policy[0] == "seeded_random":
         rng = SplitMix64(policy[1])
-        chosen = [g.identity]
-        for b in blocks[1:]:
-            chosen.append(b[rng.below(len(b))])
-        reps = tuple(chosen)
+        reps = (g.identity,) + tuple(b[rng.below(len(b))] for b in blocks[1:])
     else:
         reps = policy[1]
         if len(reps) != nblocks:
@@ -162,13 +118,11 @@ def build_factor_system(
     if (carry < 0).any():  # pragma: no cover - forced by coset arithmetic
         raise ValueError("carry value left the kernel")
 
-    fs = FactorSystem(parent=g, kernel=k, quot=q, reps=reps,
-                      conj=conj.astype(np.int32), carry=carry.astype(np.int32),
-                      kernel_pos=kernel_pos, policy=policy)
-
     pair_block = q.project.astype(np.int32)
-    pair_k = g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]].astype(np.int32)
-    return fs, PairRepresentation(fs=fs, pair_k=pair_k, pair_block=pair_block)
+    pair_pos = kernel_pos[g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]]]
+    return FactorSystem(parent=g, kernel=k, quot=q, reps=reps,
+                        conj=conj.astype(np.int32), carry=carry.astype(np.int32),
+                        pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 
 
 def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -178,8 +132,11 @@ def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int,
     nb = fs.num_blocks
     if not (0 <= h1 < nb and 0 <= h2 < nb):
         raise ValueError("block index out of range")
-    twisted = fs.conj_element(h1, k2)
-    carried = fs.carry_element(h1, h2)
+    if fs.pair_block[k2] != 0:
+        raise ValueError(f"element {k2} is not in the kernel")
+    ke = fs.kernel.element_list
+    twisted = ke[fs.conj[h1, fs.pair_pos[k2]]]
+    carried = ke[fs.carry[h1, h2]]
     g = fs.parent
     k_out = int(g.op[g.op[k1, twisted], carried])
     return k_out, int(fs.quot.table.op[h1, h2])
@@ -188,16 +145,14 @@ def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int,
 def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
     """Flat indices (kernel position * num_blocks + block) of the products
     (k1, h1) * (k2, h2), for kernel positions and blocks given as arrays
-    that broadcast together; the vectorised ``star``."""
-    g = fs.parent
-    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
-    k_out = g.op[g.op[ke[pos1], ke[fs.conj[blk1, pos2]]], ke[fs.carry[blk1, blk2]]]
-    return fs.kernel_pos[k_out] * fs.num_blocks + fs.quot.table.op[blk1, blk2]
+    that broadcast together; the vectorised ``star``, on the kernel's own
+    table (its positions are those of ``conj`` and ``carry``)."""
+    kop = subgroup_as_group(fs.kernel).op
+    k_out = kop[kop[pos1, fs.conj[blk1, pos2]], fs.carry[blk1, blk2]]
+    return k_out * fs.num_blocks + fs.quot.table.op[blk1, blk2]
 
 
-def verify_isomorphism(
-    fs: FactorSystem, pr: PairRepresentation
-) -> tuple[bool, tuple[int, int] | None]:
+def verify_isomorphism(fs: FactorSystem) -> tuple[bool, tuple[int, int] | None]:
     """Check that the pairing is an isomorphism onto the pair group.
 
     Verifies the pairing is a bijection satisfying g = k * rep(h), then that
@@ -206,12 +161,13 @@ def verify_isomorphism(
     """
     g = fs.parent
     n = g.order
-    pos = fs.kernel_pos[pr.pair_k]
-    blk = pr.pair_block
+    pos = fs.pair_pos
+    blk = fs.pair_block
     flat = pos * fs.num_blocks + blk
     if len(np.unique(flat)) != n:
         return False, (0, 0)
-    rebuilt = g.op[pr.pair_k, np.fromiter(fs.reps, dtype=np.int64)[blk]]
+    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
+    rebuilt = g.op[ke[pos], np.fromiter(fs.reps, dtype=np.int64)[blk]]
     if not (rebuilt == np.arange(n)).all():
         bad = int(np.nonzero(rebuilt != np.arange(n))[0][0])
         return False, (bad, bad)
@@ -231,13 +187,13 @@ def extension_from_factor_system(fs: FactorSystem) -> FiniteGroup:
 
     The result validates as a group (a build error otherwise, which can only
     happen for hand-built factor systems) and is isomorphic to ``fs.parent``
-    through the pair representation.
+    through the pairing.
     """
     g = fs.parent
     nb = fs.num_blocks
     pos, blk = np.divmod(np.arange(fs.kernel.order * nb), nb)
     table = pair_products(fs, pos[:, None], blk[:, None], pos, blk)
-    ext = table_group(table, f"pairs({g.label})", int(fs.kernel_pos[g.identity]) * nb)
+    ext = table_group(table, f"pairs({g.label})", int(fs.pair_pos[g.identity]) * nb)
     problems = validate_group(ext)
     if problems:
         raise GroupBuildError(f"factor system does not define a group: {problems[0]}")
@@ -271,16 +227,15 @@ class SubsetDecomposition:
         return tuple(b.size for b in self.blocks)
 
 
-def decompose_subset(pr: PairRepresentation, s: SubsetMask) -> SubsetDecomposition:
+def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     """Split a subset of the parent group along its pair coordinates."""
-    fs = pr.fs
     if s.width != fs.parent.order:
         raise ValueError("mask width does not match the group order")
     per_block: dict[int, int] = {}
     kernel_bits = 0
     for x in iter_bits(s.bits):
-        p = int(fs.kernel_pos[pr.pair_k[x]])
-        h = int(pr.pair_block[x])
+        p = int(fs.pair_pos[x])
+        h = int(fs.pair_block[x])
         per_block[h] = per_block.get(h, 0) | (1 << p)
         kernel_bits |= 1 << p
     ordered = sorted(per_block.items(), key=lambda item: (-item[1].bit_count(), item[0]))
@@ -299,7 +254,7 @@ def decompose_subset(pr: PairRepresentation, s: SubsetMask) -> SubsetDecompositi
     )
 
 
-def factor_system_json(fs: FactorSystem, pr: PairRepresentation) -> dict:
+def factor_system_json(fs: FactorSystem) -> dict:
     """Stable JSON payload for a factor system (documented in the README)."""
     if fs.policy[0] == "lowest_index":
         policy = "lowest_index"
@@ -318,5 +273,5 @@ def factor_system_json(fs: FactorSystem, pr: PairRepresentation) -> dict:
         "representatives": list(fs.reps),
         "conjugation": ke[fs.conj].tolist(),
         "carry": ke[fs.carry].tolist(),
-        "pairs": np.stack((pr.pair_k, pr.pair_block), axis=1).tolist(),
+        "pairs": np.stack((ke[fs.pair_pos], fs.pair_block), axis=1).tolist(),
     }

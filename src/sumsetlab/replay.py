@@ -119,7 +119,9 @@ class ProofTrace:
     ``a`` and ``b`` are the masks actually certified: when the original first
     set spread over more quotient blocks than the second, the pair is swapped
     (``swapped`` is True) and the trace certifies the swapped instance; the
-    target |A| + |B| - 1 is symmetric either way.
+    target |A| + |B| - 1 is symmetric either way.  A swapped trace certifies
+    |B * A|, which in a non-abelian group can differ from the |A * B| that
+    was asked about.
     """
 
     group: str
@@ -169,15 +171,12 @@ class ProofTrace:
 
 
 def _replay_context(g: FiniteGroup):
-    """Kernel, factor system, pair representation, and kernel-as-group, cached."""
-    ctx = g._cache.get("replay_ctx")
-    if ctx is None:
-        kernel = choose_decomposition_subgroup(g)
-        fs, pr = build_factor_system(g, kernel, "lowest_index")
-        kernel_group = subgroup_as_group(kernel)
-        ctx = (kernel, fs, pr, kernel_group)
-        g._cache["replay_ctx"] = ctx
-    return ctx
+    """The factor system over the decomposition kernel, cached."""
+    fs = g._cache.get("replay_ctx")
+    if fs is None:
+        fs = build_factor_system(g, choose_decomposition_subgroup(g), "lowest_index")
+        g._cache["replay_ctx"] = fs
+    return fs
 
 
 def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
@@ -217,9 +216,10 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     p = minimal_torsion(g)
     target = len(a) + len(b) - 1
 
-    kernel, fs, pr, kernel_group = _replay_context(g)
-    da = decompose_subset(pr, a)
-    db = decompose_subset(pr, b)
+    fs = _replay_context(g)
+    kernel_group = subgroup_as_group(fs.kernel)
+    da = decompose_subset(fs, a)
+    db = decompose_subset(fs, b)
     swapped = len(da.blocks) > len(db.blocks)
     if swapped:
         a, b = b, a
@@ -234,14 +234,14 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     a1 = top.size
     ke = fs.kernel.element_list
     # B_j moves into K as the kernel parts of (1, h1) * (k, b_j); one call for all j
-    flat = pair_products(fs, fs.kernel_pos[g.identity], h1,
+    flat = pair_products(fs, fs.pair_pos[g.identity], h1,
                          [pos for bj in db.blocks for pos in bj.members.elements()],
                          [bj.block for bj in db.blocks for _ in range(bj.size)])
     moved = iter((flat // fs.num_blocks).tolist())
     block_checks = []
     for bj in db.blocks:
         where = f"{g.label}: block ({h1},{bj.block})"
-        translated = SubsetMask.from_elements(kernel.order, islice(moved, bj.size))
+        translated = SubsetMask.from_elements(fs.kernel.order, islice(moved, bj.size))
         _invariant(len(translated) == bj.size,
                    f"{where} translation into the kernel changed its size")
         size = len(product_set(kernel_group, top.members, translated))
@@ -283,7 +283,7 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     return ProofTrace(
         group=g.label, group_order=g.order, a=a, b=b, swapped=swapped,
         p_g=p, target=target, kind="inductive",
-        kernel=kernel.element_list, alpha=alpha, beta=beta,
+        kernel=ke, alpha=alpha, beta=beta,
         a_sizes=a_sizes, b_sizes=b_sizes,
         block_checks=tuple(block_checks), quotient_check=quotient_check,
         disjointness_check=disjointness, final_chain=final,

@@ -80,6 +80,11 @@ def test_criterion_4_minimal_torsion_equals_smallest_prime_factor():
            "including the trivial group (both infinite)")
 
 
+def _pair(fs, x):
+    """Parent element x as its (kernel element, block) pair."""
+    return fs.kernel.element_list[fs.pair_pos[x]], int(fs.pair_block[x])
+
+
 # pair coordinates of the quaternion elements over the kernel {1,-1,k,-k}
 # encoded with coset representatives 1 and j (element indices 0 and 4)
 QUATERNION_PAIR_TABLE = {
@@ -93,12 +98,12 @@ def test_criterion_5_quaternion_pair_table_fixture():
     K = generated_subgroup(q, (6,))
     assert K.element_list == (0, 1, 6, 7)
 
-    fs_j, pr_j = build_factor_system(q, K, (0, 4))
-    table = {x: pr_j.to_pair(x) for x in range(8)}
+    fs_j = build_factor_system(q, K, "explicit:0,4")
+    table = {x: _pair(fs_j, x) for x in range(8)}
     assert table == QUATERNION_PAIR_TABLE
     assert star(fs_j, (7, 1), (7, 1)) == (1, 0)
 
-    fs_low, _ = build_factor_system(q, K, "lowest_index")
+    fs_low = build_factor_system(q, K, "lowest_index")
     assert star(fs_low, (7, 1), (7, 1)) == (1, 0)
     report(5, True,
            "pair table reproduced exactly under representatives (1, j); "
@@ -115,18 +120,18 @@ def test_criterion_5_quaternion_pair_table_fixture():
 def test_criterion_5_literal_lowest_index_pair_table():
     q = build_group("quaternion")
     K = generated_subgroup(q, (6,))
-    _, pr = build_factor_system(q, K, "lowest_index")
-    assert {x: pr.to_pair(x) for x in range(8)} == QUATERNION_PAIR_TABLE
+    fs = build_factor_system(q, K, "lowest_index")
+    assert {x: _pair(fs, x) for x in range(8)} == QUATERNION_PAIR_TABLE
 
 
 def test_criterion_6_base_p_carry_tables():
     for p in (3, 5):
         g = build_group(f"cyclic:{p * p}")
-        fs, _ = build_factor_system(g, generated_subgroup(g, (p,)))
+        fs = build_factor_system(g, generated_subgroup(g, (p,)))
         for b in range(p):
             for d in range(p):
                 want = 0 if b + d < p else p
-                assert fs.carry_element(b, d) == want
+                assert fs.kernel.element_list[fs.carry[b, d]] == want
     report(6, True,
            "carry of (b, d) is the identity when b+d < p and the element p "
            "otherwise, for all digit pairs, p in {3, 5}")
@@ -137,21 +142,22 @@ def test_criterion_7_isomorphism_suite_and_mutation():
     for spec in CORPUS_SPECS:
         g = corpus_group(spec)
         for kernel in normal_subgroup_inventory(g):
-            for policy in ["lowest_index"] + [("seeded_random", s)
+            for policy in ["lowest_index"] + [f"seeded_random:{s}"
                                               for s in range(1, 6)]:
-                fs, pr = build_factor_system(g, kernel, policy)
-                ok, counterexample = verify_isomorphism(fs, pr)
+                fs = build_factor_system(g, kernel, policy)
+                ok, counterexample = verify_isomorphism(fs)
                 assert ok, (spec, kernel.element_list, policy, counterexample)
                 checked += 1
 
     q = build_group("quaternion")
-    fs, pr = build_factor_system(q, generated_subgroup(q, (6,)))
+    fs = build_factor_system(q, generated_subgroup(q, (6,)))
     carry = fs.carry.copy()
     carry[1, 1] = 0
     broken = FactorSystem(parent=q, kernel=fs.kernel, quot=fs.quot,
                           reps=fs.reps, conj=fs.conj.copy(), carry=carry,
-                          kernel_pos=fs.kernel_pos.copy(), policy=fs.policy)
-    ok, counterexample = verify_isomorphism(broken, pr)
+                          pair_pos=fs.pair_pos.copy(), pair_block=fs.pair_block.copy(),
+                          policy=fs.policy)
+    ok, counterexample = verify_isomorphism(broken)
     assert not ok and counterexample == (2, 2)
     report(7, True,
            f"{checked} (group, kernel, policy) combinations verified; "
@@ -163,10 +169,10 @@ def test_criterion_8_extension_round_trip():
     for spec in CORPUS_SPECS:
         g = corpus_group(spec)
         for kernel in normal_subgroup_inventory(g):
-            fs, pr = build_factor_system(g, kernel)
+            fs = build_factor_system(g, kernel)
             ext = extension_from_factor_system(fs)
             assert validate_group(ext) == []
-            flat = [pr.pair_index(*pr.to_pair(x)) for x in range(g.order)]
+            flat = (fs.pair_pos * fs.num_blocks + fs.pair_block).tolist()
             for a in range(g.order):
                 row = g.op_rows()[a]
                 for b in range(g.order):

@@ -117,6 +117,18 @@ def test_extremal_command_counts_pairs(runner):
     assert {"a": [0, 1], "b": [0, 1, 2]} in payload["pairs"]
 
 
+@pytest.mark.parametrize("sizes, side", [(("7", "30"), "|A| = 7"),
+                                         (("30", "23"), "|B| = 23")])
+def test_extremal_refuses_a_side_too_large_to_list(runner, sizes, side):
+    # 2035800 pairs is under EXTREMAL_SEARCH_CAP, but C(30, 7) = C(30, 23)
+    # sets on one side exceed what a side may list
+    result = invoke(runner, "extremal", "--group", "cyclic:30",
+                    "--size-a", sizes[0], "--size-b", sizes[1])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: {side}: 2035800 sets of 30 elements exceed "
+                             "the listing limit 2^20\n")
+
+
 def test_validate_command_exit_codes(runner, tmp_path):
     good = invoke(runner, "validate", "--group", "quaternion")
     assert good.exit_code == 0

@@ -11,8 +11,8 @@ from sumsetlab import engine
 from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
                               cd_bound, find_extremal, product_set,
-                              restricted_product_set, verify_exhaustive,
-                              verify_sampled)
+                              restricted_product_set, size_bound,
+                              verify_exhaustive, verify_sampled)
 from sumsetlab.factor_system import build_factor_system, extension_from_factor_system
 from sumsetlab.groups import SubsetMask, build_group
 from sumsetlab.jsonio import dumps_stable
@@ -490,7 +490,7 @@ def test_verification_is_invariant_under_the_pair_isomorphism():
     # same violation/extremal statistics for a group and its pair-group image
     for spec, gens in [("cyclic:6", (3,)), ("quaternion", (6,))]:
         g = build_group(spec)
-        fs, pr = build_factor_system(g, generated_subgroup(g, gens))
+        fs = build_factor_system(g, generated_subgroup(g, gens))
         ext = extension_from_factor_system(fs)
         r1 = verify_exhaustive(g, "cd")
         r2 = verify_exhaustive(ext, "cd")
@@ -501,7 +501,7 @@ def test_verification_is_invariant_under_the_pair_isomorphism():
 
 def test_multiset_of_sizes_is_invariant_under_the_pair_isomorphism():
     g = build_group("cyclic:6")
-    fs, pr = build_factor_system(g, generated_subgroup(g, (3,)))
+    fs = build_factor_system(g, generated_subgroup(g, (3,)))
     ext = extension_from_factor_system(fs)
 
     def stats(group):
@@ -677,3 +677,50 @@ def test_capped_extremal_counts_match_vosper(p):
                                            for a, b in sizes)
         assert report.extremal_count == sum(vosper_extremal(p, a, b) for a, b in sizes)
         assert report.violations == ()
+
+
+def kappa(n, r, s):
+    """min over d | n of (ceil(r / d) + ceil(s / d) - 1) * d."""
+    return min((-(-r // d) - (-s // d) - 1) * d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in CORPUS_SPECS
+                                  if corpus_group(spec).is_abelian()]
+                         + ["dihedral:3", "dihedral:4", "dihedral:5"])
+def test_extremal_pairs_exist_exactly_where_kappa_meets_the_bound(spec):
+    # min |A * B| over |A| = r, |B| = s is kappa_n(r, s) on abelian groups
+    # (Eliahou, Kervaire and Plagne 2003) and dihedral ones (Eliahou and
+    # Kervaire 2006); the bound min(p, r + s - 1) never exceeds it, so a pair
+    # meets the bound exactly when kappa_n equals it.  Cells of at most 3 * 10^4
+    # pairs: find_extremal lists a whole batch of extremal pairs before
+    # ``limit`` applies, which makes the larger tight cells cost seconds.
+    g = build_group(spec)
+    n = g.order
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            if math.comb(n, r) * math.comb(n, s) <= 3 * 10**4:
+                tight = kappa(n, r, s) == size_bound(g, r, s)
+                assert bool(find_extremal(g, r, s, limit=1)) == tight, (r, s)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_restricted_bound_on_z_p_is_met_only_by_equal_sizes(p):
+    # |A +' B| >= min(p, |A| + |B| - 2) when |A| != |B| (Alon, Nathanson and
+    # Ruzsa 1996), so below the p cap no pair of unequal sizes meets the eh
+    # bound |A| + |B| - 3; A = B, an arithmetic progression, meets it for every
+    # size from 2 (Dias da Silva and Hamidoune 1994).  Per-cell extremal counts
+    # by inclusion-exclusion over the capped scans of |A| <= a, |B| <= b.
+    g = build_group(f"cyclic:{p}")
+    capped = {}
+
+    def count(a, b):
+        if a == 0 or b == 0:
+            return 0
+        if (a, b) not in capped:
+            capped[a, b] = verify_exhaustive(g, "eh", Caps(a, b)).extremal_count
+        return capped[a, b]
+
+    tight = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)
+             if a + b - 3 < p
+             and count(a, b) - count(a - 1, b) - count(a, b - 1) + count(a - 1, b - 1)]
+    assert tight == [(a, a) for a in range(2, (p + 2) // 2 + 1)]

@@ -29,20 +29,30 @@ def quaternion_k():
     return q, generated_subgroup(q, (6,))
 
 
+def _pair(fs, x):
+    """Parent element x as its (kernel element, block) pair."""
+    return fs.kernel.element_list[fs.pair_pos[x]], int(fs.pair_block[x])
+
+
+def _conj(fs, h, x):
+    """Kernel element x conjugated by the representative of block h."""
+    return fs.kernel.element_list[fs.conj[h, fs.pair_pos[x]]]
+
+
 def test_quaternion_pair_table_with_representative_j(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
+    fs = build_factor_system(q, K, "explicit:0,4")
     assert fs.reps == (0, 4)
-    assert {x: pr.to_pair(x) for x in range(8)} == QUATERNION_PAIRS_REP_J
-    ok, counterexample = verify_isomorphism(fs, pr)
+    assert {x: _pair(fs, x) for x in range(8)} == QUATERNION_PAIRS_REP_J
+    ok, counterexample = verify_isomorphism(fs)
     assert ok and counterexample is None
 
 
 def test_quaternion_star_squares_minus_k_over_kj(quaternion_k):
     # (-k, Kj) * (-k, Kj) = (-1, K): the pair arithmetic behind i*i = -1
     q, K = quaternion_k
-    for policy in ["lowest_index", (0, 4)]:
-        fs, _ = build_factor_system(q, K, policy)
+    for policy in ["lowest_index", "explicit:0,4"]:
+        fs = build_factor_system(q, K, policy)
         assert star(fs, (7, 1), (7, 1)) == (1, 0)
 
 
@@ -50,48 +60,48 @@ def test_quaternion_carry_is_nontrivial(quaternion_k):
     # the quaternion group is not a semidirect product of K and the quotient,
     # so the carry of (Kj, Kj) is a non-identity kernel element
     q, K = quaternion_k
-    fs, _ = build_factor_system(q, K, (0, 4))
-    assert fs.carry_element(1, 1) == 1  # element -1
+    fs = build_factor_system(q, K, "explicit:0,4")
+    assert K.element_list[fs.carry[1, 1]] == 1  # element -1
 
 
 def test_base_p_carry_tables():
     for p in (3, 5):
         g = build_group(f"cyclic:{p * p}")
-        fs, pr = build_factor_system(g, generated_subgroup(g, (p,)))
+        fs = build_factor_system(g, generated_subgroup(g, (p,)))
         assert fs.reps == tuple(range(p))
         for b in range(p):
             for d in range(p):
                 want = 0 if b + d < p else p
-                assert fs.carry_element(b, d) == want
+                assert fs.kernel.element_list[fs.carry[b, d]] == want
         # two-digit reading of every element: g = (digit a) * p + (digit b)
         for x in range(p * p):
-            k, h = pr.to_pair(x)
+            k, h = _pair(fs, x)
             assert k == (x // p) * p
             assert h == x % p
 
 
 def test_whole_group_kernel_gives_identity_pairing(corpus_member):
     g = corpus_member
-    fs, pr = build_factor_system(g, whole_subgroup(g))
+    fs = build_factor_system(g, whole_subgroup(g))
     assert fs.num_blocks == 1
     for x in range(g.order):
-        assert pr.to_pair(x) == (x, 0)
-    assert fs.carry_element(0, 0) == g.identity
+        assert _pair(fs, x) == (x, 0)
+    assert fs.kernel.element_list[fs.carry[0, 0]] == g.identity
 
 
 def test_star_identity_law(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
+    fs = build_factor_system(q, K, "explicit:0,4")
     for x in range(8):
-        pair = pr.to_pair(x)
+        pair = _pair(fs, x)
         assert star(fs, (q.identity, 0), pair) == pair
         assert star(fs, pair, (q.identity, 0)) == pair
 
 
 def test_star_is_associative_on_all_pair_triples(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
-    pairs = [pr.to_pair(x) for x in range(8)]
+    fs = build_factor_system(q, K, "explicit:0,4")
+    pairs = [_pair(fs, x) for x in range(8)]
     for x in pairs:
         for y in pairs:
             for z in pairs:
@@ -101,14 +111,14 @@ def test_star_is_associative_on_all_pair_triples(quaternion_k):
 def test_conjugation_tables_are_automorphisms_of_the_kernel(corpus_member):
     g = corpus_member
     for k in normal_subgroup_inventory(g):
-        fs, _ = build_factor_system(g, k)
+        fs = build_factor_system(g, k)
         for h in range(fs.num_blocks):
-            images = [fs.conj_element(h, x) for x in k.element_list]
+            images = [_conj(fs, h, x) for x in k.element_list]
             assert sorted(images) == list(k.element_list)  # bijective on K
             for x in k.element_list:
                 for y in k.element_list:
-                    assert fs.conj_element(h, g.mul(x, y)) == g.mul(
-                        fs.conj_element(h, x), fs.conj_element(h, y)
+                    assert _conj(fs, h, g.mul(x, y)) == g.mul(
+                        _conj(fs, h, x), _conj(fs, h, y)
                     )
 
 
@@ -116,11 +126,11 @@ def test_conjugation_tables_are_automorphisms_of_the_kernel(corpus_member):
 def test_pair_products_match_star_on_every_pair(corpus_member, policy):
     g = corpus_member
     for k in normal_subgroup_inventory(g):
-        fs, _ = build_factor_system(g, k, policy)
+        fs = build_factor_system(g, k, policy)
         nb = fs.num_blocks
         pos, blk = np.divmod(np.arange(g.order), nb)
         pairs = [(k.element_list[p], int(h)) for p, h in zip(pos, blk)]
-        expected = np.array([[int(fs.kernel_pos[kx]) * nb + hx
+        expected = np.array([[int(fs.pair_pos[kx]) * nb + hx
                               for kx, hx in (star(fs, x, y) for y in pairs)]
                              for x in pairs])
         got = pair_products(fs, pos[:, None], blk[:, None], pos, blk)
@@ -130,42 +140,43 @@ def test_pair_products_match_star_on_every_pair(corpus_member, policy):
 def test_carry_identity_row_and_column_are_trivial(corpus_member):
     g = corpus_member
     for k in normal_subgroup_inventory(g):
-        fs, _ = build_factor_system(g, k)
+        fs = build_factor_system(g, k)
         for h in range(fs.num_blocks):
-            assert fs.carry_element(0, h) == g.identity
-            assert fs.carry_element(h, 0) == g.identity
+            assert k.element_list[fs.carry[0, h]] == g.identity
+            assert k.element_list[fs.carry[h, 0]] == g.identity
 
 
 def test_isomorphism_holds_for_seeded_representative_choices(quaternion_k):
     q, K = quaternion_k
     seen = set()
     for seed in range(1, 6):
-        fs, pr = build_factor_system(q, K, ("seeded_random", seed))
+        fs = build_factor_system(q, K, f"seeded_random:{seed}")
         assert fs.reps[0] == q.identity
         seen.add(fs.reps)
-        ok, _ = verify_isomorphism(fs, pr)
+        ok, _ = verify_isomorphism(fs)
         assert ok
     assert len(seen) > 1  # different seeds do explore different choices
 
 
 def test_seeded_policy_is_deterministic(quaternion_k):
     q, K = quaternion_k
-    fs1, pr1 = build_factor_system(q, K, ("seeded_random", 9))
-    fs2, pr2 = build_factor_system(q, K, ("seeded_random", 9))
+    fs1 = build_factor_system(q, K, "seeded_random:9")
+    fs2 = build_factor_system(q, K, "seeded_random:9")
     assert fs1.reps == fs2.reps
-    assert factor_system_json(fs1, pr1) == factor_system_json(fs2, pr2)
+    assert factor_system_json(fs1) == factor_system_json(fs2)
 
 
 def test_corrupted_carry_entry_breaks_the_isomorphism(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K)
+    fs = build_factor_system(q, K)
     carry = fs.carry.copy()
     assert carry[1, 1] != 0
     carry[1, 1] = 0  # replace by the identity's kernel position
     broken = FactorSystem(parent=q, kernel=fs.kernel, quot=fs.quot,
                           reps=fs.reps, conj=fs.conj.copy(), carry=carry,
-                          kernel_pos=fs.kernel_pos.copy(), policy=fs.policy)
-    ok, counterexample = verify_isomorphism(broken, pr)
+                          pair_pos=fs.pair_pos.copy(), pair_block=fs.pair_block.copy(),
+                          policy=fs.policy)
+    ok, counterexample = verify_isomorphism(broken)
     assert not ok
     # first failing pair in lexicographic order: both factors in the non-kernel
     # coset, whose smallest element is i = 2
@@ -175,22 +186,14 @@ def test_corrupted_carry_entry_breaks_the_isomorphism(quaternion_k):
 def test_explicit_representative_validation(quaternion_k):
     q, K = quaternion_k
     with pytest.raises(ValueError, match="representatives"):
-        build_factor_system(q, K, (0,))
+        build_factor_system(q, K, "explicit:0")
     with pytest.raises(ValueError, match="block"):
-        build_factor_system(q, K, (0, 6))   # 6 lies in the kernel block
+        build_factor_system(q, K, "explicit:0,6")   # 6 lies in the kernel block
     with pytest.raises(ValueError, match="identity"):
-        build_factor_system(q, K, (1, 4))
+        build_factor_system(q, K, "explicit:1,4")
     for outside in (-6, 99, 8):       # numpy would wrap -6 onto element 2
         with pytest.raises(ValueError, match=rf"representative {outside} outside 0\.\.7"):
-            build_factor_system(q, K, (0, outside))
-
-
-def test_policy_strings_parse_like_their_tuples(quaternion_k):
-    q, K = quaternion_k
-    for text, value in (("explicit:0,4", (0, 4)),
-                        ("seeded_random:3", ("seeded_random", 3))):
-        from_text = factor_system_json(*build_factor_system(q, K, text))
-        assert from_text == factor_system_json(*build_factor_system(q, K, value))
+            build_factor_system(q, K, f"explicit:0,{outside}")
 
 
 def test_extension_round_trip_for_named_pairs():
@@ -203,26 +206,25 @@ def test_extension_round_trip_for_named_pairs():
     for spec, gens in cases:
         g = build_group(spec)
         k = generated_subgroup(g, gens)
-        fs, pr = build_factor_system(g, k)
+        fs = build_factor_system(g, k)
         ext = extension_from_factor_system(fs)
         assert validate_group(ext) == []
         assert ext.order == g.order
+        flat = (fs.pair_pos * fs.num_blocks + fs.pair_block).tolist()
         for a in range(g.order):
             for b in range(g.order):
-                flat_ab = pr.pair_index(*pr.to_pair(g.mul(a, b)))
-                assert flat_ab == ext.mul(
-                    pr.pair_index(*pr.to_pair(a)), pr.pair_index(*pr.to_pair(b))
-                )
+                flat_ab = flat[g.mul(a, b)]
+                assert flat_ab == ext.mul(flat[a], flat[b])
 
 
 def test_trivial_factor_system_rebuilds_the_direct_product():
     g = build_group("product:cyclic:3,cyclic:3")
     k = generated_subgroup(g, (3,))   # the first-factor copy of Z/3
-    fs, _ = build_factor_system(g, k)
+    fs = build_factor_system(g, k)
     for i in range(3):
         for j in range(3):
-            assert fs.carry_element(i, j) == g.identity
-            assert [fs.conj_element(i, x) for x in k.element_list] == \
+            assert k.element_list[fs.carry[i, j]] == g.identity
+            assert [_conj(fs, i, x) for x in k.element_list] == \
                 list(k.element_list)
     ext = extension_from_factor_system(fs)
     assert (ext.op == g.op).all()
@@ -230,20 +232,21 @@ def test_trivial_factor_system_rebuilds_the_direct_product():
 
 def test_hand_built_factor_system_must_be_associative(quaternion_k):
     q, K = quaternion_k
-    fs, _ = build_factor_system(q, K)
+    fs = build_factor_system(q, K)
     conj = fs.conj.copy()
     conj[1] = conj[1][::-1].copy()  # scramble one conjugation row
     broken = FactorSystem(parent=q, kernel=fs.kernel, quot=fs.quot,
                           reps=fs.reps, conj=conj, carry=fs.carry.copy(),
-                          kernel_pos=fs.kernel_pos.copy(), policy=fs.policy)
+                          pair_pos=fs.pair_pos.copy(), pair_block=fs.pair_block.copy(),
+                          policy=fs.policy)
     with pytest.raises(GroupBuildError):
         extension_from_factor_system(broken)
 
 
 def test_decompose_whole_group(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
-    dec = decompose_subset(pr, SubsetMask.full(8))
+    fs = build_factor_system(q, K, "explicit:0,4")
+    dec = decompose_subset(fs, SubsetMask.full(8))
     assert dec.block_part.elements() == (0, 1)
     assert dec.kernel_part.elements() == (0, 1, 2, 3)
     assert dec.sizes() == (4, 4)
@@ -251,8 +254,8 @@ def test_decompose_whole_group(quaternion_k):
 
 def test_decompose_named_subset_of_quaternion(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
-    dec = decompose_subset(pr, SubsetMask.from_elements(8, (2, 3, 0)))
+    fs = build_factor_system(q, K, "explicit:0,4")
+    dec = decompose_subset(fs, SubsetMask.from_elements(8, (2, 3, 0)))
     assert dec.sizes() == (2, 1)
     assert dec.blocks[0].block == 1
     # kernel coordinates of {i, -i, 1}: {-k, k, 1} = positions {3, 2, 0}
@@ -262,8 +265,8 @@ def test_decompose_named_subset_of_quaternion(quaternion_k):
 def test_decompose_subset_of_cyclic_25():
     g = build_group("cyclic:25")
     k = generated_subgroup(g, (5,))
-    fs, pr = build_factor_system(g, k)
-    dec = decompose_subset(pr, SubsetMask.from_elements(25, (0, 1, 2, 5)))
+    fs = build_factor_system(g, k)
+    dec = decompose_subset(fs, SubsetMask.from_elements(25, (0, 1, 2, 5)))
     assert dec.sizes() == (2, 1, 1)
     assert dec.blocks[0].block == 0
     assert [k.element_list[p] for p in dec.blocks[0].members.elements()] == [0, 5]
@@ -274,9 +277,9 @@ def test_decompose_subset_of_cyclic_25():
 def test_decomposition_bookkeeping_on_heisenberg(bits):
     g = build_group("heisenberg:3")
     k = generated_subgroup(g, (1,))   # the order-3 center
-    fs, pr = build_factor_system(g, k)
+    fs = build_factor_system(g, k)
     s = SubsetMask(bits, 27)
-    dec = decompose_subset(pr, s)
+    dec = decompose_subset(fs, s)
     assert sum(dec.sizes()) == len(s)
     assert len(dec.block_part) == len(dec.blocks) <= len(s)
     assert sorted(dec.sizes(), reverse=True) == list(dec.sizes())
@@ -292,15 +295,15 @@ def test_decomposition_bookkeeping_on_heisenberg(bits):
 
 def test_factor_system_json_shape(quaternion_k):
     q, K = quaternion_k
-    fs, pr = build_factor_system(q, K, (0, 4))
-    payload = factor_system_json(fs, pr)
+    fs = build_factor_system(q, K, "explicit:0,4")
+    payload = factor_system_json(fs)
     assert payload["kernel"] == [0, 1, 6, 7]
     assert payload["representatives"] == [0, 4]
     assert payload["policy"] == {"explicit": [0, 4]}
     assert payload["pairs"][2] == [7, 1]
     assert payload["carry"][1][1] == 1
-    lowest, pr2 = build_factor_system(q, K)
-    assert factor_system_json(lowest, pr2)["policy"] == "lowest_index"
+    lowest = build_factor_system(q, K)
+    assert factor_system_json(lowest)["policy"] == "lowest_index"
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +324,15 @@ def _loop_quotient(g, k):
     return tuple(blocks), project, project[g.op[reps[:, None], reps[None, :]]]
 
 
-def _loop_payload(fs, pr):
+def _loop_payload(fs):
     """factor_system_json with its per-element comprehensions."""
-    payload = factor_system_json(fs, pr)
+    payload = factor_system_json(fs)
     ke = fs.kernel.element_list
     payload.update({
         "kernel": list(ke),
         "conjugation": [[ke[int(p)] for p in fs.conj[h]] for h in range(fs.num_blocks)],
         "carry": [[ke[int(p)] for p in fs.carry[h]] for h in range(fs.num_blocks)],
-        "pairs": [[int(pr.pair_k[x]), int(pr.pair_block[x])]
-                  for x in range(fs.parent.order)],
+        "pairs": [list(_pair(fs, x)) for x in range(fs.parent.order)],
     })
     return payload
 
@@ -354,8 +356,8 @@ def _assert_matches_the_loops(g, kernels):
         assert q.project.dtype == project.dtype and np.array_equal(q.project, project)
         assert np.array_equal(q.table.op, table)
         for policy in _policies(blocks):
-            fs, pr = build_factor_system(g, k, policy)
-            assert factor_system_json(fs, pr) == _loop_payload(fs, pr), \
+            fs = build_factor_system(g, k, policy)
+            assert factor_system_json(fs) == _loop_payload(fs), \
                 (g.label, k.order, policy)
 
 
@@ -401,8 +403,8 @@ def test_block_0_is_the_kernel_when_the_identity_is_not_element_0(policy):
     assert [b[0] for b in q.blocks[1:]] == sorted(b[0] for b in q.blocks[1:])
     assert validate_group(q.table) == []
     if policy == "explicit":
-        policy = [22] + [b[-1] for b in q.blocks[1:]]
-    fs, pr = build_factor_system(g, k, policy)
+        policy = "explicit:" + ",".join(map(str, [22] + [b[-1] for b in q.blocks[1:]]))
+    fs = build_factor_system(g, k, policy)
     assert fs.reps[0] == 22
-    assert fs.carry_element(0, 0) == 22
-    assert verify_isomorphism(fs, pr) == (True, None)
+    assert k.element_list[fs.carry[0, 0]] == 22
+    assert verify_isomorphism(fs) == (True, None)

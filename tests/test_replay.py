@@ -101,6 +101,22 @@ def test_replay_swaps_when_first_set_spreads_over_more_blocks():
     audit_trace(g, trace)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a swapped trace certifies |B*A|, which differs from |A*B| in a "
+    "non-abelian group; certifying (B^-1, A^-1) instead changes the bytes of "
+    "swapped traces, so it waits for proof-trace/2",
+)
+def test_swapped_trace_certifies_the_product_that_was_asked_about():
+    g = build_group("heisenberg:5")
+    a = mask(125, 8, 22, 38, 82)
+    b = mask(125, 34, 42)
+    trace = replay_solvable_proof(g, a, b)
+    assert trace.swapped
+    assert naive_product_size(g, a, b) == 8 != naive_product_size(g, b, a)
+    assert trace.final_chain.product_size == 8
+
+
 def test_replay_preconditions():
     g = build_group("heisenberg:3")
     with pytest.raises(ReplayPreconditionError, match="nonempty"):
