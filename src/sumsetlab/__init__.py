@@ -11,17 +11,17 @@ from .engine import (BoundCheck, Caps, SamplingPlan, VerificationReport,
                      restricted_product_set, verify_exhaustive, verify_sampled)
 from .factor_system import (FactorSystem, SubsetDecomposition,
                             build_factor_system, decompose_subset,
-                            extension_from_factor_system, factor_system_json,
-                            star, verify_isomorphism)
+                            factor_system_json)
 from .groups import (FiniteGroup, GroupBuildError, GroupSpec, SubsetMask,
-                     as_candidate_group, build_group, element_order,
-                     parse_group_spec, validate_group)
+                     build_group, element_order, parse_group_spec,
+                     validate_group)
 from .replay import (ProofTrace, ReplayInvariantError,
                      ReplayPreconditionError, replay_solvable_proof)
 from .rng import SplitMix64
 from .structure import (INFINITY, QuotientGroup, SolvableChain, Subgroup,
-                        choose_decomposition_subgroup, commutator_subgroup,
-                        derived_series, generated_subgroup, is_normal,
+                        automorphisms, choose_decomposition_subgroup,
+                        commutator_subgroup, derived_series,
+                        generated_subgroup, is_normal,
                         is_solvable, minimal_torsion, quotient,
                         smallest_prime_factor, solvable_chain,
                         subgroup_as_group, trivial_subgroup, whole_subgroup)

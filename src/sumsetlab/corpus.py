@@ -1,5 +1,5 @@
 """The standard test corpus: small groups covering the families this package
-builds, plus a deterministic inventory of normal subgroups for each.
+builds.
 
 Odd orders dominate on purpose: even-order groups make the product bound
 trivial (minimal torsion 2), so the interesting verification regime lives in
@@ -9,8 +9,6 @@ odd order.  Quaternion and dihedral stay in as the even-order checks.
 from __future__ import annotations
 
 from .groups import FiniteGroup, build_group
-from .structure import (Subgroup, commutator_subgroup, generated_subgroup,
-                        is_normal, trivial_subgroup, whole_subgroup)
 
 CORPUS_SPECS: tuple[str, ...] = (
     "cyclic:1",
@@ -39,25 +37,3 @@ def corpus_group(spec: str) -> FiniteGroup:
         group = build_group(spec)
         _cached[spec] = group
     return group
-
-
-def corpus_groups() -> list[FiniteGroup]:
-    return [corpus_group(spec) for spec in CORPUS_SPECS]
-
-
-def normal_subgroup_inventory(g: FiniteGroup) -> list[Subgroup]:
-    """Deterministic list of normal subgroups: trivial, whole, derived, and
-    every normal cyclic subgroup, deduplicated by member mask."""
-    seen: dict[int, Subgroup] = {}
-
-    def add(h: Subgroup) -> None:
-        seen.setdefault(h.members.bits, h)
-
-    add(trivial_subgroup(g))
-    add(whole_subgroup(g))
-    add(commutator_subgroup(g))
-    for x in range(g.order):
-        h = generated_subgroup(g, (x,))
-        if is_normal(g, h):
-            add(h)
-    return [seen[bits] for bits in sorted(seen)]

@@ -21,21 +21,23 @@ A_k * B_k directly.  One scoring step compares popcounts with a bound table
 indexed by (|A|, |B|).
 
 Verification covers ordered pairs (A, B) of nonempty subsets; products
-need not commute.  Exhaustive and capped scans score one pair per
-translation orbit: |gA * Bh| = |A * B|, so a cd scan lists only the sets A
-and B that hold element 0, and on abelian groups |(A + g) *' (B + g)| =
-|A *' B| (x + g = y + g exactly when x = y), so an eh scan lists only the
-sets A that hold 0.  eh scans on non-abelian groups, sampled scans and the
-extremal search list every pair.  The counts are weighted back exactly and
-each violation is expanded into its orbit, so reports are those of the
-full scan.  Pairs are visited in ascending mask order (A outer, B inner);
-sampled pairs are drawn in sequence from a SplitMix64 stream, computed in
-numpy blocks that hold the words the scalar draws would take.  A sampled cd
-pair with |A| + |B| > |G| has A * B = G by pigeonhole and is counted
-without the kernel.  Batches are cut by a fixed memory budget, never by
-the worker count, and merged in order; several batches run on a thread
-pool, a single one on the calling thread.  So reports are identical for
-any worker count.
+need not commute.  Exhaustive and capped scans score one pair per orbit.
+|gA * Bh| = |A * B|, so a cd scan lists only the sets A and B that hold
+element 0, and on abelian groups (x + g = y + g exactly when x = y) an eh
+scan lists only the sets A that hold 0.  An automorphism sigma keeps sizes
+and x != y, and sigma(A) * sigma(B) = sigma(A * B), so of those sets A only
+the least mask in each orbit of the automorphisms that fix 0 is listed,
+where the cost rule of ``_Scan.reduce`` allows.  Sampled scans and the
+extremal search list every pair.  Counts are weighted back exactly and each
+violation is expanded into its orbit, so reports are those of the full
+scan.  Pairs are visited in ascending mask order (A outer, B inner); sampled
+pairs are drawn in sequence from a SplitMix64 stream, computed in numpy
+blocks that hold the words the scalar draws would take.  A sampled pair
+whose product is G by pigeonhole is counted without the kernel (see
+``_sampled_batch``).  Batches are cut by a fixed memory budget, never by the
+worker count, and merged in order; several batches run on a thread pool, a
+single one on the calling thread.  So reports are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -47,14 +49,14 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, compress, islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup, SubsetMask, iter_bits
 from .rng import SplitMix64
-from .structure import INFINITY, minimal_torsion
+from .structure import INFINITY, automorphisms, minimal_torsion
 
 THEOREMS = ("cd", "eh")
 EXHAUSTIVE_DEFAULT_LIMIT = 11   # (2^11 - 1)^2 pairs is seconds of work
@@ -63,6 +65,10 @@ EXTREMAL_SEARCH_CAP = 4_000_000   # ordered pairs find_extremal may list
 # bytes in the largest array of one batch (2^19 uint16 words): a few MB of
 # arrays for each worker
 _BATCH_BYTES = 1 << 20
+# listed pairs that one step of the automorphism search or one image of the
+# orbit pass costs, about: a kernel pair takes a few ns, an image several
+# gathers; below this ratio the reduction lost time on most scans measured
+_ORBIT_COST = 16
 
 
 def _check_theorem(theorem: str) -> str:
@@ -279,9 +285,10 @@ class _Scan:
     ``bounds[sa, sb]`` is the bound for sizes (sa, sb), or ``skip`` (below
     every size, so neither extremal nor a violation) where the caps leave
     that size pair out.  ``collect`` picks the pairs to report from (sizes,
-    bounds): ``np.less`` finds violations, ``np.equal`` extremal pairs.
-    With ``orbits``, ``pivot_a`` and ``pivot_b`` say which sides list only
-    the sets that hold element 0 (see ``verify_exhaustive``).
+    bounds): ``np.less`` finds violations, ``np.equal`` extremal pairs (at
+    most ``limit`` a batch).  With ``orbits``, ``pivot_a`` and ``pivot_b``
+    say which sides list only the sets that hold element 0, and ``auts``
+    which automorphisms fold the A side (see ``reduce``).
 
     Each thread keeps its batch-sized work arrays for the whole run: made
     per batch, they went back to the OS and were faulted in again whenever
@@ -293,11 +300,13 @@ class _Scan:
 
     def __init__(self, g: FiniteGroup, theorem: str, max_a: int, max_b: int,
                  sum_cap: int | None = None, collect: Callable = np.less,
-                 orbits: bool = False):
+                 orbits: bool = False, limit: int | None = None):
         self.g = g
         self.theorem = theorem
         self.p = minimal_torsion(g)
         self.collect = collect
+        self.limit = limit
+        self.orbits = orbits
         self.pivot_a = orbits and (theorem == "cd" or g.is_abelian())
         self.pivot_b = orbits and theorem == "cd"
         # each listed B is weighted lcm / |B|: integers, at most lcm(1..20)
@@ -379,17 +388,46 @@ class _Scan:
         if not hits.any():
             return extremal, []
         return extremal, [(*masks_of(int(r), int(c)), int(sizes[r, c]), int(bounds[r, c]))
-                          for r, c in zip(*np.nonzero(hits))]
+                          for r, c in islice(zip(*np.nonzero(hits)), self.limit)]
 
-    def report(self, mode: dict, results: Iterable, start: float) -> VerificationReport:
-        """Merge batch results, in order, into the run's report."""
-        pairs = extremal = 0
-        found = []
-        for batch_pairs, batch_extremal, batch_found in results:
-            pairs += batch_pairs
+    def reduce(self, a_masks: Sequence[int], b_sets: int) -> tuple[Sequence[int], np.ndarray]:
+        """The sets of ``a_masks`` (ascending) that are least in their orbit
+        under ``auts``, and their orbit sizes: |auts| over the sigma that fix
+        the set.  ``auts`` becomes the automorphisms that fix element 0 (and
+        so the sets that hold it) when the search, candidates * n, and the
+        orbit pass, at most candidates * |A side|, each cost at most the
+        listed pairs, a step counting ``_ORBIT_COST`` pairs; else it stays
+        the identity row alone."""
+        n = self.g.order
+        limit = len(a_masks) * b_sets // (_ORBIT_COST * max(n, len(a_masks)))
+        auts = automorphisms(self.g, limit) if limit > 1 else None   # 1: the identity
+        self.auts = np.arange(n)[None] if auts is None else auts[auts[:, 0] == 0]
+        if len(self.auts) == 1:
+            return a_masks, np.ones(len(a_masks), dtype=np.int64)
+        if n > _MASK_BITS:
+            keys, images, per_aut = _colex_ranks(a_masks, n)
+        else:
+            keys = (np.arange(a_masks.start, a_masks.stop, a_masks.step)
+                    if isinstance(a_masks, range) else np.array(a_masks, dtype=np.int64))
+            images, per_aut = partial(_mask_images, masks=keys), 3 * keys.nbytes
+        least = np.ones(len(keys), dtype=bool)
+        fixed = np.zeros(len(keys), dtype=np.int64)
+        step = max(1, _BATCH_BYTES // per_aut)
+        for lo in range(0, len(self.auts), step):
+            image = images(self.auts[lo:lo + step])
+            least &= (image >= keys).all(axis=0)
+            fixed += (image == keys).sum(axis=0)
+        return list(compress(a_masks, least.tolist())), len(self.auts) // fixed[least]
+
+    def report(self, mode: dict, results: Iterable, start: float,
+               pairs: int = 0) -> VerificationReport:
+        """Merge batch results, in order, into the run's report; an orbit
+        scan counts its pairs from the size table."""
+        extremal, found = 0, []
+        for batch_extremal, batch_found in results:
             extremal += batch_extremal
             found.extend(batch_found)
-        if self.pivot_a:
+        if self.orbits:
             pairs, extremal, found = self.unreduce(extremal, found)
         violations = tuple(_make_check(self.g, self.theorem, a_bits, b_bits, size,
                                        self.p, bound)
@@ -405,12 +443,13 @@ class _Scan:
         from the listed pairs.
 
         ``hits[a]`` sums the tight listed pairs with |A| = a, each weighted
-        lcm / |B| where B is reduced.  By double counting: exactly |A| of
-        the n translates of a set A hold element 0, and each listed set is
-        the translate of n (set, shift) pairs.  So the full scan has R(a, b)
-        * n^2 / (a * b) tight pairs of sizes (a, b) for cd and R(a, b) * n / a
-        for eh, R(a, b) counting the tight listed ones; a remainder means
-        the listing was wrong.
+        by A's orbit size (sigma maps the pairs of A one to one onto those
+        of sigma(A)) and by lcm / |B| where B is reduced.  By double
+        counting: exactly |A| of the n translates of a set A hold element 0,
+        and each listed set is the translate of n (set, shift) pairs.  So the
+        full scan has R(a, b) * n^2 / (a * b) tight pairs of sizes (a, b) for
+        cd, R(a, b) * n / a for abelian eh and R(a, b) for other eh, R(a, b)
+        counting the weighted ones; a remainder means the listing was wrong.
         """
         n = self.g.order
         cells = np.argwhere(self.bounds[1:, 1:] != self.skip) + 1
@@ -418,24 +457,67 @@ class _Scan:
         extremal = 0
         for a, weighted in enumerate(hits.tolist()):
             if weighted:
-                tight, left = divmod(weighted * n * (n if self.pivot_b else 1),
-                                     a * self.lcm)
+                tight, left = divmod(weighted * n ** (self.pivot_a + self.pivot_b),
+                                     a ** self.pivot_a * self.lcm)
                 if left:
                     raise ArithmeticError(f"orbit count for |A| = {a} is not whole")
                 extremal += tight
-        # every translate of a witness is one: (gA, Bh) for cd, (A + g, B + g) for eh
+        # every image (sigma(A), sigma(B)) of a witness is one, and so is each
+        # translate of those: (gA, Bh) for cd, (A + g, B + g) for abelian eh
         op, orbit = self.g.op, set()
         for a_bits, b_bits, size, bound in found:
-            lefts = _row_masks(op[:, list(iter_bits(a_bits))])      # row g: gA
-            rights = _row_masks(op[list(iter_bits(b_bits))].T)      # row h: Bh
-            orbit.update((a, b, size, bound) for a, b in
-                         (product(lefts, rights) if self.pivot_b else zip(lefts, rights)))
+            for a, b in zip(_row_masks(self.auts[:, list(iter_bits(a_bits))]),
+                            _row_masks(self.auts[:, list(iter_bits(b_bits))])):
+                lefts = _row_masks(op[:, list(iter_bits(a))]) if self.pivot_a else [a]
+                rights = _row_masks(op[list(iter_bits(b))].T) if self.pivot_a else [b]
+                orbit.update((x, y, size, bound) for x, y in
+                             (product(lefts, rights) if self.pivot_b else zip(lefts, rights)))
         return pairs, extremal, sorted(orbit)
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
     """The mask of each row's elements (a row may repeat one)."""
     return [sum(1 << x for x in set(row)) for row in rows.tolist()]
+
+
+_MASK_BITS = 62   # the most elements an int64 mask holds; beyond, colex ranks
+_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1   # [i, v]: bit i of v
+
+
+def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """[s, r]: the mask of sigma_s(A_r), for the int64 masks of sets A_r of
+    at most ``_MASK_BITS`` elements: one table lookup per byte of the mask."""
+    count, n = auts.shape
+    moved = np.zeros((count, -(-n // 8) * 8), dtype=np.int64)
+    moved[:, :n] = np.left_shift(1, auts, dtype=np.int64)
+    # tables[s, j, v]: sigma_s of the elements in byte j when it reads v
+    # (the moved bits are distinct, so their sum is their OR)
+    tables = moved.reshape(count, -1, 8) @ _BYTE_BITS
+    images = tables[:, 0].take(masks & 255, axis=1)
+    for j in range(1, tables.shape[1]):
+        images |= tables[:, j].take((masks >> 8 * j) & 255, axis=1)
+    return images
+
+
+def _colex_ranks(masks: Sequence[int], n: int) -> tuple[np.ndarray, Callable, int]:
+    """Each set's colex rank, which orders the sets of one size as their
+    masks do: sum C(c_i, i) over its elements c_1 < ... < c_k.  Also the
+    function giving [s, r], the rank of sigma_s(A_r), and its bytes per
+    sigma.  Every C(c, i) used is at most C(n, k) <= 2^20 (k is a listed
+    size), so float products round to it exactly."""
+    sizes, pad = _elements(masks, n)
+    column = np.arange(pad.shape[1])
+    # lists end in the sentinel n, which sigma keeps last and ranks as 0
+    pad = np.where(column < sizes[:, None], pad, n)
+    x = np.arange(n + 1)[:, None]
+    binom = np.rint(np.cumprod((x - column) / (column + 1), axis=1)).astype(np.int64)
+    binom[n] = 0
+
+    def images(auts):
+        moved = np.concatenate([auts, np.full((len(auts), 1), n, auts.dtype)], axis=1)
+        return binom[np.sort(moved[:, pad], axis=2), column].sum(axis=2)
+
+    return binom[pad, column].sum(axis=1), images, 24 * pad.size
 
 
 def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
@@ -478,12 +560,15 @@ def verify_exhaustive(
     caps only pairs with |A| <= max_a_size, |B| <= max_b_size and
     |A| + |B| <= sum_cap are covered.
 
-    The scan lists one pair per translation orbit (see the module
-    docstring): only the sets A that hold element 0, and for cd only such
-    sets B.  The report is that of the full scan: counts are weighted back
-    exactly and violations expanded into their orbits.  This holds on
-    groups only; every group that reaches the engine is validated or built
-    from a factor system.
+    The scan lists one pair per orbit (see the module docstring): of the
+    sets A that hold element 0 (every set for non-abelian eh), the least in
+    each orbit of the automorphisms that fix 0, if finding them and the
+    orbit pass each cost at most the pairs listed, a step counting as
+    ``_ORBIT_COST`` pairs (``_Scan.reduce``); B runs over the sets that hold
+    0 for cd, every set for eh.  The report is that
+    of the full scan: counts are weighted back exactly and violations
+    expanded into their orbits.  This holds on groups only; every group that
+    reaches the engine is validated or built from a factor system.
     """
     theorem = _check_theorem(theorem)
     start = time.perf_counter()
@@ -497,11 +582,11 @@ def verify_exhaustive(
         if n > EXHAUSTIVE_HARD_CEILING:
             raise ValueError(f"order {n} exceeds the hard exhaustive ceiling")
         scan = _Scan(g, theorem, n, n, orbits=True)
-        a_masks = range(1, 1 << n, 1 + scan.pivot_a)
         b_masks = range(1, 1 << n, 1 + scan.pivot_b)
+        a_masks, a_orbits = scan.reduce(range(1, 1 << n, 1 + scan.pivot_a), len(b_masks))
         b_sizes = np.bitwise_count(np.arange(1, 1 << n, 1 + scan.pivot_b,
                                              dtype=np.uint64)).astype(np.intp)
-        results = _grid_scan(scan, a_masks, b_masks, b_sizes, None, workers)
+        results = _grid_scan(scan, a_masks, a_orbits, b_masks, b_sizes, None, workers)
         mode = {"kind": "exhaustive"}
     else:
         top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
@@ -509,8 +594,10 @@ def verify_exhaustive(
                         for cap in (caps.max_a_size, caps.max_b_size))
         scan = _Scan(g, theorem, max_a, max_b, caps.sum_cap, orbits=True)
         b_masks = _masks_by_size(n, 1, max_b, scan.pivot_b)
-        results = _grid_scan(scan, _masks_by_size(n, 1, max_a, scan.pivot_a), b_masks,
-                             *_elements(b_masks, n), workers)
+        a_masks, a_orbits = scan.reduce(_masks_by_size(n, 1, max_a, scan.pivot_a),
+                                        len(b_masks))
+        results = _grid_scan(scan, a_masks, a_orbits, b_masks, *_elements(b_masks, n),
+                             workers)
         mode = caps.to_json_dict()
     return scan.report(mode, results, start)
 
@@ -535,15 +622,16 @@ def _masks_by_size(n: int, min_size: int, max_size: int,
                   for combo in combinations(bits, size))
 
 
-def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
-               b_sizes: np.ndarray, b_pad: np.ndarray | None, workers: int):
-    """Batch results for every pair in ``a_masks`` x ``b_masks``, in order.
+def _grid_scan(scan: _Scan, a_masks: Sequence[int], a_orbits: np.ndarray,
+               b_masks: Sequence[int], b_sizes: np.ndarray, b_pad: np.ndarray | None,
+               workers: int):
+    """Batch results for every pair in ``a_masks`` x ``b_masks``, in order;
+    ``a_orbits`` weighs each A's tight pairs in an orbit scan.
 
     ``b_pad`` None means ``b_masks`` is every nonempty mask in order.
     """
     n = scan.g.order
     bounds = scan.bounds.take(b_sizes, axis=1)    # [sa]: |A| = sa with each B
-    pairs = np.count_nonzero(bounds != scan.skip, axis=1)
     # each listed B counts lcm / |B| tight pairs where B is reduced, else 1,
     # in a dtype that holds the sum over a row
     weights = scan.lcm // b_sizes if scan.pivot_b else np.ones_like(b_sizes)
@@ -554,28 +642,30 @@ def _grid_scan(scan: _Scan, a_masks: Sequence[int], b_masks: Sequence[int],
     row = max(words if b_pad is None else 2 * words, 8 * (len(scan.bounds) - 1) * n,
               n * scan.bits)
     step = max(1, _BATCH_BYTES // row)
-    batches = (a_masks[lo:lo + step] for lo in range(0, len(a_masks), step))
-    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, pairs, weights),
+    batches = ((a_masks[lo:lo + step], a_orbits[lo:lo + step])
+               for lo in range(0, len(a_masks), step))
+    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, weights),
                        batches, workers)
 
 
-def _grid_batch(scan, b_masks, b_pad, bounds, pairs, weights, a_masks: Sequence[int]):
+def _grid_batch(scan, b_masks, b_pad, bounds, weights, batch):
+    a_masks, a_orbits = batch
     a_sizes, a_pad = _elements(a_masks, scan.g.order)
     a_bounds = scan.buffer("a_bounds", (len(a_masks), len(b_masks)), np.int16)
-    count = (partial(_tight_by_size, scan, a_sizes, weights) if scan.pivot_a
+    count = (partial(_tight_by_size, scan, a_sizes, weights, a_orbits) if scan.orbits
              else np.count_nonzero)
-    extremal, found = scan.score(_grid_sizes(scan, scan.masks(a_pad), b_pad),
-                                 bounds.take(a_sizes, axis=0, out=a_bounds, mode="clip"),
-                                 lambda r, c: (a_masks[r], b_masks[c]), count)
-    return int(pairs.take(a_sizes).sum()), extremal, found
+    return scan.score(_grid_sizes(scan, scan.masks(a_pad), b_pad),
+                      bounds.take(a_sizes, axis=0, out=a_bounds, mode="clip"),
+                      lambda r, c: (a_masks[r], b_masks[c]), count)
 
 
 def _tight_by_size(scan: _Scan, a_sizes: np.ndarray, weights: np.ndarray,
-                   hits: np.ndarray) -> np.ndarray:
-    """The weighted tight pairs of each row, summed by |A|.  int64 holds
-    the sums: below 2^63 even for the full scan at order 20."""
+                   a_orbits: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The weighted tight pairs of each row, times A's orbit size, summed by
+    |A|.  int64 holds the sums, which are those of every A left listed by
+    the translations: at most lcm(1..20) * 2^19 * 2^20 / 20 < 2^63 at order 20."""
     by_size = np.zeros(len(scan.bounds), dtype=np.int64)
-    np.add.at(by_size, a_sizes, np.einsum("ij,j->i", hits, weights))
+    np.add.at(by_size, a_sizes, np.einsum("ij,j->i", hits, weights) * a_orbits)
     return by_size
 
 
@@ -637,7 +727,8 @@ def verify_sampled(
     scan = _Scan(g, theorem, n, n)
     batches = _sampled_batches(SplitMix64(plan.seed), plan, n)
     return scan.report(plan.to_json_dict(),
-                       _run_chunks(partial(_sampled_batch, scan), batches, workers), start)
+                       _run_chunks(partial(_sampled_batch, scan), batches, workers), start,
+                       plan.count)
 
 
 def _sampled_batches(rng: SplitMix64, plan: SamplingPlan, n: int):
@@ -725,19 +816,23 @@ def _shuffled(offsets: np.ndarray, n: int) -> np.ndarray:
 def _sampled_batch(scan: _Scan, batch):
     """Score one block of drawn pairs.
 
-    For cd, a pair with |A| + |B| > |G| has A * B = G by pigeonhole (A
-    meets every g * B^-1), so it is counted, as extremal where the bound is
-    |G|, but not scored.  The pairs left go through the kernel in batches
+    Some pairs have product G by pigeonhole, so they are counted, as
+    extremal where the bound is |G|, but not scored: for cd those with |A| +
+    |B| > |G| (A meets every g * B^-1), and for eh in odd order those with
+    |A| + |B| >= |G| + 2, where A meets g * B^-1 in two x or more, and x * y
+    = g with x = y for at most one, since squaring is a bijection in odd
+    order.  The pairs left go through the kernel in batches
     cut where its padded (K, |A|, |B|) index arrays, two int64 arrays alive
     at a time, would pass the byte budget.
     """
     a_sizes, a_pad, b_sizes, b_pad = batch
-    pairs, extremal, found = len(a_sizes), 0, []
-    if scan.theorem == "cd":
-        full = a_sizes + b_sizes > scan.g.order
+    n = scan.g.order
+    extremal, found = 0, []
+    least = n + 1 if scan.theorem == "cd" else n + 2 if n % 2 else None
+    if least is not None:
+        full = a_sizes + b_sizes >= least
         if full.any():
-            extremal = int(np.count_nonzero(
-                scan.bounds[a_sizes[full], b_sizes[full]] == scan.g.order))
+            extremal = int(np.count_nonzero(scan.bounds[a_sizes[full], b_sizes[full]] == n))
             kept = ~full
             a_sizes, b_sizes = a_sizes[kept], b_sizes[kept]
             a_pad = a_pad[kept, :a_sizes.max(initial=1)]
@@ -752,7 +847,7 @@ def _sampled_batch(scan: _Scan, batch):
                           *_row_masks(b_pad[lo + r:lo + r + 1])))
         extremal += tight
         found.extend(hits)
-    return pairs, extremal, found
+    return extremal, found
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +881,11 @@ def find_extremal(
         if (sets := math.comb(n, size)) > 1 << EXHAUSTIVE_HARD_CEILING:
             raise ValueError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
                              f"the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
-    scan = _Scan(g, "cd", size_a, size_b, collect=np.equal)
-    b_masks = _masks_by_size(n, size_b, size_b)
+    scan = _Scan(g, "cd", size_a, size_b, collect=np.equal, limit=limit)
+    a_masks, b_masks = _masks_by_size(n, size_a, size_a), _masks_by_size(n, size_b, size_b)
     found = []
-    for _, _, pairs in _grid_scan(scan, _masks_by_size(n, size_a, size_a), b_masks,
-                                  *_elements(b_masks, n), workers=1):
+    for _, pairs in _grid_scan(scan, a_masks, np.ones(len(a_masks), dtype=np.int64),
+                               b_masks, *_elements(b_masks, n), workers=1):
         found.extend(pairs)
         if limit is not None and len(found) >= limit:
             break

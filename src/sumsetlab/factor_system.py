@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupBuildError, SubsetMask, iter_bits, table_group,
-                     validate_group)
+from .groups import FiniteGroup, SubsetMask, iter_bits
 from .rng import SplitMix64
 from .structure import QuotientGroup, Subgroup, quotient, subgroup_as_group
-
-_ISOMORPHISM_CHUNK = 512    # rows of G per vectorised step of verify_isomorphism
-
 
 def _normalize_policy(rep_policy: str) -> tuple:
     """Parses 'lowest_index', 'seeded_random:SEED' or 'explicit:R0,R1,...'
@@ -125,79 +121,14 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
                         pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 
 
-def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Multiply two (kernel element, block) pairs through the stored tables."""
-    k1, h1 = x
-    k2, h2 = y
-    nb = fs.num_blocks
-    if not (0 <= h1 < nb and 0 <= h2 < nb):
-        raise ValueError("block index out of range")
-    if fs.pair_block[k2] != 0:
-        raise ValueError(f"element {k2} is not in the kernel")
-    ke = fs.kernel.element_list
-    twisted = ke[fs.conj[h1, fs.pair_pos[k2]]]
-    carried = ke[fs.carry[h1, h2]]
-    g = fs.parent
-    k_out = int(g.op[g.op[k1, twisted], carried])
-    return k_out, int(fs.quot.table.op[h1, h2])
-
-
 def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
     """Flat indices (kernel position * num_blocks + block) of the products
     (k1, h1) * (k2, h2), for kernel positions and blocks given as arrays
-    that broadcast together; the vectorised ``star``, on the kernel's own
-    table (its positions are those of ``conj`` and ``carry``)."""
+    that broadcast together, on the kernel's own table (its positions are
+    those of ``conj`` and ``carry``)."""
     kop = subgroup_as_group(fs.kernel).op
     k_out = kop[kop[pos1, fs.conj[blk1, pos2]], fs.carry[blk1, blk2]]
     return k_out * fs.num_blocks + fs.quot.table.op[blk1, blk2]
-
-
-def verify_isomorphism(fs: FactorSystem) -> tuple[bool, tuple[int, int] | None]:
-    """Check that the pairing is an isomorphism onto the pair group.
-
-    Verifies the pairing is a bijection satisfying g = k * rep(h), then that
-    pair(g1 g2) = pair(g1) * pair(g2) for every ordered pair, returning the
-    first failing pair in lexicographic order if any.
-    """
-    g = fs.parent
-    n = g.order
-    pos = fs.pair_pos
-    blk = fs.pair_block
-    flat = pos * fs.num_blocks + blk
-    if len(np.unique(flat)) != n:
-        return False, (0, 0)
-    ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
-    rebuilt = g.op[ke[pos], np.fromiter(fs.reps, dtype=np.int64)[blk]]
-    if not (rebuilt == np.arange(n)).all():
-        bad = int(np.nonzero(rebuilt != np.arange(n))[0][0])
-        return False, (bad, bad)
-
-    for lo in range(0, n, _ISOMORPHISM_CHUNK):
-        hi = min(lo + _ISOMORPHISM_CHUNK, n)
-        expected = pair_products(fs, pos[lo:hi, None], blk[lo:hi, None], pos, blk)
-        ok = flat[g.op[lo:hi, :]] == expected
-        if not ok.all():
-            g1, g2 = np.argwhere(~ok)[0]
-            return False, (int(g1) + lo, int(g2))
-    return True, None
-
-
-def extension_from_factor_system(fs: FactorSystem) -> FiniteGroup:
-    """Build the pair group on flat indices kernel_position * num_blocks + block.
-
-    The result validates as a group (a build error otherwise, which can only
-    happen for hand-built factor systems) and is isomorphic to ``fs.parent``
-    through the pairing.
-    """
-    g = fs.parent
-    nb = fs.num_blocks
-    pos, blk = np.divmod(np.arange(fs.kernel.order * nb), nb)
-    table = pair_products(fs, pos[:, None], blk[:, None], pos, blk)
-    ext = table_group(table, f"pairs({g.label})", int(fs.pair_pos[g.identity]) * nb)
-    problems = validate_group(ext)
-    if problems:
-        raise GroupBuildError(f"factor system does not define a group: {problems[0]}")
-    return ext
 
 
 @dataclass(frozen=True)

@@ -432,28 +432,6 @@ def _find_identity(op: np.ndarray) -> int | None:
     return int(cand[ok][0]) if ok.any() else None
 
 
-def as_candidate_group(table, label: str = "candidate") -> FiniteGroup:
-    """Wrap an arbitrary square table for validation, without checking it.
-
-    Picks the two-sided identity if one exists (else 0) and a best-effort
-    inverse table, so ``validate_group`` can report violations as data.
-    """
-    op = np.asarray(table, dtype=np.int32)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("candidate table must be square")
-    n = len(op)
-    if n == 0:
-        raise ValueError("candidate table must be nonempty")
-    identity = _find_identity(op)
-    e = 0 if identity is None else identity
-    inv = np.arange(n, dtype=np.int32)
-    for a in range(n):
-        hits = np.nonzero((op[a] == e) & (op[:, a] == e))[0]
-        if len(hits):
-            inv[a] = hits[0]
-    return FiniteGroup(order=n, op=op, identity=e, inv=inv, label=label)
-
-
 # ---------------------------------------------------------------------------
 # validation
 

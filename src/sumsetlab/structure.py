@@ -12,7 +12,9 @@ Eick & O'Brien, *Handbook of Computational Group Theory*, 2005).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Iterable
 
 import numpy as np
@@ -265,6 +267,60 @@ def solvable_chain(g: FiniteGroup) -> SolvableChain:
 
 
 # ---------------------------------------------------------------------------
+# automorphisms
+
+
+def _element_orders(g: FiniteGroup) -> np.ndarray:
+    """The order of every element: the least divisor d of n with x^d = e
+    (Lagrange), each power by repeated squaring over the whole table."""
+    orders = np.zeros(g.order, dtype=np.intp)
+    for d in (d for d in range(g.order, 0, -1) if g.order % d == 0):
+        power, base, m = np.full(g.order, g.identity), np.arange(g.order), d
+        while m:
+            power = g.op[power, base] if m & 1 else power
+            base, m = g.op[base, base], m >> 1
+        orders[power == g.identity] = d
+    return orders
+
+
+def automorphisms(g: FiniteGroup, limit: int | None = None) -> np.ndarray | None:
+    """Every automorphism of g as a row sigma (sigma[x] is the image of x),
+    or None when there are more than ``limit`` candidates.
+
+    The candidates map the lowest-first generators to elements of the same
+    orders.  For a chunk of them at once, sigma(x s) = sigma(x) sigma(s)
+    fills sigma breadth first from the identity, one numpy step per layer,
+    and the rows kept are the bijections for which it holds at every x and
+    generator s.  By induction on the length of a word w in the generators,
+    such a row has sigma(x w) = sigma(x) sigma(w), and every element is a
+    word, so the rows kept are exactly the automorphisms.
+    """
+    n = g.order
+    gens = np.fromiter(lowest_first_generators(g), dtype=np.intp)
+    orders = _element_orders(g)
+    pools = [np.flatnonzero(orders == orders[s]) for s in gens]
+    if limit is not None and math.prod(map(len, pools)) > limit:
+        return None
+    candidates, kept = product(*pools), []
+    step = max(1, (1 << 20) // (n * max(1, len(gens))))   # rows of (c, n, k) work
+    while chunk := list(islice(candidates, step)):
+        images = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(gens))
+        sigma = np.empty((len(chunk), n), dtype=g.op.dtype)
+        sigma[:, g.identity] = g.identity
+        seen, frontier = closure(g, ()), np.array([g.identity])
+        while len(frontier):
+            targets = g.op[frontier[:, None], gens]
+            sigma[:, targets] = g.op[sigma[:, frontier, None], images[:, None, :]]
+            frontier = np.unique(targets[~seen[targets]])
+            seen[frontier] = True
+        bijective = (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
+        homomorphic = (sigma[:, g.op[:, gens]]
+                       == g.op[sigma[:, :, None], images[:, None, :]]).all(axis=(1, 2))
+        kept.append(sigma[bijective & homomorphic])
+    return np.concatenate(kept)
+
+
+# ---------------------------------------------------------------------------
 # minimal torsion
 
 
@@ -292,11 +348,7 @@ def choose_decomposition_subgroup(g: FiniteGroup) -> Subgroup:
     if not derived.is_trivial():
         # solvability of a nonabelian group forces derived to be proper
         return derived
-    # x has prime order p iff x != e and x^p = e
-    idx = power = np.arange(g.order)
-    for _ in range(minimal_torsion(g) - 1):
-        power = g.op[power, idx]
-    generator = int(np.flatnonzero((power == g.identity) & (idx != g.identity))[0])
+    generator = int(np.flatnonzero(_element_orders(g) == minimal_torsion(g))[0])
     candidate = generated_subgroup(g, (generator,))
     if candidate.is_whole():
         return trivial_subgroup(g)

@@ -3,13 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group, corpus_groups
+from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.groups import FiniteGroup
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    return corpus_groups()
+    return [corpus_group(spec) for spec in CORPUS_SPECS]
 
 
 @pytest.fixture(scope="session", params=CORPUS_SPECS)

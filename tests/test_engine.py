@@ -13,11 +13,12 @@ from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, size_bound,
                               verify_exhaustive, verify_sampled)
-from sumsetlab.factor_system import build_factor_system, extension_from_factor_system
+from reference import extension_from_factor_system, moved_identity
+from sumsetlab.factor_system import build_factor_system
 from sumsetlab.groups import SubsetMask, build_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.rng import SplitMix64
-from sumsetlab.structure import INFINITY, generated_subgroup
+from sumsetlab.structure import INFINITY, automorphisms, generated_subgroup
 
 
 def mask(width, *elements):
@@ -407,6 +408,44 @@ def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
     assert report.extremal_count == report.pairs_checked == 500
 
 
+@pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:9", "heisenberg:3"])
+def test_sampled_eh_scores_odd_order_pigeonhole_pairs_without_the_kernel(monkeypatch,
+                                                                         spec):
+    # In odd order, |A| + |B| >= |G| + 2 gives A *' B = G, and |G| + 1 does
+    # not always.  Pretending p(G) = |G| makes such pairs extremal where
+    # |A| + |B| >= |G| + 3 and lets others fail.  A small budget cuts every run into blocks, so three
+    # workers use the pool.
+    g = build_group(spec)
+    n = g.order
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    for torsion in (engine.minimal_torsion, lambda group: group.order):
+        monkeypatch.setattr(engine, "minimal_torsion", torsion)
+        for fixed in (None, (1, n), (n // 2 + 1, n // 2 + 1), (n // 2 + 1, n // 2 + 2),
+                      (n - 1, 4), (n, n)):
+            plan = SamplingPlan(seed=23, count=300, fixed_sizes=fixed)
+            want = scalar_sampled_report(g, "eh", plan)
+            one, three = (dumps_stable(verify_sampled(g, "eh", plan, workers=w)
+                                       .to_json_dict()) for w in (1, 3))
+            assert one == three == want
+    # sizes that sum to |G| + 2 or more never reach the kernel
+    monkeypatch.setattr(engine._Scan, "masks", None)
+    for fixed in ((n // 2 + 1, n // 2 + 2), (n, n)):
+        report = verify_sampled(g, "eh", SamplingPlan(seed=3, count=200, fixed_sizes=fixed))
+        assert report.pairs_checked == 200
+        assert report.extremal_count == (200 if sum(fixed) >= n + 3 else 0)
+
+
+def test_sampled_eh_pigeonhole_needs_odd_order(monkeypatch):
+    # In Z/2 x Z/2 every x has x + x = 0, so A = B = G gives A *' B = G less
+    # 0, which misses the pretended bound min(4, 4 + 4 - 3)
+    g = build_group("product:cyclic:2,cyclic:2")
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    plan = SamplingPlan(seed=1, count=50, fixed_sizes=(4, 4))
+    report = verify_sampled(g, "eh", plan)
+    assert dumps_stable(report.to_json_dict()) == scalar_sampled_report(g, "eh", plan)
+    assert [v.product_size for v in report.violations] == [3] * 50
+
+
 def test_exhaustive_workers_do_not_change_the_report():
     z7 = build_group("cyclic:7")
     one = verify_exhaustive(z7, "cd", workers=1)
@@ -435,6 +474,28 @@ def test_find_extremal_singletons_and_limit():
     assert len(find_extremal(z5, 1, 1, limit=7)) == 7
     pairs = find_extremal(z5, 3, 3)
     assert ((0, 1, 2), (0, 1, 2)) in {(a.elements(), b.elements()) for a, b in pairs}
+
+
+@pytest.mark.parametrize("spec, size_a, size_b", [("cyclic:11", 6, 6), ("dihedral:5", 3, 3),
+                                                  ("dihedral:5", 1, 2)])
+def test_find_extremal_limit_takes_the_first_pairs(monkeypatch, spec, size_a, size_b):
+    # every (6, 6) pair of Z/11 is extremal: a batch holds thousands, of
+    # which a limited search turns at most the limit into pairs.  dihedral:5
+    # has no (3, 3) pair at the bound 2, and every (1, 2) pair meets it.
+    g = build_group(spec)
+    every = find_extremal(g, size_a, size_b)
+    score, collected = _Scan.score, []
+
+    def spy(scan, *args, **kwargs):
+        extremal, found = score(scan, *args, **kwargs)
+        collected.append(len(found))
+        return extremal, found
+
+    monkeypatch.setattr(_Scan, "score", spy)
+    for k in (1, 7, 1000):
+        collected.clear()
+        assert find_extremal(g, size_a, size_b, limit=k) == every[:k]
+        assert max(collected) <= k
 
 
 def test_find_extremal_guards():
@@ -557,57 +618,62 @@ def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
         assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
 
 
+def force_automorphisms(monkeypatch):
+    """Fold automorphisms past the cost rule, which declines small scans:
+    pretend that every scan lists 2^62 pairs."""
+    reduce = engine._Scan.reduce
+    monkeypatch.setattr(engine._Scan, "reduce",
+                        lambda scan, a_masks, b_sets: reduce(scan, a_masks, 1 << 62))
+
+
 @pytest.mark.parametrize("spec, theorem", [("product:cyclic:2,cyclic:4", "eh"),
-                                           ("dihedral:4", "eh"), ("dihedral:4", "cd")])
+                                           ("dihedral:4", "eh"), ("dihedral:4", "cd"),
+                                           ("cyclic:7", "cd"), ("cyclic:7", "eh"),
+                                           ("product:cyclic:3,cyclic:3", "cd"),
+                                           ("product:cyclic:3,cyclic:3", "eh")])
 def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch, spec,
                                                                      theorem):
-    # The sibling of the test above for the orbit expansion.  Z/2 x Z/4 is
-    # abelian, so its eh scans list only the sets A that hold element 0 and
-    # expand each witness into (A + g, B + g); dihedral:4 is not, so its eh
-    # scans list every pair, and its cd witnesses expand into (gA, Bh),
-    # which differs from (gA, hB) there.
+    # The sibling of the test above for the orbit expansion.  Each witness
+    # expands into its images (sigma(A), sigma(B)) under the automorphisms
+    # that fix element 0, then into translates.  Z/2 x Z/4, Z/7 and Z/3 x
+    # Z/3 are abelian, so their eh scans list only the sets A that hold 0 and
+    # expand into (A + g, B + g); dihedral:4 is not, so its eh scans fold
+    # automorphisms only, and its cd witnesses expand into (gA, Bh), which
+    # differs from (gA, hB) there.  Z/7 (where p(G) = |G| already) and eh on
+    # Z/3 x Z/3 meet the bound, so their size term is pretended one larger
+    # too, which arithmetic progressions miss; the units of Z/7 are its
+    # automorphisms.  The cost rule is forced on, as it declines these scans.
     g = build_group(spec)
     n = g.order
-    slack = 1 if theorem == "cd" else 3
-    reduced = (spec, theorem) != ("dihedral:4", "eh")
-    assert _Scan(g, theorem, n, n, orbits=True).pivot_a == reduced
+    tighter = spec == "cyclic:7" or (spec, theorem) == ("product:cyclic:3,cyclic:3", "eh")
+    slack = engine._size_slack(theorem) - tighter
+    assert _Scan(g, theorem, n, n, orbits=True).pivot_a == ((spec, theorem)
+                                                            != ("dihedral:4", "eh"))
     monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    monkeypatch.setattr(engine, "_size_slack", lambda theorem: slack)
     monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
-
-    def naive_witnesses(pairs):
-        found = []
-        for a_bits, b_bits in pairs:
-            size = len(naive_product(g, SubsetMask(a_bits, n), SubsetMask(b_bits, n),
-                                     restricted=theorem == "eh"))
-            if size < min(n, a_bits.bit_count() + b_bits.bit_count() - slack):
-                found.append((a_bits, b_bits, size))
-        return found
-
-    every = [(a, b) for a in range(1, 1 << n) for b in range(1, 1 << n)]
-    capped = [(a, b) for a, b in every if a.bit_count() <= 3 and b.bit_count() <= 4]
-    runs = [
-        (lambda w: verify_exhaustive(g, theorem, workers=w), every),
-        (lambda w: verify_exhaustive(g, theorem, Caps(3, 4), workers=w), capped),
-    ]
-    for run, pairs in runs:
-        one, three = run(1), run(3)
-        want = naive_witnesses(pairs)
+    force_automorphisms(monkeypatch)
+    for caps in (None, Caps(3, 4)):
+        one, three = (verify_exhaustive(g, theorem, caps, workers=w) for w in (1, 3))
+        pairs, extremal, want = brute_force_scan(g, theorem, caps, p=n, slack=slack)
         assert want
         assert [(v.a.bits, v.b.bits, v.product_size) for v in one.violations] == want
         assert all(not v.holds and v.bound == min(n, v.a_size + v.b_size - slack)
                    for v in one.violations)
-        assert want == sorted(want)
-        assert one.pairs_checked == len(pairs)
+        assert (one.pairs_checked, one.extremal_count) == (pairs, extremal)
         assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
 
 
-def brute_force_scan(g, theorem, caps=None):
+def brute_force_scan(g, theorem, caps=None, p=None, slack=None):
     """pairs_checked, extremal_count and the violations (a_bits, b_bits,
-    size) of the full scan, in mask order, from g.op with Python sets."""
+    size) of the full scan, in mask order, from g.op with Python sets; ``p``
+    and ``slack`` replace p(G) and the size term's slack when given."""
     n = g.order
     rows = g.op.tolist()
-    p = next((d for d in range(2, n + 1) if n % d == 0), math.inf)
-    slack = 1 if theorem == "cd" else 3
+    if p is None:
+        p = next((d for d in range(2, n + 1) if n % d == 0), math.inf)
+    if slack is None:
+        slack = 1 if theorem == "cd" else 3
     max_a = n if caps is None or caps.max_a_size is None else caps.max_a_size
     max_b = n if caps is None or caps.max_b_size is None else caps.max_b_size
     sum_cap = math.inf if caps is None or caps.sum_cap is None else caps.sum_cap
@@ -630,20 +696,67 @@ def brute_force_scan(g, theorem, caps=None):
     return pairs, extremal, sorted(violations)
 
 
-@pytest.mark.parametrize("theorem", ["cd", "eh"])
-@pytest.mark.parametrize("spec", CORPUS_SPECS)
-def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
-    # oracle for the translation-orbit reduction: the full scan, written out
-    g = corpus_group(spec)
-    if g.order <= 8:
-        scans = [None]
-    else:
-        scans = [Caps(2, 2), Caps(3, 2, sum_cap=4)]
+def assert_scans_match_brute_force(g, theorem):
+    """The exhaustive scan up to order 8, capped scans above it."""
+    scans = [None] if g.order <= 8 else [Caps(2, 2), Caps(3, 2, sum_cap=4)]
     for caps in scans:
         report = verify_exhaustive(g, theorem, caps, exhaustive_limit=8)
         got = (report.pairs_checked, report.extremal_count,
                [(v.a.bits, v.b.bits, v.product_size) for v in report.violations])
         assert got == brute_force_scan(g, theorem, caps)
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
+    # oracle for the orbit reductions: the full scan, written out
+    assert_scans_match_brute_force(corpus_group(spec), theorem)
+
+
+@pytest.mark.parametrize("ranks", ["masks", "colex"])
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_forced_automorphism_reduction_matches_brute_force(monkeypatch, spec, theorem,
+                                                           ranks):
+    # the cost rule declines most scans here; "colex" ranks the sets as
+    # orders above 62 elements do
+    force_automorphisms(monkeypatch)
+    if ranks == "colex":
+        monkeypatch.setattr(engine, "_MASK_BITS", 0)
+    assert_scans_match_brute_force(corpus_group(spec), theorem)
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+@pytest.mark.parametrize("spec", ["cyclic:7", "product:cyclic:3,cyclic:3", "dihedral:4"])
+def test_scans_fold_only_the_automorphisms_that_fix_element_0(monkeypatch, spec, theorem):
+    # With the identity moved off element 0, some automorphisms move 0; the
+    # sets that hold 0 are closed under the others only.
+    g = moved_identity(build_group(spec))
+    assert (automorphisms(g)[:, 0] != 0).any()
+    force_automorphisms(monkeypatch)
+    assert_scans_match_brute_force(g, theorem)
+
+
+@pytest.mark.parametrize("spec, theorem, caps, folded", [
+    ("cyclic:13", "cd", None, 12), ("cyclic:11", "eh", None, 10),
+    ("product:cyclic:3,cyclic:9", "eh", Caps(3, 3), 108),
+    ("heisenberg:3", "cd", Caps(3, 3), 1), ("dihedral:32", "cd", Caps(1, 2), 1),
+    ("product:cyclic:3,cyclic:9", "cd", Caps(3, 3), 1)])
+def test_cost_rule_folds_automorphisms_where_they_pay(monkeypatch, spec, theorem, caps,
+                                                      folded):
+    # heisenberg:3 has 26^3 candidates for 432 automorphisms; dihedral:32
+    # capped at (1, 2) lists 64 pairs; on Z/3 x Z/9, capped cd lists 352 *
+    # 352 pairs, under 16 steps for each of 144 candidates times 352 sets
+    reduce, used = engine._Scan.reduce, []
+
+    def spy(scan, a_masks, b_sets):
+        reps = reduce(scan, a_masks, b_sets)
+        used.append(len(scan.auts))
+        return reps
+
+    monkeypatch.setattr(engine._Scan, "reduce", spy)
+    verify_exhaustive(build_group(spec), theorem, caps, exhaustive_limit=13)
+    assert used == [folded]
 
 
 def vosper_extremal(p, a, b):
@@ -679,6 +792,15 @@ def test_capped_extremal_counts_match_vosper(p):
         assert report.violations == ()
 
 
+def test_full_z17_scan_gives_the_vosper_total():
+    # the units of Z/17 fold its full cd scan into about a second
+    report = verify_exhaustive(build_group("cyclic:17"), "cd", exhaustive_limit=17)
+    assert report.pairs_checked == (2**17 - 1) ** 2
+    assert report.extremal_count == sum(vosper_extremal(17, a, b) for a in range(1, 18)
+                                        for b in range(1, 18)) == 7430025577
+    assert report.violations == ()
+
+
 def kappa(n, r, s):
     """min over d | n of (ceil(r / d) + ceil(s / d) - 1) * d."""
     return min((-(-r // d) - (-s // d) - 1) * d for d in range(1, n + 1) if n % d == 0)
@@ -692,8 +814,8 @@ def test_extremal_pairs_exist_exactly_where_kappa_meets_the_bound(spec):
     # (Eliahou, Kervaire and Plagne 2003) and dihedral ones (Eliahou and
     # Kervaire 2006); the bound min(p, r + s - 1) never exceeds it, so a pair
     # meets the bound exactly when kappa_n equals it.  Cells of at most 3 * 10^4
-    # pairs: find_extremal lists a whole batch of extremal pairs before
-    # ``limit`` applies, which makes the larger tight cells cost seconds.
+    # pairs: a cell with no extremal pair is searched in full, and with the
+    # cells up to 3 * 10^5 the sweep takes seconds.
     g = build_group(spec)
     n = g.order
     for r in range(1, n + 1):

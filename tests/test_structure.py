@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumsetlab.structure as structure
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group, normal_subgroup_inventory
+from reference import moved_identity, normal_subgroup_inventory
+from sumsetlab.corpus import CORPUS_SPECS, corpus_group
 from sumsetlab.groups import (SubsetMask, build_group, closure, element_order,
                               table_group, validate_group)
-from sumsetlab.structure import (INFINITY, _members, choose_decomposition_subgroup,
+from sumsetlab.structure import (INFINITY, _members, automorphisms,
+                                 choose_decomposition_subgroup,
                                  commutator_subgroup, derived_series,
                                  generated_subgroup, is_normal, is_solvable,
                                  minimal_torsion, quotient,
@@ -491,3 +495,46 @@ def test_abelian_kernel_choice_matches_the_element_order_scan(spec):
         return
     assert choose_decomposition_subgroup(g).element_list == \
         _element_order_kernel(g).element_list
+
+
+# every group of order at most 8, up to isomorphism
+SMALL_GROUP_SPECS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
+                     "product:cyclic:2,cyclic:2", "cyclic:5", "cyclic:6", "dihedral:3",
+                     "cyclic:7", "cyclic:8", "product:cyclic:2,cyclic:4",
+                     "product:cyclic:2,cyclic:2,cyclic:2", "dihedral:4", "quaternion")
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("spec", SMALL_GROUP_SPECS)
+def test_automorphisms_match_a_search_over_every_permutation(spec, moved):
+    g = build_group(spec)
+    g = moved_identity(g) if moved else g
+    perms = np.array(list(permutations(range(g.order))))
+    homomorphic = (perms[:, g.op] == g.op[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+    want = sorted(map(tuple, perms[homomorphic].tolist()))
+    assert sorted(map(tuple, automorphisms(g).tolist())) == want
+
+
+AUTOMORPHISM_COUNTS = {"quaternion": 24, "dihedral:5": 20, "frobenius:7:3:2": 42,
+                       "product:cyclic:3,cyclic:3": 48, "product:cyclic:3,cyclic:9": 108,
+                       "heisenberg:3": 432}
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_automorphism_counts_on_the_corpus(spec):
+    g = corpus_group(spec)
+    n = g.order
+    # Aut(Z/n) is the unit group, of phi(n) elements
+    want = AUTOMORPHISM_COUNTS.get(spec) or sum(math.gcd(k, n) == 1 for k in range(n))
+    auts = automorphisms(g)
+    assert len(auts) == want
+    assert len({tuple(row) for row in auts.tolist()}) == want
+    assert (auts[:, g.identity] == g.identity).all()
+
+
+def test_automorphism_search_declines_past_its_candidate_limit():
+    # heisenberg:3 has 3 lowest-first generators of order 3 and 26 elements
+    # of order 3, so 26^3 candidates
+    g = corpus_group("heisenberg:3")
+    assert automorphisms(g, limit=26**3 - 1) is None
+    assert len(automorphisms(g, limit=26**3)) == 432
