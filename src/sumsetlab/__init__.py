@@ -19,9 +19,8 @@ from .replay import (ProofTrace, ReplayInvariantError,
                      ReplayPreconditionError, replay_solvable_proof)
 from .rng import SplitMix64
 from .structure import (INFINITY, QuotientGroup, SolvableChain, Subgroup,
-                        automorphisms, choose_decomposition_subgroup,
-                        commutator_subgroup, derived_series,
-                        generated_subgroup, is_normal,
+                        choose_decomposition_subgroup, commutator_subgroup,
+                        derived_series, generated_subgroup, is_normal,
                         is_solvable, minimal_torsion, quotient,
                         smallest_prime_factor, solvable_chain,
                         subgroup_as_group, trivial_subgroup, whole_subgroup)

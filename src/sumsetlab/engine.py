@@ -26,18 +26,18 @@ need not commute.  Exhaustive and capped scans score one pair per orbit.
 element 0, and on abelian groups (x + g = y + g exactly when x = y) an eh
 scan lists only the sets A that hold 0.  An automorphism sigma keeps sizes
 and x != y, and sigma(A) * sigma(B) = sigma(A * B), so of those sets A only
-the least mask in each orbit of the automorphisms that fix 0 is listed,
-where the cost rule of ``_Scan.reduce`` allows.  Sampled scans and the
-extremal search list every pair.  Counts are weighted back exactly and each
-violation is expanded into its orbit, so reports are those of the full
-scan.  Pairs are visited in ascending mask order (A outer, B inner); sampled
-pairs are drawn in sequence from a SplitMix64 stream, computed in numpy
-blocks that hold the words the scalar draws would take.  A sampled pair
-whose product is G by pigeonhole is counted without the kernel (see
-``_sampled_batch``).  Batches are cut by a fixed memory budget, never by the
-worker count, and merged in order; several batches run on a thread pool, a
-single one on the calling thread.  So reports are identical for any worker
-count.
+the least mask in each orbit of the automorphisms that fix 0 is listed, at
+orders up to 62 where the cost rule of ``_Scan.reduce`` allows.  Sampled
+scans and the extremal search list every pair.  Counts are weighted back
+exactly and each violation is expanded into its orbit, so reports are those
+of the full scan.  Pairs are visited in ascending mask order (A outer, B
+inner); sampled pairs are drawn in sequence from a SplitMix64 stream,
+computed in numpy blocks that hold the words the scalar draws would take.
+A sampled cd pair with |A| + |B| > |G| has A * B = G by pigeonhole and is
+counted without the kernel.  Batches are cut by a fixed memory budget,
+never by the worker count, and merged in order; several batches run on a
+thread pool, a single one on the calling thread.  So reports are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -391,30 +391,25 @@ class _Scan:
                           for r, c in islice(zip(*np.nonzero(hits)), self.limit)]
 
     def reduce(self, a_masks: Sequence[int], b_sets: int) -> tuple[Sequence[int], np.ndarray]:
-        """The sets of ``a_masks`` (ascending) that are least in their orbit
-        under ``auts``, and their orbit sizes: |auts| over the sigma that fix
-        the set.  ``auts`` becomes the automorphisms that fix element 0 (and
-        so the sets that hold it) when the search, candidates * n, and the
-        orbit pass, at most candidates * |A side|, each cost at most the
-        listed pairs, a step counting ``_ORBIT_COST`` pairs; else it stays
-        the identity row alone."""
+        """The sets of ``a_masks`` (ascending) least in their orbit under
+        ``auts``, and their orbit sizes: |auts| over the sigma that fix the
+        set.  ``auts`` is the automorphisms that fix element 0 when masks fit
+        an int64 (n <= 62) and the search, candidates * n, and the orbit
+        pass, at most candidates * |A side|, each cost at most the listed
+        pairs, a step counting ``_ORBIT_COST`` pairs; else the identity row."""
         n = self.g.order
         limit = len(a_masks) * b_sets // (_ORBIT_COST * max(n, len(a_masks)))
-        auts = automorphisms(self.g, limit) if limit > 1 else None   # 1: the identity
+        auts = automorphisms(self.g, limit) if limit > 1 and n <= 62 else None
         self.auts = np.arange(n)[None] if auts is None else auts[auts[:, 0] == 0]
         if len(self.auts) == 1:
             return a_masks, np.ones(len(a_masks), dtype=np.int64)
-        if n > _MASK_BITS:
-            keys, images, per_aut = _colex_ranks(a_masks, n)
-        else:
-            keys = (np.arange(a_masks.start, a_masks.stop, a_masks.step)
-                    if isinstance(a_masks, range) else np.array(a_masks, dtype=np.int64))
-            images, per_aut = partial(_mask_images, masks=keys), 3 * keys.nbytes
+        keys = (np.arange(a_masks.start, a_masks.stop, a_masks.step)
+                if isinstance(a_masks, range) else np.array(a_masks, dtype=np.int64))
         least = np.ones(len(keys), dtype=bool)
         fixed = np.zeros(len(keys), dtype=np.int64)
-        step = max(1, _BATCH_BYTES // per_aut)
+        step = max(1, _BATCH_BYTES // (3 * keys.nbytes))
         for lo in range(0, len(self.auts), step):
-            image = images(self.auts[lo:lo + step])
+            image = _mask_images(self.auts[lo:lo + step], keys)
             least &= (image >= keys).all(axis=0)
             fixed += (image == keys).sum(axis=0)
         return list(compress(a_masks, least.tolist())), len(self.auts) // fixed[least]
@@ -480,13 +475,12 @@ def _row_masks(rows: np.ndarray) -> list[int]:
     return [sum(1 << x for x in set(row)) for row in rows.tolist()]
 
 
-_MASK_BITS = 62   # the most elements an int64 mask holds; beyond, colex ranks
 _BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1   # [i, v]: bit i of v
 
 
 def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """[s, r]: the mask of sigma_s(A_r), for the int64 masks of sets A_r of
-    at most ``_MASK_BITS`` elements: one table lookup per byte of the mask."""
+    at most 62 elements: one table lookup per byte of the mask."""
     count, n = auts.shape
     moved = np.zeros((count, -(-n // 8) * 8), dtype=np.int64)
     moved[:, :n] = np.left_shift(1, auts, dtype=np.int64)
@@ -497,27 +491,6 @@ def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
     for j in range(1, tables.shape[1]):
         images |= tables[:, j].take((masks >> 8 * j) & 255, axis=1)
     return images
-
-
-def _colex_ranks(masks: Sequence[int], n: int) -> tuple[np.ndarray, Callable, int]:
-    """Each set's colex rank, which orders the sets of one size as their
-    masks do: sum C(c_i, i) over its elements c_1 < ... < c_k.  Also the
-    function giving [s, r], the rank of sigma_s(A_r), and its bytes per
-    sigma.  Every C(c, i) used is at most C(n, k) <= 2^20 (k is a listed
-    size), so float products round to it exactly."""
-    sizes, pad = _elements(masks, n)
-    column = np.arange(pad.shape[1])
-    # lists end in the sentinel n, which sigma keeps last and ranks as 0
-    pad = np.where(column < sizes[:, None], pad, n)
-    x = np.arange(n + 1)[:, None]
-    binom = np.rint(np.cumprod((x - column) / (column + 1), axis=1)).astype(np.int64)
-    binom[n] = 0
-
-    def images(auts):
-        moved = np.concatenate([auts, np.full((len(auts), 1), n, auts.dtype)], axis=1)
-        return binom[np.sort(moved[:, pad], axis=2), column].sum(axis=2)
-
-    return binom[pad, column].sum(axis=1), images, 24 * pad.size
 
 
 def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
@@ -562,12 +535,12 @@ def verify_exhaustive(
 
     The scan lists one pair per orbit (see the module docstring): of the
     sets A that hold element 0 (every set for non-abelian eh), the least in
-    each orbit of the automorphisms that fix 0, if finding them and the
-    orbit pass each cost at most the pairs listed, a step counting as
-    ``_ORBIT_COST`` pairs (``_Scan.reduce``); B runs over the sets that hold
-    0 for cd, every set for eh.  The report is that
-    of the full scan: counts are weighted back exactly and violations
-    expanded into their orbits.  This holds on groups only; every group that
+    each orbit of the automorphisms that fix 0, if the order is at most 62
+    and finding them and the orbit pass each cost at most the pairs listed,
+    a step counting as ``_ORBIT_COST`` pairs (``_Scan.reduce``); B runs over
+    the sets that hold 0 for cd, every set for eh.  The report is that of
+    the full scan: counts are weighted back exactly and violations expanded
+    into their orbits.  This holds on groups only; every group that
     reaches the engine is validated or built from a factor system.
     """
     theorem = _check_theorem(theorem)
@@ -816,23 +789,19 @@ def _shuffled(offsets: np.ndarray, n: int) -> np.ndarray:
 def _sampled_batch(scan: _Scan, batch):
     """Score one block of drawn pairs.
 
-    Some pairs have product G by pigeonhole, so they are counted, as
-    extremal where the bound is |G|, but not scored: for cd those with |A| +
-    |B| > |G| (A meets every g * B^-1), and for eh in odd order those with
-    |A| + |B| >= |G| + 2, where A meets g * B^-1 in two x or more, and x * y
-    = g with x = y for at most one, since squaring is a bijection in odd
-    order.  The pairs left go through the kernel in batches
+    For cd, a pair with |A| + |B| > |G| has A * B = G by pigeonhole (A
+    meets every g * B^-1), so it is counted, as extremal where the bound is
+    |G|, but not scored.  The pairs left go through the kernel in batches
     cut where its padded (K, |A|, |B|) index arrays, two int64 arrays alive
     at a time, would pass the byte budget.
     """
     a_sizes, a_pad, b_sizes, b_pad = batch
-    n = scan.g.order
     extremal, found = 0, []
-    least = n + 1 if scan.theorem == "cd" else n + 2 if n % 2 else None
-    if least is not None:
-        full = a_sizes + b_sizes >= least
+    if scan.theorem == "cd":
+        full = a_sizes + b_sizes > scan.g.order
         if full.any():
-            extremal = int(np.count_nonzero(scan.bounds[a_sizes[full], b_sizes[full]] == n))
+            extremal = int(np.count_nonzero(
+                scan.bounds[a_sizes[full], b_sizes[full]] == scan.g.order))
             kept = ~full
             a_sizes, b_sizes = a_sizes[kept], b_sizes[kept]
             a_pad = a_pad[kept, :a_sizes.max(initial=1)]

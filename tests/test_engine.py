@@ -1,6 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -408,44 +408,6 @@ def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
     assert report.extremal_count == report.pairs_checked == 500
 
 
-@pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:9", "heisenberg:3"])
-def test_sampled_eh_scores_odd_order_pigeonhole_pairs_without_the_kernel(monkeypatch,
-                                                                         spec):
-    # In odd order, |A| + |B| >= |G| + 2 gives A *' B = G, and |G| + 1 does
-    # not always.  Pretending p(G) = |G| makes such pairs extremal where
-    # |A| + |B| >= |G| + 3 and lets others fail.  A small budget cuts every run into blocks, so three
-    # workers use the pool.
-    g = build_group(spec)
-    n = g.order
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
-    for torsion in (engine.minimal_torsion, lambda group: group.order):
-        monkeypatch.setattr(engine, "minimal_torsion", torsion)
-        for fixed in (None, (1, n), (n // 2 + 1, n // 2 + 1), (n // 2 + 1, n // 2 + 2),
-                      (n - 1, 4), (n, n)):
-            plan = SamplingPlan(seed=23, count=300, fixed_sizes=fixed)
-            want = scalar_sampled_report(g, "eh", plan)
-            one, three = (dumps_stable(verify_sampled(g, "eh", plan, workers=w)
-                                       .to_json_dict()) for w in (1, 3))
-            assert one == three == want
-    # sizes that sum to |G| + 2 or more never reach the kernel
-    monkeypatch.setattr(engine._Scan, "masks", None)
-    for fixed in ((n // 2 + 1, n // 2 + 2), (n, n)):
-        report = verify_sampled(g, "eh", SamplingPlan(seed=3, count=200, fixed_sizes=fixed))
-        assert report.pairs_checked == 200
-        assert report.extremal_count == (200 if sum(fixed) >= n + 3 else 0)
-
-
-def test_sampled_eh_pigeonhole_needs_odd_order(monkeypatch):
-    # In Z/2 x Z/2 every x has x + x = 0, so A = B = G gives A *' B = G less
-    # 0, which misses the pretended bound min(4, 4 + 4 - 3)
-    g = build_group("product:cyclic:2,cyclic:2")
-    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
-    plan = SamplingPlan(seed=1, count=50, fixed_sizes=(4, 4))
-    report = verify_sampled(g, "eh", plan)
-    assert dumps_stable(report.to_json_dict()) == scalar_sampled_report(g, "eh", plan)
-    assert [v.product_size for v in report.violations] == [3] * 50
-
-
 def test_exhaustive_workers_do_not_change_the_report():
     z7 = build_group("cyclic:7")
     one = verify_exhaustive(z7, "cd", workers=1)
@@ -642,7 +604,8 @@ def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch,
     # differs from (gA, hB) there.  Z/7 (where p(G) = |G| already) and eh on
     # Z/3 x Z/3 meet the bound, so their size term is pretended one larger
     # too, which arithmetic progressions miss; the units of Z/7 are its
-    # automorphisms.  The cost rule is forced on, as it declines these scans.
+    # automorphisms.  The cost rule declines most of these scans, so each
+    # runs both as the engine takes it and with the rule forced on.
     g = build_group(spec)
     n = g.order
     tighter = spec == "cyclic:7" or (spec, theorem) == ("product:cyclic:3,cyclic:3", "eh")
@@ -652,8 +615,9 @@ def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch,
     monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
     monkeypatch.setattr(engine, "_size_slack", lambda theorem: slack)
     monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
-    force_automorphisms(monkeypatch)
-    for caps in (None, Caps(3, 4)):
+    for forced, caps in product((False, True), (None, Caps(3, 4))):
+        if forced:
+            force_automorphisms(monkeypatch)
         one, three = (verify_exhaustive(g, theorem, caps, workers=w) for w in (1, 3))
         pairs, extremal, want = brute_force_scan(g, theorem, caps, p=n, slack=slack)
         assert want
@@ -713,16 +677,11 @@ def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
     assert_scans_match_brute_force(corpus_group(spec), theorem)
 
 
-@pytest.mark.parametrize("ranks", ["masks", "colex"])
 @pytest.mark.parametrize("theorem", ["cd", "eh"])
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
-def test_forced_automorphism_reduction_matches_brute_force(monkeypatch, spec, theorem,
-                                                           ranks):
-    # the cost rule declines most scans here; "colex" ranks the sets as
-    # orders above 62 elements do
+def test_forced_automorphism_reduction_matches_brute_force(monkeypatch, spec, theorem):
+    # the cost rule declines most scans here
     force_automorphisms(monkeypatch)
-    if ranks == "colex":
-        monkeypatch.setattr(engine, "_MASK_BITS", 0)
     assert_scans_match_brute_force(corpus_group(spec), theorem)
 
 
@@ -741,12 +700,13 @@ def test_scans_fold_only_the_automorphisms_that_fix_element_0(monkeypatch, spec,
     ("cyclic:13", "cd", None, 12), ("cyclic:11", "eh", None, 10),
     ("product:cyclic:3,cyclic:9", "eh", Caps(3, 3), 108),
     ("heisenberg:3", "cd", Caps(3, 3), 1), ("dihedral:32", "cd", Caps(1, 2), 1),
-    ("product:cyclic:3,cyclic:9", "cd", Caps(3, 3), 1)])
+    ("product:cyclic:3,cyclic:9", "cd", Caps(3, 3), 1), ("cyclic:67", "cd", Caps(3, 3), 1)])
 def test_cost_rule_folds_automorphisms_where_they_pay(monkeypatch, spec, theorem, caps,
                                                       folded):
     # heisenberg:3 has 26^3 candidates for 432 automorphisms; dihedral:32
     # capped at (1, 2) lists 64 pairs; on Z/3 x Z/9, capped cd lists 352 *
-    # 352 pairs, under 16 steps for each of 144 candidates times 352 sets
+    # 352 pairs, under 16 steps for each of 144 candidates times 352 sets;
+    # Z/67 would pay for its 66 candidates, but its masks pass an int64
     reduce, used = engine._Scan.reduce, []
 
     def spy(scan, a_masks, b_sets):
