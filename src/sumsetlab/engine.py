@@ -33,11 +33,12 @@ exactly and each violation is expanded into its orbit, so reports are those
 of the full scan.  Pairs are visited in ascending mask order (A outer, B
 inner); sampled pairs are drawn in sequence from a SplitMix64 stream,
 computed in numpy blocks that hold the words the scalar draws would take.
-A sampled cd pair with |A| + |B| > |G| has A * B = G by pigeonhole and is
-counted without the kernel.  Batches are cut by a fixed memory budget,
-never by the worker count, and merged in order; several batches run on a
-thread pool, a single one on the calling thread.  So reports are identical
-for any worker count.
+A sampled pair that its sizes settle is counted without the kernel: a product
+has at least max(|A|, |B|) elements, one less when restricted, and a cd pair
+with |A| + |B| > |G| has A * B = G (``_Scan.settle``).  Batches are cut by a
+fixed memory budget, never by the worker count, and merged in order; several
+batches run on a thread pool, a single one on the calling thread.  So
+reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _padded(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # members keep their index, the others sort last as n
     pad = np.where(member.view(bool), np.arange(n), n)
     pad.sort(axis=1)
-    pad = pad[:, :sizes.max()]
+    pad = pad[:, :sizes.max(initial=1)]
     return sizes, np.where(pad < n, pad, pad[:, :1])
 
 
@@ -389,6 +390,19 @@ class _Scan:
             return extremal, []
         return extremal, [(*masks_of(int(r), int(c)), int(sizes[r, c]), int(bounds[r, c]))
                           for r, c in islice(zip(*np.nonzero(hits)), self.limit)]
+
+    def settle(self, a_sizes, b_sizes):
+        """Which pairs of these sizes are decided by the sizes alone, and how
+        many of those meet the bound.  A * y is a translate of A, so |A * B|
+        >= max(|A|, |B|), one less for eh (x * y skips only x = y): a pair
+        whose bound is below that is neither extremal nor a violation.  A cd
+        pair with |A| + |B| > |G| has A * B = G by pigeonhole (A meets every
+        g * B^-1), so it is extremal where the bound is |G|."""
+        n = self.g.order
+        bounds = self.bounds[a_sizes, b_sizes]
+        full = (a_sizes + b_sizes > n) & (self.theorem == "cd")
+        least = np.maximum(a_sizes, b_sizes) - (self.theorem == "eh")
+        return full | (least > bounds), int(np.count_nonzero(full & (bounds == n)))
 
     def reduce(self, a_masks: Sequence[int], b_sets: int) -> tuple[Sequence[int], np.ndarray]:
         """The sets of ``a_masks`` (ascending) least in their orbit under
@@ -698,20 +712,26 @@ def verify_sampled(
         if not (1 <= sa <= n and 1 <= sb <= n):
             raise ValueError(f"fixed sizes must be in 1..{n}")
     scan = _Scan(g, theorem, n, n)
-    batches = _sampled_batches(SplitMix64(plan.seed), plan, n)
-    return scan.report(plan.to_json_dict(),
-                       _run_chunks(partial(_sampled_batch, scan), batches, workers), start,
-                       plan.count)
+    # every pair of a fixed-size plan has the same sizes: if they settle it,
+    # nothing is drawn
+    settled, extremal = scan.settle(*plan.fixed_sizes) if plan.fixed_sizes else (False, 0)
+    results = ([(extremal * plan.count, [])] if settled else
+               _run_chunks(partial(_sampled_batch, scan),
+                           _sampled_batches(scan, SplitMix64(plan.seed), plan), workers))
+    return scan.report(plan.to_json_dict(), results, start, plan.count)
 
 
-def _sampled_batches(rng: SplitMix64, plan: SamplingPlan, n: int):
-    """The plan's pairs in draw order, as (a_sizes, a_pad, b_sizes, b_pad),
-    in blocks whose largest draw array fits the byte budget.  That array is
-    ``_padded``'s int64 sort key for uniform masks (n words a set); for
-    fixed sizes, the drawn words (|A| + |B| a pair) or the shuffle's slots
-    (n a set)."""
+def _sampled_batches(scan: _Scan, rng: SplitMix64, plan: SamplingPlan):
+    """The plan's pairs in draw order, as (extremal, a_sizes, a_pad,
+    b_sizes, b_pad): the extremal count of the pairs that ``scan.settle``
+    decides, and the elements of the others.  Blocks are cut so that the
+    largest draw array fits the byte budget even if no pair is settled: for
+    uniform masks ``_padded``'s int64 sort key, 8n bytes a set; for fixed
+    sizes the drawn words, 8 (|A| + |B|) bytes a pair, or the shuffle's
+    slots, n a set."""
+    n = scan.g.order
     if plan.fixed_sizes is None:
-        per_pair, draw = 8 * n, _uniform_pairs
+        per_pair, draw = 8 * n, partial(_uniform_pairs, scan)
     else:
         per_pair = max(8 * sum(plan.fixed_sizes), n * _slot_type(n).itemsize)
         draw = partial(_fixed_pairs, sizes=plan.fixed_sizes)
@@ -720,10 +740,12 @@ def _sampled_batches(rng: SplitMix64, plan: SamplingPlan, n: int):
         yield from draw(rng, n, min(block, plan.count - lo))
 
 
-def _uniform_pairs(rng: SplitMix64, n: int, count: int):
+def _uniform_pairs(scan: _Scan, rng: SplitMix64, n: int, count: int):
     """``count`` pairs of uniform nonempty masks, as ``nonempty_mask`` draws
     them: ceil(n / 64) little-endian words per attempt, truncated to n bits,
-    zero attempts dropped; accepted masks alternate A, B."""
+    zero attempts dropped; accepted masks alternate A, B.  The sizes are
+    counted on the words, and only the pairs they leave unsettled are
+    unpacked."""
     width = -(-n // 64)
     top = np.uint64((1 << (n - 64 * (width - 1))) - 1)
     drawn, need = [], 2 * count
@@ -733,9 +755,12 @@ def _uniform_pairs(rng: SplitMix64, n: int, count: int):
         attempts = attempts[attempts.any(axis=1)]
         drawn.append(attempts)
         need -= len(attempts)
-    masks = np.concatenate(drawn).astype("<u8", copy=False).view(np.uint8)
+    masks = np.concatenate(drawn)
+    sizes = np.bitwise_count(masks).sum(axis=1, dtype=np.intp)
+    settled, extremal = scan.settle(sizes[0::2], sizes[1::2])
+    masks = masks[np.repeat(~settled, 2)].astype("<u8", copy=False).view(np.uint8)
     member = np.unpackbits(masks, axis=1, count=n, bitorder="little")
-    yield *_padded(member[0::2]), *_padded(member[1::2])
+    yield extremal, *_padded(member[0::2]), *_padded(member[1::2])
 
 
 def _fixed_pairs(rng: SplitMix64, n: int, count: int, sizes: tuple[int, int]):
@@ -757,12 +782,12 @@ def _fixed_pairs(rng: SplitMix64, n: int, count: int, sizes: tuple[int, int]):
         good = int(rejected.argmax()) if rejected.any() else count
         if good:
             offsets = (words[:good] % moduli).astype(np.intp)
-            yield (np.full(good, sa), _shuffled(offsets[:, :sa], n),
+            yield (0, np.full(good, sa), _shuffled(offsets[:, :sa], n),
                    np.full(good, sb), _shuffled(offsets[:, sa:], n))
         if good < count:
             rng.jump((good - count) * len(moduli))
             a_bits, b_bits = rng.subset_of_size(n, sa), rng.subset_of_size(n, sb)
-            yield *_elements([a_bits], n), *_elements([b_bits], n)
+            yield 0, *_elements([a_bits], n), *_elements([b_bits], n)
             good += 1
         count -= good
 
@@ -787,25 +812,14 @@ def _shuffled(offsets: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sampled_batch(scan: _Scan, batch):
-    """Score one block of drawn pairs.
-
-    For cd, a pair with |A| + |B| > |G| has A * B = G by pigeonhole (A
-    meets every g * B^-1), so it is counted, as extremal where the bound is
-    |G|, but not scored.  The pairs left go through the kernel in batches
-    cut where its padded (K, |A|, |B|) index arrays, two int64 arrays alive
-    at a time, would pass the byte budget.
+    """Score one block of drawn pairs: the extremal count of its settled
+    pairs plus the kernel's over the unsettled ones, in batches cut where
+    the kernel's padded (K, |A|, |B|) index arrays, two int64 arrays alive
+    at a time (16 |A| |B| bytes a pair at the block's widest rows), would
+    pass the byte budget.
     """
-    a_sizes, a_pad, b_sizes, b_pad = batch
-    extremal, found = 0, []
-    if scan.theorem == "cd":
-        full = a_sizes + b_sizes > scan.g.order
-        if full.any():
-            extremal = int(np.count_nonzero(
-                scan.bounds[a_sizes[full], b_sizes[full]] == scan.g.order))
-            kept = ~full
-            a_sizes, b_sizes = a_sizes[kept], b_sizes[kept]
-            a_pad = a_pad[kept, :a_sizes.max(initial=1)]
-            b_pad = b_pad[kept, :b_sizes.max(initial=1)]
+    extremal, a_sizes, a_pad, b_sizes, b_pad = batch
+    found = []
     step = max(1, _BATCH_BYTES // (16 * a_pad.shape[1] * b_pad.shape[1]))
     for lo in range(0, len(a_sizes), step):
         part = slice(lo, lo + step)

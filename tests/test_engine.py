@@ -408,6 +408,129 @@ def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
     assert report.extremal_count == report.pairs_checked == 500
 
 
+def sampled_bytes(g, theorem, plan, workers):
+    return dumps_stable(verify_sampled(g, theorem, plan, workers=workers).to_json_dict())
+
+
+@pytest.mark.parametrize("spec", ["frobenius:7:3:2", "heisenberg:5"])
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_sampled_pairs_settled_by_their_sizes_match_the_scalar_oracle(monkeypatch, spec,
+                                                                      theorem):
+    # Sizes on both sides of the rule max(|A|, |B|) (less 1 for eh) > bound.
+    # On frobenius:7:3:2 (p = 2) cd (1, 2) and (2, 2) and eh (2, 3) sit at
+    # the bound, where the kernel decides, and every cd (1, 2) pair meets
+    # it; on heisenberg:5 (p = 5) so do cd (1, 5) and eh (2, 4).  The other
+    # sizes and the uniform draws are settled.  A small budget cuts every
+    # run into blocks, so three workers use the pool.
+    g = build_group(spec)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    tight = 0
+    for fixed in (None, (1, 2), (2, 1), (2, 2), (2, 3), (1, 5), (2, 4), (1, 6), (5, 5)):
+        plan = SamplingPlan(seed=23, count=300, fixed_sizes=fixed)
+        want = scalar_sampled_report(g, theorem, plan)
+        assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+        tight += '"extremal_count": 0}' not in want
+    assert tight
+
+
+def test_restricted_pair_at_the_settle_rule_is_extremal(monkeypatch):
+    # Pretending p(G) = |G| on Z/2 x Z/2: A = G and B = {0, 1} give
+    # G ∔ B = G \ {0} (every square is 0), so |A ∔ B| = 3 = max(|A|, |B|) - 1
+    # = min(4, 4 + 2 - 3), and so does every (4, 2) pair: the rule must
+    # leave them to the kernel.  Pairs of other sizes fail the bound.
+    g = build_group("product:cyclic:2,cyclic:2")
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    full, pair = mask(4, 0, 1, 2, 3), mask(4, 0, 1)
+    assert len(restricted_product_set(g, full, pair)) == size_bound(g, 4, 2, "eh") == 3
+    for fixed in ((4, 2), (2, 4), None):
+        plan = SamplingPlan(seed=5, count=400, fixed_sizes=fixed)
+        want = scalar_sampled_report(g, "eh", plan)
+        assert sampled_bytes(g, "eh", plan, 1) == sampled_bytes(g, "eh", plan, 3) == want
+    assert verify_sampled(g, "eh", SamplingPlan(seed=5, count=400,
+                                                fixed_sizes=(4, 2))).extremal_count == 400
+    assert '"violations": []' not in want
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a settled pair reached the kernel")
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_settled_fixed_size_plans_draw_nothing(monkeypatch, theorem):
+    # on frobenius:7:3:2 (p = 2) every (5, 5) pair is above its bound
+    g = build_group("frobenius:7:3:2")
+    plan = SamplingPlan(seed=9, count=500, fixed_sizes=(5, 5))
+    want = scalar_sampled_report(g, theorem, plan)
+    for name in ("_padded", "_shuffled", "_elements"):
+        monkeypatch.setattr(engine, name, _refuse)
+    monkeypatch.setattr(_Scan, "masks", _refuse)
+    monkeypatch.setattr(SplitMix64, "words", _refuse)
+    assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_uniform_draws_pass_the_kernel_exactly_the_unsettled_pairs(monkeypatch, theorem):
+    # On Z/7 (p = 7) cd settles only |A| + |B| > 7, and eh only a side of
+    # one element; the other pairs go to the kernel, in draw order.
+    g = build_group("cyclic:7")
+    plan = SamplingPlan(seed=31, count=2000)
+    rng, unsettled = SplitMix64(plan.seed), []
+    for _ in range(plan.count):
+        a, b = rng.nonempty_mask(7), rng.nonempty_mask(7)
+        sa, sb = a.bit_count(), b.bit_count()
+        full = theorem == "cd" and sa + sb > 7
+        if not full and max(sa, sb) - (theorem == "eh") <= size_bound(g, sa, sb, theorem):
+            unsettled.append((a, b))
+    assert 0 < len(unsettled) < plan.count
+    padded, masks, kernel, rows = engine._padded, _Scan.masks, [], []
+
+    def padded_spy(member):
+        rows.append(len(member))
+        return padded(member)
+
+    def masks_spy(scan, a_pad, b_pad=None):
+        kernel.extend(zip(engine._row_masks(a_pad), engine._row_masks(b_pad)))
+        return masks(scan, a_pad, b_pad)
+
+    monkeypatch.setattr(engine, "_padded", padded_spy)
+    monkeypatch.setattr(_Scan, "masks", masks_spy)
+    assert sampled_bytes(g, theorem, plan, 1) == scalar_sampled_report(g, theorem, plan)
+    assert kernel == unsettled
+    assert sum(rows) == 2 * len(unsettled)
+
+
+@settings(max_examples=200)
+@given(spec=st.sampled_from(CORPUS_SPECS), data=st.data())
+def test_products_have_at_least_as_many_elements_as_either_side(spec, data):
+    # the premise of the settle rule: A * y is a translate of A, and x * B
+    # of B; the restricted product leaves out at most x * x from each
+    g = corpus_group(spec)
+    top = (1 << g.order) - 1
+    a = SubsetMask(data.draw(st.integers(1, top)), g.order)
+    b = SubsetMask(data.draw(st.integers(1, top)), g.order)
+    plain = naive_product(g, a, b)
+    assert len(product_set(g, a, b)) == len(plain) >= max(len(a), len(b))
+    restricted = naive_product(g, a, b, restricted=True)
+    assert (len(restricted_product_set(g, a, b)) == len(restricted)
+            >= max(len(a), len(b)) - 1)
+
+
+@pytest.mark.parametrize("spec, theorem, sizes, count", [
+    ("cyclic:169", "cd", (6, 7), 3000),      # p = 13: bound 12; three-word masks
+    ("frobenius:7:3:2", "eh", (2, 3), 20000),    # p = 2: bound 2 = 3 - 1
+])
+def test_sampled_kernel_matches_the_scalar_oracle_on_unsettled_sizes(spec, theorem, sizes,
+                                                                      count):
+    # the rule settles nearly every uniform pair of these groups; these
+    # sizes it cannot, so every pair goes through the kernel
+    g = build_group(spec)
+    scan = _Scan(g, theorem, g.order, g.order)
+    assert not scan.settle(*sizes)[0]
+    plan = SamplingPlan(seed=2, count=count, fixed_sizes=sizes)
+    want = scalar_sampled_report(g, theorem, plan)
+    assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+
+
 def test_exhaustive_workers_do_not_change_the_report():
     z7 = build_group("cyclic:7")
     one = verify_exhaustive(z7, "cd", workers=1)
