@@ -4,6 +4,10 @@ Exit codes: 0 = success with zero bound violations, 1 = at least one bound
 violation found (the report lists witnesses), 2 = usage, input or output
 error, 3 = internal error (a failed consistency check or any other
 unexpected exception: a bug in this library, named on one stderr line).
+
+Each command gets its group from ``groups.cached_group``, so a process that
+runs several commands builds each canonical group, and what is derived from
+it, once, within a memory bound; table files are read on every command.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, Caps, SamplingPlan,
                      find_extremal, size_bound, verify_exhaustive,
                      verify_sampled)
 from .factor_system import build_factor_system, factor_system_json
-from .groups import (GroupBuildError, SubsetMask, build_group, validate_group)
+from .groups import GroupBuildError, SubsetMask, cached_group, validate_group
 from .jsonio import dumps_stable
 from .replay import ReplayPreconditionError, replay_solvable_proof
 from .structure import (INFINITY, choose_decomposition_subgroup,
@@ -51,7 +55,7 @@ def _command(fn):
     @functools.wraps(fn)
     def run(spec, **options):
         try:
-            g = build_group(spec)
+            g = cached_group(spec)
         except GroupBuildError as exc:
             _fail(str(exc))
         return fn(g, **options)

@@ -8,7 +8,7 @@ odd order.  Quaternion and dihedral stay in as the even-order checks.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, build_group
+from .groups import cached_group
 
 CORPUS_SPECS: tuple[str, ...] = (
     "cyclic:1",
@@ -28,12 +28,4 @@ CORPUS_SPECS: tuple[str, ...] = (
     "product:cyclic:3,cyclic:9",
 )
 
-_cached: dict[str, FiniteGroup] = {}
-
-
-def corpus_group(spec: str) -> FiniteGroup:
-    group = _cached.get(spec)
-    if group is None:
-        group = build_group(spec)
-        _cached[spec] = group
-    return group
+corpus_group = cached_group

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -326,7 +328,8 @@ def spec_order(spec: GroupSpec) -> int | None:
 
 
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
-    """Build the canonical group for a spec.
+    """Build the canonical group for a spec, a fresh one on every call
+    (``cached_group`` keeps built groups).
 
     Deterministic: identical specs yield bit-identical tables.  Element 0 is
     the identity for every constructor (table files are relabelled to make it
@@ -349,6 +352,40 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     else:
         op = _FAMILIES[spec.kind][2](*spec.params)
     return table_group(op, spec.label())
+
+
+CACHE_BYTES = 4 << 20     # table bytes (op.nbytes) that cached_group keeps
+_cached: OrderedDict[str, FiniteGroup] = OrderedDict()   # least recent first
+_cached_lock = threading.Lock()
+
+
+def cached_group(spec: str) -> FiniteGroup:
+    """The canonical group for a spec, built once per process.
+
+    Groups are kept by canonical label, so ``cyclic:07`` and ``cyclic:7``
+    share one, with whatever later calls derive from them in ``_cache``.
+    The least recently used go first once the kept tables pass CACHE_BYTES,
+    and a larger table is returned but not kept: its own n^2 work outweighs
+    the build.  A spec that names a table file is built afresh on every
+    call, so the file is read and checked as it is now, and a failed build
+    raises every time.
+    """
+    parsed = parse_group_spec(spec)
+    if any(s.kind == "table" for s in (parsed, *parsed.children)):
+        return build_group(parsed)
+    key = parsed.label()
+    with _cached_lock:
+        group = _cached.get(key)
+        if group is not None:
+            _cached.move_to_end(key)
+            return group
+    group = build_group(parsed)
+    if group.op.nbytes <= CACHE_BYTES:
+        with _cached_lock:
+            group = _cached.setdefault(key, group)
+            while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
+                _cached.popitem(last=False)
+    return group
 
 
 # ---------------------------------------------------------------------------

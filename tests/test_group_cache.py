@@ -1,0 +1,177 @@
+"""The process-wide group cache: a command on a cached group reports what it
+reports on a freshly built one, table files are read on every command, and
+the kept tables stay within the byte budget."""
+
+from collections import Counter, OrderedDict
+
+import pytest
+from click.testing import CliRunner
+
+import sumsetlab.cli as cli
+import sumsetlab.groups as groups
+from sumsetlab.groups import GroupBuildError, cached_group
+
+from test_groups import NONASSOCIATIVE_LOOP
+
+HEISENBERG_5_SWAPPED = ("--set-a", "8,22,38,82", "--set-b", "34,42")
+
+# each group is used by commands of several kinds, in an order that derives
+# its structure differently from a cold start
+SESSION = (
+    ("verify", "--group", "cyclic:7", "--mode", "exhaustive", "--json"),
+    ("verify", "--group", "heisenberg:3", "--mode", "capped", "--max-a", "2",
+     "--max-b", "3", "--json"),
+    ("verify", "--group", "frobenius:7:3:2", "--mode", "sampled", "--seed", "5",
+     "--count", "400", "--json"),
+    ("verify", "--group", "cyclic:25", "--theorem", "eh", "--mode", "sampled",
+     "--seed", "2", "--count", "300", "--fixed-sizes", "3,4", "--json"),
+    ("extremal", "--group", "cyclic:7", "--size-a", "2", "--size-b", "3", "--json"),
+    ("extremal", "--group", "heisenberg:3", "--size-a", "2", "--size-b", "2",
+     "--limit", "5"),
+    ("decompose", "--group", "heisenberg:5", "--json"),
+    ("trace", "--group", "heisenberg:5", *HEISENBERG_5_SWAPPED, "--json"),
+    ("trace", "--group", "heisenberg:5", *HEISENBERG_5_SWAPPED),
+    ("trace", "--group", "heisenberg:3", "--set-a", "0,1", "--set-b", "0,3", "--json"),
+    ("decompose", "--group", "heisenberg:3", "--rep-policy", "seeded_random:3", "--json"),
+    ("decompose", "--group", "heisenberg:3", "--rep-policy", "lowest_index"),
+    ("trace", "--group", "frobenius:7:3:2", "--set-a", "0,4", "--set-b", "1,2", "--json"),
+    ("decompose", "--group", "frobenius:7:3:2", "--json"),
+    ("decompose", "--group", "quaternion", "--kernel", "6",
+     "--rep-policy", "explicit:0,4", "--json"),
+    ("trace", "--group", "quaternion", "--set-a", "3", "--set-b", "5", "--json"),
+    ("decompose", "--group", "quaternion", "--rep-policy", "seeded_random:3"),
+    ("validate", "--group", "heisenberg:3", "--json"),
+    ("validate", "--group", "cyclic:7"),
+    ("verify", "--group", "cyclic:7", "--mode", "capped", "--sum-cap", "5", "--json"),
+)
+
+
+@pytest.fixture()
+def empty_cache(monkeypatch):
+    """An empty cache for the test, and the session's put back after it."""
+    monkeypatch.setattr(groups, "_cached", OrderedDict())
+
+
+def run(*argv):
+    result = CliRunner().invoke(cli.main, list(argv))
+    return result.exit_code, result.stdout, result.stderr
+
+
+def test_every_command_reports_the_same_cold_and_warm(empty_cache):
+    warm = [run(*argv) for argv in SESSION + SESSION]
+    assert len(groups._cached) == 6
+    for i, argv in enumerate(SESSION):
+        groups._cached.clear()
+        cold = run(*argv)
+        assert cold[0] in (0, 1), cold
+        assert warm[i] == cold, argv
+        assert warm[len(SESSION) + i] == cold, argv
+
+
+def test_equal_specs_share_one_entry(empty_cache):
+    assert cached_group("cyclic:07") is cached_group("cyclic:7")
+    assert cached_group(" product:cyclic:3,cyclic:03") is cached_group(
+        "product:cyclic:3,cyclic:3")
+    assert list(groups._cached) == ["cyclic:7", "product:cyclic:3,cyclic:3"]
+
+
+def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
+    built = Counter()
+    build = groups.build_group
+
+    def spy(spec):
+        built[spec.label()] += 1
+        return build(spec)
+
+    monkeypatch.setattr(groups, "build_group", spy)
+    for _ in range(3):
+        for spec, a, b in (("heisenberg:3", "0,1", "0,3"), ("cyclic:07", "1,2", "3"),
+                           ("heisenberg:5", "8,22,38,82", "34,42"),
+                           ("cyclic:7", "0", "4,5")):
+            assert run("trace", "--group", spec, "--set-a", a, "--set-b", b)[0] == 0
+    assert built == {"heisenberg:3": 1, "cyclic:7": 1, "heisenberg:5": 1}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:abc", "error: cyclic parameters must be integers, got 'abc'\n"),
+    ("heisenberg:4", "error: heisenberg needs an odd prime\n"),
+    ("cyclic:4097", "error: order 4097 exceeds the cap 4096\n"),
+])
+def test_a_bad_spec_fails_the_same_way_every_time(empty_cache, spec, message):
+    for _ in range(2):
+        assert run("validate", "--group", spec) == (2, "", message)
+    assert not groups._cached
+
+
+def _write_table(path, rows):
+    path.write_text(f"{len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n"
+                                               for r in rows))
+
+
+@pytest.mark.parametrize("template", ["table:{}", "product:table:{},cyclic:3"])
+def test_table_files_are_read_on_every_command(empty_cache, tmp_path, template):
+    path = tmp_path / "g.cay"
+    spec = template.format(path)
+    _write_table(path, [[(a + b) % 5 for b in range(5)] for a in range(5)])
+    assert run("validate", "--group", spec)[0] == 0
+    _write_table(path, NONASSOCIATIVE_LOOP)
+    code, out, err = run("validate", "--group", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: table file {path}: associativity: ")
+    assert not groups._cached
+    path.unlink()
+    assert run("validate", "--group", spec)[0] == 2
+
+
+def test_validate_runs_lights_test_on_a_cached_group(empty_cache, monkeypatch):
+    assert run("validate", "--group", "heisenberg:3")[0] == 0
+    checked = []
+    first = groups._first_nonassociative
+
+    def spy(op, s):
+        checked.append(s)
+        return first(op, s)
+
+    monkeypatch.setattr(groups, "_first_nonassociative", spy)
+    assert run("validate", "--group", "heisenberg:3") == (
+        0, "group heisenberg:3 (order 27)\n  all group axioms hold\n", "")
+    assert "heisenberg:3" in groups._cached
+    assert checked == list(cached_group("heisenberg:3")._cache["generators"])
+    assert checked
+
+
+def test_the_least_recently_used_group_goes_first(empty_cache, monkeypatch):
+    monkeypatch.setattr(groups, "CACHE_BYTES", 2 << 20)     # two order-512 tables
+    specs = ("cyclic:512", "dihedral:256", "product:cyclic:2,cyclic:256")
+    held = []
+
+    def get(spec):
+        g = cached_group(spec)
+        assert g.op.nbytes == 1 << 20
+        held.append(sum(h.op.nbytes for h in groups._cached.values()))
+        return g
+
+    first = get(specs[0])
+    get(specs[1])
+    assert get(specs[0]) is first
+    get(specs[2])
+    assert list(groups._cached) == [specs[0], specs[2]]
+    assert get(specs[0]) is first
+    assert max(held) <= groups.CACHE_BYTES
+
+
+def test_a_table_over_the_budget_is_returned_but_not_kept(empty_cache):
+    assert groups.CACHE_BYTES == 4 << 20
+    small = cached_group("cyclic:5")
+    big = cached_group("cyclic:2048")
+    assert big.order == 2048 and big.op.nbytes == 16 << 20
+    assert list(groups._cached) == ["cyclic:5"]
+    assert cached_group("cyclic:5") is small
+    assert cached_group("cyclic:2048") is not big
+
+
+def test_build_group_builds_a_fresh_group_every_time(empty_cache):
+    assert groups.build_group("cyclic:7") is not groups.build_group("cyclic:7")
+    assert not groups._cached
+    with pytest.raises(GroupBuildError):
+        cached_group("nonsense:1")
