@@ -7,8 +7,9 @@ seeded sample.  Exits 1 if any run reports a violation.
 
 import sys
 
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import Caps, SamplingPlan, verify_exhaustive, verify_sampled
+from sumsetlab.groups import cached_group
 from sumsetlab.structure import INFINITY
 
 
@@ -22,7 +23,7 @@ def main():
           f"{'pairs':>10}  {'viol':>5}  {'extremal':>9}  {'time':>7}")
     bad = 0
     for spec in CORPUS_SPECS:
-        g = corpus_group(spec)
+        g = cached_group(spec)
         if g.order <= 11:
             runs = [verify_exhaustive(g, theorem)]
         else:

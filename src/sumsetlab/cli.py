@@ -8,12 +8,13 @@ unexpected exception: a bug in this library, named on one stderr line).
 Each command gets its group from ``groups.cached_group``, so a process that
 runs several commands builds each canonical group, and what is derived from
 it, once, within a memory bound; table files are read on every command.
+Scans run on the calling thread; ``verify --workers N``, which older scripts
+pass, is still accepted as an integer and ignored.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import click
@@ -73,18 +74,6 @@ def _fail(message: str):
     sys.exit(2)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("SUMSETLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            _fail(f"SUMSETLAB_WORKERS={env!r} is not an integer")
-    return os.cpu_count() or 1
-
-
 def _emit(text: str, out_path: str | None, code: int = 0):
     """Write the report to ``out_path`` (stdout if None), then exit with ``code``."""
     if out_path:
@@ -127,23 +116,19 @@ def _fmt_p(p) -> str:
 @click.option("--exhaustive-limit", type=int, default=EXHAUSTIVE_DEFAULT_LIMIT,
               show_default=True,
               help="Largest order allowed for full enumeration.")
-@click.option("--workers", type=int, default=None,
-              help="Worker threads (default: SUMSETLAB_WORKERS or CPU count).")
+@click.option("--workers", type=int, hidden=True, expose_value=False)
 def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
-           sum_cap, exhaustive_limit, workers, as_json, out_path):
+           sum_cap, exhaustive_limit, as_json, out_path):
     """Verify the product-size bound over pairs of subsets."""
-    workers = _resolve_workers(workers)
     try:
         if mode == "exhaustive":
-            report = verify_exhaustive(g, theorem,
-                                       exhaustive_limit=exhaustive_limit,
-                                       workers=workers)
+            report = verify_exhaustive(g, theorem, exhaustive_limit=exhaustive_limit)
         elif mode == "capped":
             if max_a is None and max_b is None and sum_cap is None:
                 raise click.UsageError(
                     "capped mode needs --max-a, --max-b, or --sum-cap")
             caps = Caps(max_a_size=max_a, max_b_size=max_b, sum_cap=sum_cap)
-            report = verify_exhaustive(g, theorem, caps, workers=workers)
+            report = verify_exhaustive(g, theorem, caps)
         else:
             if seed is None or count is None:
                 raise click.UsageError("sampled mode needs --seed and --count")
@@ -155,7 +140,7 @@ def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
                     raise click.UsageError("--fixed-sizes must be SA,SB")
                 sizes = (sa, sb)
             plan = SamplingPlan(seed=seed, count=count, fixed_sizes=sizes)
-            report = verify_sampled(g, theorem, plan, workers=workers)
+            report = verify_sampled(g, theorem, plan)
     except ValueError as exc:
         _fail(str(exc))
 

@@ -8,8 +8,6 @@ odd order.  Quaternion and dihedral stay in as the even-order checks.
 
 from __future__ import annotations
 
-from .groups import cached_group
-
 CORPUS_SPECS: tuple[str, ...] = (
     "cyclic:1",
     "cyclic:2",
@@ -27,5 +25,3 @@ CORPUS_SPECS: tuple[str, ...] = (
     "product:cyclic:3,cyclic:3",
     "product:cyclic:3,cyclic:9",
 )
-
-corpus_group = cached_group

@@ -17,8 +17,8 @@ the column masks of A_k * y, word-packed in the narrowest word that holds the
 group order (uint16, uint32, uint64, or ceil(n / 64) uint64 words above 64
 elements).  Exhaustive scans OR the columns over every B by subset doubling,
 capped and extremal scans at each B's elements; sampled scans pack each
-A_k * B_k directly.  One scoring step compares popcounts with a bound table
-indexed by (|A|, |B|).
+A_k * B_k directly.  One scoring step compares popcounts with the bound of
+each pair's sizes (|A|, |B|).
 
 Verification covers ordered pairs (A, B) of nonempty subsets; products
 need not commute.  Exhaustive and capped scans score one pair per orbit.
@@ -36,21 +36,18 @@ computed in numpy blocks that hold the words the scalar draws would take.
 A sampled pair that its sizes settle is counted without the kernel: a product
 has at least max(|A|, |B|) elements, one less when restricted, and a cd pair
 with |A| + |B| > |G| has A * B = G (``_Scan.settle``).  Batches are cut by a
-fixed memory budget, never by the worker count, and merged in order; several
-batches run on a thread pool, a single one on the calling thread.  So
-reports are identical for any worker count.
+fixed memory budget and run in order on the calling thread, and their results
+are merged in that order, so a report does not depend on how the pairs were
+batched.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, compress, islice, product
+from itertools import combinations, compress, islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,7 +61,7 @@ EXHAUSTIVE_DEFAULT_LIMIT = 11   # (2^11 - 1)^2 pairs is seconds of work
 EXHAUSTIVE_HARD_CEILING = 20
 EXTREMAL_SEARCH_CAP = 4_000_000   # ordered pairs find_extremal may list
 # bytes in the largest array of one batch (2^19 uint16 words): a few MB of
-# arrays for each worker
+# arrays in all
 _BATCH_BYTES = 1 << 20
 # listed pairs that one step of the automorphism search or one image of the
 # orbit pass costs, about: a kernel pair takes a few ns, an image several
@@ -283,16 +280,17 @@ def _padded(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Scan:
     """What every batch of one run shares.
 
-    ``bounds[sa, sb]`` is the bound for sizes (sa, sb), or ``skip`` (below
-    every size, so neither extremal nor a violation) where the caps leave
-    that size pair out.  ``collect`` picks the pairs to report from (sizes,
-    bounds): ``np.less`` finds violations, ``np.equal`` extremal pairs (at
-    most ``limit`` a batch).  With ``orbits``, ``pivot_a`` and ``pivot_b``
-    say which sides list only the sets that hold element 0, and ``auts``
-    which automorphisms fold the A side (see ``reduce``).
+    ``bound(sa, sb)`` is the bound for sets of sizes (sa, sb), or ``skip``
+    (below every size, so neither extremal nor a violation) where the caps
+    leave that size pair out; sizes run to ``max_a`` and ``max_b``.
+    ``collect`` picks the pairs to report from (sizes, bounds): ``np.less``
+    finds violations, ``np.equal`` extremal pairs (at most ``limit`` a
+    batch).  With ``orbits``, ``pivot_a`` and ``pivot_b`` say which sides
+    list only the sets that hold element 0, and ``auts`` which automorphisms
+    fold the A side (see ``reduce``).
 
-    Each thread keeps its batch-sized work arrays for the whole run: made
-    per batch, they went back to the OS and were faulted in again whenever
+    The scan keeps its batch-sized work arrays for the whole run: made per
+    batch, they went back to the OS and were faulted in again whenever
     glibc's trim threshold, set by what the process freed before, sat below
     them (the Z/13 exhaustive scan took 0.15 s or 0.27 s by process).
     """
@@ -317,22 +315,26 @@ class _Scan:
         word = 16 if g.order <= 16 else 32 if g.order <= 32 else 64
         self.dtype, self.words = np.dtype(f"<u{word // 8}"), -(-g.order // word)
         self.bits = word * self.words
-        sa = np.arange(max_a + 1)[:, None]
-        sb = np.arange(max_b + 1)[None, :]
-        table = np.minimum(sa + sb - _size_slack(theorem), min(self.p, 2 * g.order))
-        if sum_cap is not None:
-            table[sa + sb > sum_cap] = self.skip
-        self.bounds = table.astype(np.int16)
-        self._local = threading.local()
+        self.max_a, self.max_b, self.sum_cap = max_a, max_b, sum_cap
+        self.slack, self.top = _size_slack(theorem), min(self.p, 2 * g.order)
+        self._buffers = {}
+
+    def bound(self, a_sizes, b_sizes) -> np.ndarray:
+        """The int16 bounds for sets of sizes ``a_sizes`` and ``b_sizes``
+        (broadcast together), ``skip`` where |A| + |B| passes ``sum_cap``."""
+        total = np.add(a_sizes, b_sizes)
+        bounds = np.minimum(total - self.slack, self.top)
+        if self.sum_cap is not None:
+            bounds = np.where(total > self.sum_cap, self.skip, bounds)
+        return np.asarray(bounds, dtype=np.int16)
 
     def buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """This thread's work array ``name``, viewed as ``shape``; its
-        contents are left from the last batch."""
+        """The scan's work array ``name``, viewed as ``shape``; its contents
+        are left from the last batch."""
         size = math.prod(shape)
-        buf = getattr(self._local, name, None)
+        buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=dtype)
-            setattr(self._local, name, buf)
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
     def popcount(self, words: np.ndarray) -> np.ndarray:
@@ -399,7 +401,7 @@ class _Scan:
         pair with |A| + |B| > |G| has A * B = G by pigeonhole (A meets every
         g * B^-1), so it is extremal where the bound is |G|."""
         n = self.g.order
-        bounds = self.bounds[a_sizes, b_sizes]
+        bounds = self.bound(a_sizes, b_sizes)
         full = (a_sizes + b_sizes > n) & (self.theorem == "cd")
         least = np.maximum(a_sizes, b_sizes) - (self.theorem == "eh")
         return full | (least > bounds), int(np.count_nonzero(full & (bounds == n)))
@@ -461,7 +463,8 @@ class _Scan:
         counting the weighted ones; a remainder means the listing was wrong.
         """
         n = self.g.order
-        cells = np.argwhere(self.bounds[1:, 1:] != self.skip) + 1
+        sizes = np.ogrid[1:self.max_a + 1, 1:self.max_b + 1]
+        cells = np.argwhere(self.bound(*sizes) != self.skip) + 1
         pairs = sum(math.comb(n, a) * math.comb(n, b) for a, b in cells.tolist())
         extremal = 0
         for a, weighted in enumerate(hits.tolist()):
@@ -507,28 +510,6 @@ def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return images
 
 
-def _run_chunks(chunk_fn: Callable, chunks: Iterable, workers: int):
-    """Map ``chunk_fn`` over ``chunks``, yielding the results in chunk order.
-
-    One worker or a single chunk runs inline on the calling thread.
-    Otherwise a thread pool works on at most 2 * workers chunks at a time, so
-    chunks drawn lazily stay bounded in memory.
-    """
-    chunks = iter(chunks)
-    head = list(islice(chunks, 2))
-    if workers <= 1 or len(head) < 2:
-        yield from map(chunk_fn, chain(head, chunks))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(chunk_fn, c) for c in head)
-        for chunk in chunks:
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(chunk_fn, chunk))
-        while pending:
-            yield pending.popleft().result()
-
-
 # ---------------------------------------------------------------------------
 # exhaustive and capped verification
 
@@ -539,7 +520,6 @@ def verify_exhaustive(
     caps: Caps | None = None,
     *,
     exhaustive_limit: int = EXHAUSTIVE_DEFAULT_LIMIT,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check the bound over all ordered pairs of nonempty subsets.
 
@@ -573,7 +553,7 @@ def verify_exhaustive(
         a_masks, a_orbits = scan.reduce(range(1, 1 << n, 1 + scan.pivot_a), len(b_masks))
         b_sizes = np.bitwise_count(np.arange(1, 1 << n, 1 + scan.pivot_b,
                                              dtype=np.uint64)).astype(np.intp)
-        results = _grid_scan(scan, a_masks, a_orbits, b_masks, b_sizes, None, workers)
+        results = _grid_scan(scan, a_masks, a_orbits, b_masks, b_sizes, None)
         mode = {"kind": "exhaustive"}
     else:
         top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
@@ -583,8 +563,7 @@ def verify_exhaustive(
         b_masks = _masks_by_size(n, 1, max_b, scan.pivot_b)
         a_masks, a_orbits = scan.reduce(_masks_by_size(n, 1, max_a, scan.pivot_a),
                                         len(b_masks))
-        results = _grid_scan(scan, a_masks, a_orbits, b_masks, *_elements(b_masks, n),
-                             workers)
+        results = _grid_scan(scan, a_masks, a_orbits, b_masks, *_elements(b_masks, n))
         mode = caps.to_json_dict()
     return scan.report(mode, results, start)
 
@@ -610,15 +589,15 @@ def _masks_by_size(n: int, min_size: int, max_size: int,
 
 
 def _grid_scan(scan: _Scan, a_masks: Sequence[int], a_orbits: np.ndarray,
-               b_masks: Sequence[int], b_sizes: np.ndarray, b_pad: np.ndarray | None,
-               workers: int):
+               b_masks: Sequence[int], b_sizes: np.ndarray, b_pad: np.ndarray | None):
     """Batch results for every pair in ``a_masks`` x ``b_masks``, in order;
     ``a_orbits`` weighs each A's tight pairs in an orbit scan.
 
     ``b_pad`` None means ``b_masks`` is every nonempty mask in order.
     """
     n = scan.g.order
-    bounds = scan.bounds.take(b_sizes, axis=1)    # [sa]: |A| = sa with each B
+    # [sa]: the bound of |A| = sa with each B; listed sides keep the sizes few
+    bounds = scan.bound(*np.ogrid[:scan.max_a + 1, :scan.max_b + 1]).take(b_sizes, axis=1)
     # each listed B counts lcm / |B| tight pairs where B is reduced, else 1,
     # in a dtype that holds the sum over a row
     weights = scan.lcm // b_sizes if scan.pivot_b else np.ones_like(b_sizes)
@@ -626,13 +605,12 @@ def _grid_scan(scan: _Scan, a_masks: Sequence[int], a_orbits: np.ndarray,
     # bytes per A: the product words over every B (two arrays of them while
     # gathering B's columns), the kernel's index array and its byte plane
     words = scan.dtype.itemsize * scan.words * (len(b_masks) + 1)
-    row = max(words if b_pad is None else 2 * words, 8 * (len(scan.bounds) - 1) * n,
+    row = max(words if b_pad is None else 2 * words, 8 * scan.max_a * n,
               n * scan.bits)
     step = max(1, _BATCH_BYTES // row)
     batches = ((a_masks[lo:lo + step], a_orbits[lo:lo + step])
                for lo in range(0, len(a_masks), step))
-    return _run_chunks(partial(_grid_batch, scan, b_masks, b_pad, bounds, weights),
-                       batches, workers)
+    return map(partial(_grid_batch, scan, b_masks, b_pad, bounds, weights), batches)
 
 
 def _grid_batch(scan, b_masks, b_pad, bounds, weights, batch):
@@ -651,7 +629,7 @@ def _tight_by_size(scan: _Scan, a_sizes: np.ndarray, weights: np.ndarray,
     """The weighted tight pairs of each row, times A's orbit size, summed by
     |A|.  int64 holds the sums, which are those of every A left listed by
     the translations: at most lcm(1..20) * 2^19 * 2^20 / 20 < 2^63 at order 20."""
-    by_size = np.zeros(len(scan.bounds), dtype=np.int64)
+    by_size = np.zeros(scan.max_a + 1, dtype=np.int64)
     np.add.at(by_size, a_sizes, np.einsum("ij,j->i", hits, weights) * a_orbits)
     return by_size
 
@@ -692,8 +670,6 @@ def verify_sampled(
     g: FiniteGroup,
     theorem: str = "cd",
     plan: SamplingPlan | None = None,
-    *,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check the bound over seeded random pairs.
 
@@ -716,8 +692,8 @@ def verify_sampled(
     # nothing is drawn
     settled, extremal = scan.settle(*plan.fixed_sizes) if plan.fixed_sizes else (False, 0)
     results = ([(extremal * plan.count, [])] if settled else
-               _run_chunks(partial(_sampled_batch, scan),
-                           _sampled_batches(scan, SplitMix64(plan.seed), plan), workers))
+               map(partial(_sampled_batch, scan),
+                   _sampled_batches(scan, SplitMix64(plan.seed), plan)))
     return scan.report(plan.to_json_dict(), results, start, plan.count)
 
 
@@ -825,7 +801,7 @@ def _sampled_batch(scan: _Scan, batch):
         part = slice(lo, lo + step)
         tight, hits = scan.score(
             scan.popcount(scan.masks(a_pad[part], b_pad[part])[:, None]),
-            scan.bounds[a_sizes[part], b_sizes[part]][:, None],
+            scan.bound(a_sizes[part], b_sizes[part])[:, None],
             lambda r, c: (*_row_masks(a_pad[lo + r:lo + r + 1]),
                           *_row_masks(b_pad[lo + r:lo + r + 1])))
         extremal += tight
@@ -868,7 +844,7 @@ def find_extremal(
     a_masks, b_masks = _masks_by_size(n, size_a, size_a), _masks_by_size(n, size_b, size_b)
     found = []
     for _, pairs in _grid_scan(scan, a_masks, np.ones(len(a_masks), dtype=np.int64),
-                               b_masks, *_elements(b_masks, n), workers=1):
+                               b_masks, *_elements(b_masks, n)):
         found.extend(pairs)
         if limit is not None and len(found) >= limit:
             break

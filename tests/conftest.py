@@ -3,18 +3,18 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
-from sumsetlab.groups import FiniteGroup
+from sumsetlab.corpus import CORPUS_SPECS
+from sumsetlab.groups import FiniteGroup, cached_group
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    return [corpus_group(spec) for spec in CORPUS_SPECS]
+    return [cached_group(spec) for spec in CORPUS_SPECS]
 
 
 @pytest.fixture(scope="session", params=CORPUS_SPECS)
 def corpus_member(request):
-    return corpus_group(request.param)
+    return cached_group(request.param)
 
 
 @pytest.fixture(scope="session")

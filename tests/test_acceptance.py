@@ -10,13 +10,15 @@ import time
 
 import pytest
 
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab import engine
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import (Caps, SamplingPlan, cd_bound, product_set,
                               verify_exhaustive, verify_sampled)
 from reference import (extension_from_factor_system, normal_subgroup_inventory, star,
                        verify_isomorphism)
 from sumsetlab.factor_system import FactorSystem, build_factor_system
-from sumsetlab.groups import SubsetMask, build_group, element_order, validate_group
+from sumsetlab.groups import (SubsetMask, build_group, cached_group, element_order,
+                             validate_group)
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.replay import replay_solvable_proof
 from sumsetlab.rng import SplitMix64
@@ -69,11 +71,11 @@ def test_criterion_3_even_order_groups_are_trivially_clean():
 
 def test_criterion_4_minimal_torsion_equals_smallest_prime_factor():
     for spec in CORPUS_SPECS:
-        g = corpus_group(spec)
+        g = cached_group(spec)
         least = min((element_order(g, x) for x in range(g.order) if x != g.identity),
                     default=float("inf"))
         assert minimal_torsion(g) == least == smallest_prime_factor(g.order), spec
-    trivial = corpus_group("cyclic:1")
+    trivial = cached_group("cyclic:1")
     assert minimal_torsion(trivial) == smallest_prime_factor(1) == float("inf")
     report(4, True,
            f"exact agreement on all {len(CORPUS_SPECS)} corpus groups, "
@@ -140,7 +142,7 @@ def test_criterion_6_base_p_carry_tables():
 def test_criterion_7_isomorphism_suite_and_mutation():
     checked = 0
     for spec in CORPUS_SPECS:
-        g = corpus_group(spec)
+        g = cached_group(spec)
         for kernel in normal_subgroup_inventory(g):
             for policy in ["lowest_index"] + [f"seeded_random:{s}"
                                               for s in range(1, 6)]:
@@ -167,7 +169,7 @@ def test_criterion_7_isomorphism_suite_and_mutation():
 def test_criterion_8_extension_round_trip():
     checked = 0
     for spec in CORPUS_SPECS:
-        g = corpus_group(spec)
+        g = cached_group(spec)
         for kernel in normal_subgroup_inventory(g):
             fs = build_factor_system(g, kernel)
             ext = extension_from_factor_system(fs)
@@ -229,7 +231,7 @@ def test_criterion_10_restricted_bound_exhaustive():
 
 def test_criterion_11_bitset_products_match_the_naive_oracle():
     rng = SplitMix64(31337)
-    groups = [corpus_group(spec) for spec in CORPUS_SPECS]
+    groups = [cached_group(spec) for spec in CORPUS_SPECS]
     mismatches = 0
     for _ in range(1000):
         g = groups[rng.below(len(groups))]
@@ -242,25 +244,23 @@ def test_criterion_11_bitset_products_match_the_naive_oracle():
            f"1000 seeded triples across the corpus, {mismatches} discrepancies")
 
 
-def test_criterion_12_seeded_reports_are_byte_identical():
-    g = build_group("heisenberg:3")
-    plan = SamplingPlan(seed=42, count=5000)
-    payloads = {
-        dumps_stable(verify_sampled(g, "cd", plan, workers=w).to_json_dict())
-        for w in (1, 1, 2, 4)
-    }
-    assert len(payloads) == 1
-
+def test_criterion_12_seeded_reports_are_byte_identical(monkeypatch):
     from click.testing import CliRunner
     import sumsetlab.cli as cli
+    g = build_group("heisenberg:3")
+    plan = SamplingPlan(seed=42, count=5000)
     runner = CliRunner()
     args = ["verify", "--group", "frobenius:7:3:2", "--mode", "sampled",
             "--seed", "7", "--count", "2000", "--json"]
-    outputs = {
-        runner.invoke(cli.main, args + ["--workers", str(w)]).output
-        for w in (1, 3, 1)
-    }
-    assert len(outputs) == 1
+
+    def reports():
+        return (dumps_stable(verify_sampled(g, "cd", plan).to_json_dict()),
+                runner.invoke(cli.main, args).output)
+
+    first, again = reports(), reports()
+    # a small batch budget cuts both runs into many batches
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    assert first == again == reports()
     report(12, True,
-           "sampled reports byte-identical across repeated runs and worker "
-           "counts, at the library level and through the CLI")
+           "sampled reports byte-identical across repeated runs and batch "
+           "budgets, at the library level and through the CLI")

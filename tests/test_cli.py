@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import sumsetlab.cli as cli
+import sumsetlab.engine as engine
 import sumsetlab.replay as replay
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
@@ -204,13 +206,53 @@ def test_out_flag_writes_the_report_to_a_file(runner, tmp_path):
     assert payload["group"] == "cyclic:5"
 
 
-def test_workers_env_variable_is_honoured(runner, monkeypatch):
-    monkeypatch.setenv("SUMSETLAB_WORKERS", "2")
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
-    assert result.exit_code == 0
-    monkeypatch.setenv("SUMSETLAB_WORKERS", "soup")
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
+def test_workers_flag_is_accepted_and_ignored(runner):
+    args = ("verify", "--group", "cyclic:7", "--theorem", "eh", "--json")
+    plain = invoke(runner, *args)
+    assert plain.exit_code == 0
+    for workers in ("0", "-3", "4"):
+        result = invoke(runner, *args, "--workers", workers)
+        assert (result.exit_code, result.output) == (0, plain.output)
+    result = invoke(runner, *args, "--workers", "x")
     assert result.exit_code == 2
+    assert "'x' is not a valid integer" in result.stderr
+
+
+def test_every_scan_runs_on_the_calling_thread(runner, monkeypatch):
+    # With --workers 4 and a budget that cuts every run into several
+    # batches, no thread may start, and each report is the one of the plain
+    # command under the default budget.
+    commands = [
+        ("verify", "--group", "cyclic:7", "--json"),
+        ("verify", "--group", "dihedral:5", "--theorem", "eh", "--mode", "capped",
+         "--max-a", "3", "--max-b", "3", "--json"),
+        ("verify", "--group", "frobenius:7:3:2", "--mode", "sampled", "--seed", "3",
+         "--count", "500", "--fixed-sizes", "2,3", "--json"),
+        ("extremal", "--group", "cyclic:7", "--size-a", "2", "--size-b", "3", "--json"),
+    ]
+    plain = [invoke(runner, *argv).output for argv in commands]
+
+    def refuse(thread):
+        raise AssertionError(f"a scan started thread {thread.name}")
+
+    batches = []
+
+    def counted(batch):
+        def run(*args):
+            batches.append(batch.__name__)
+            return batch(*args)
+        return run
+
+    for name in ("_grid_batch", "_sampled_batch"):
+        monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 10)
+    for argv, want in zip(commands, plain):
+        batches.clear()
+        flag = ("--workers", "4") if argv[0] == "verify" else ()
+        result = invoke(runner, *argv, *flag)
+        assert (result.exit_code, result.output) == (0, want)
+        assert len(batches) > 1, argv
 
 
 def test_violations_drive_exit_code_1(runner, monkeypatch):

@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import engine
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, size_bound,
                               verify_exhaustive, verify_sampled)
 from reference import extension_from_factor_system, moved_identity
 from sumsetlab.factor_system import build_factor_system
-from sumsetlab.groups import SubsetMask, build_group
+from sumsetlab.groups import SubsetMask, build_group, cached_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.rng import SplitMix64
 from sumsetlab.structure import INFINITY, automorphisms, generated_subgroup
@@ -23,6 +23,18 @@ from sumsetlab.structure import INFINITY, automorphisms, generated_subgroup
 
 def mask(width, *elements):
     return SubsetMask.from_elements(width, elements)
+
+
+# a batch budget that cuts most scans below into several batches
+SMALL_BUDGET = 1 << 12
+
+
+def small_and_default(run):
+    """``run()`` under ``SMALL_BUDGET``, then under the default budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BATCH_BYTES", SMALL_BUDGET)
+        small = run()
+    return small, run()
 
 
 def naive_product(g, a, b, restricted=False):
@@ -65,7 +77,7 @@ def test_mask_width_validation():
     data=st.data(),
 )
 def test_product_set_matches_naive_oracle(spec, data):
-    g = corpus_group(spec) if spec != "dihedral:5" else build_group("dihedral:5")
+    g = cached_group(spec) if spec != "dihedral:5" else build_group("dihedral:5")
     top = (1 << g.order) - 1
     a = SubsetMask(data.draw(st.integers(1, top)), g.order)
     b = SubsetMask(data.draw(st.integers(1, top)), g.order)
@@ -78,7 +90,7 @@ def test_product_set_matches_naive_oracle(spec, data):
 @settings(max_examples=80)
 @given(data=st.data())
 def test_product_size_bounds_and_identity_laws(data):
-    g = corpus_group("heisenberg:3")
+    g = cached_group("heisenberg:3")
     top = (1 << 27) - 1
     a = SubsetMask(data.draw(st.integers(1, top)), 27)
     b = SubsetMask(data.draw(st.integers(1, top)), 27)
@@ -230,14 +242,15 @@ def test_kernel_matches_the_naive_product_at_word_boundaries(spec, theorem):
             assert columns[k * n + y] == col.bits
 
 
-def test_scan_work_arrays_are_reused_within_a_thread_only():
-    scan = _Scan(build_group("cyclic:5"), "cd", 5, 5)
+def test_scan_work_arrays_are_reused_within_one_scan_only():
+    g = build_group("cyclic:5")
+    scan, other = _Scan(g, "cd", 5, 5), _Scan(g, "cd", 5, 5)
     first = scan.buffer("work", (4, 8), np.int16)
     assert np.shares_memory(first, scan.buffer("work", (2, 8), np.int16))
-    assert scan.buffer("work", (5, 8), np.int16).shape == (5, 8)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        other = pool.submit(scan.buffer, "work", (4, 8), np.int16).result()
-    assert not np.shares_memory(first, other)
+    grown = scan.buffer("work", (5, 8), np.int16)
+    assert grown.shape == (5, 8)
+    assert np.shares_memory(grown, scan.buffer("work", (4, 8), np.int16))
+    assert not np.shares_memory(grown, other.buffer("work", (5, 8), np.int16))
 
 
 def test_capped_mode_works_above_64_elements():
@@ -250,13 +263,12 @@ def test_capped_mode_works_above_64_elements():
     assert report.extremal_count == report.pairs_checked
 
 
-def test_sampled_reports_are_reproducible_and_worker_invariant():
+def test_sampled_reports_are_reproducible_and_budget_invariant():
     h = build_group("heisenberg:3")
     plan = SamplingPlan(seed=42, count=3000)
     first = verify_sampled(h, "cd", plan)
-    second = verify_sampled(h, "cd", plan)
-    third = verify_sampled(h, "cd", plan, workers=4)
-    assert first.to_json_dict() == second.to_json_dict() == third.to_json_dict()
+    small, default = small_and_default(lambda: verify_sampled(h, "cd", plan).to_json_dict())
+    assert first.to_json_dict() == small == default
     assert first.pairs_checked == 3000
     assert first.violations == ()
 
@@ -273,6 +285,22 @@ def test_sampled_large_cyclic_group_cd():
     report = verify_sampled(g, "cd", SamplingPlan(seed=42, count=100000))
     assert report.violations == ()
     assert report.pairs_checked == 100000
+
+
+@pytest.mark.parametrize("theorem", ["cd", "eh"])
+def test_sampled_memory_stays_bounded_at_order_4096(theorem):
+    # a table of the bounds of every pair of sizes up to n peaked at 256 MB;
+    # each pair's bound comes from its own sizes
+    g = build_group("cyclic:4096")
+    tracemalloc.start()
+    try:
+        report = verify_sampled(g, theorem, SamplingPlan(seed=1, count=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 10
+    assert report.violations == ()
+    assert peak < 16 * 2**20
 
 
 def test_sampled_frobenius_eh_finds_no_violations():
@@ -366,7 +394,7 @@ def test_sampled_fixed_sizes_redraw_a_rejected_word_like_the_scalar_generator(
     rng.jump(position)
     assert rng.next_u64() == (1 << 64) - 1
     monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", SMALL_BUDGET)
     for theorem in ("cd", "eh"):
         plan = SamplingPlan(seed=seed, count=300, fixed_sizes=(3, 4))
         assert (dumps_stable(verify_sampled(g, theorem, plan).to_json_dict())
@@ -387,19 +415,16 @@ def test_sampled_uniform_zero_mask_redraws_match_the_scalar_generator(spec, theo
 def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
     # On Z/2 x Z/4 a pair with |A| + |B| > |G| = 8 is not extremal under the
     # real p(G) = 2; pretending p(G) = |G| makes it extremal (bound 8) and
-    # lets other pairs fail.  A small budget cuts every run into blocks, so
-    # three workers use the pool.
+    # lets other pairs fail.  Each report must also be the same under a
+    # small budget, which cuts every run that draws into blocks.
     g = build_group("product:cyclic:2,cyclic:4")
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
     failing = 0
     for torsion in (engine.minimal_torsion, lambda group: group.order):
         monkeypatch.setattr(engine, "minimal_torsion", torsion)
         for fixed in (None, (1, 8), (2, 3), (4, 4), (5, 4)):
             plan = SamplingPlan(seed=17, count=600, fixed_sizes=fixed)
             want = scalar_sampled_report(g, "cd", plan)
-            one, three = (dumps_stable(verify_sampled(g, "cd", plan, workers=w)
-                                       .to_json_dict()) for w in (1, 3))
-            assert one == three == want
+            assert small_and_default(lambda: sampled_bytes(g, "cd", plan)) == (want, want)
             failing += '"violations": []' not in want
     assert failing
     # sizes that sum past |G| never reach the kernel
@@ -408,8 +433,8 @@ def test_sampled_cd_scores_pigeonhole_pairs_without_the_kernel(monkeypatch):
     assert report.extremal_count == report.pairs_checked == 500
 
 
-def sampled_bytes(g, theorem, plan, workers):
-    return dumps_stable(verify_sampled(g, theorem, plan, workers=workers).to_json_dict())
+def sampled_bytes(g, theorem, plan):
+    return dumps_stable(verify_sampled(g, theorem, plan).to_json_dict())
 
 
 @pytest.mark.parametrize("spec", ["frobenius:7:3:2", "heisenberg:5"])
@@ -420,15 +445,14 @@ def test_sampled_pairs_settled_by_their_sizes_match_the_scalar_oracle(monkeypatc
     # On frobenius:7:3:2 (p = 2) cd (1, 2) and (2, 2) and eh (2, 3) sit at
     # the bound, where the kernel decides, and every cd (1, 2) pair meets
     # it; on heisenberg:5 (p = 5) so do cd (1, 5) and eh (2, 4).  The other
-    # sizes and the uniform draws are settled.  A small budget cuts every
-    # run into blocks, so three workers use the pool.
+    # sizes and the uniform draws are settled.  Each report must also be the
+    # same under a small budget, which cuts every run that draws into blocks.
     g = build_group(spec)
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
     tight = 0
     for fixed in (None, (1, 2), (2, 1), (2, 2), (2, 3), (1, 5), (2, 4), (1, 6), (5, 5)):
         plan = SamplingPlan(seed=23, count=300, fixed_sizes=fixed)
         want = scalar_sampled_report(g, theorem, plan)
-        assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+        assert small_and_default(lambda: sampled_bytes(g, theorem, plan)) == (want, want)
         tight += '"extremal_count": 0}' not in want
     assert tight
 
@@ -445,7 +469,7 @@ def test_restricted_pair_at_the_settle_rule_is_extremal(monkeypatch):
     for fixed in ((4, 2), (2, 4), None):
         plan = SamplingPlan(seed=5, count=400, fixed_sizes=fixed)
         want = scalar_sampled_report(g, "eh", plan)
-        assert sampled_bytes(g, "eh", plan, 1) == sampled_bytes(g, "eh", plan, 3) == want
+        assert small_and_default(lambda: sampled_bytes(g, "eh", plan)) == (want, want)
     assert verify_sampled(g, "eh", SamplingPlan(seed=5, count=400,
                                                 fixed_sizes=(4, 2))).extremal_count == 400
     assert '"violations": []' not in want
@@ -465,7 +489,7 @@ def test_settled_fixed_size_plans_draw_nothing(monkeypatch, theorem):
         monkeypatch.setattr(engine, name, _refuse)
     monkeypatch.setattr(_Scan, "masks", _refuse)
     monkeypatch.setattr(SplitMix64, "words", _refuse)
-    assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+    assert small_and_default(lambda: sampled_bytes(g, theorem, plan)) == (want, want)
 
 
 @pytest.mark.parametrize("theorem", ["cd", "eh"])
@@ -494,7 +518,7 @@ def test_uniform_draws_pass_the_kernel_exactly_the_unsettled_pairs(monkeypatch, 
 
     monkeypatch.setattr(engine, "_padded", padded_spy)
     monkeypatch.setattr(_Scan, "masks", masks_spy)
-    assert sampled_bytes(g, theorem, plan, 1) == scalar_sampled_report(g, theorem, plan)
+    assert sampled_bytes(g, theorem, plan) == scalar_sampled_report(g, theorem, plan)
     assert kernel == unsettled
     assert sum(rows) == 2 * len(unsettled)
 
@@ -504,7 +528,7 @@ def test_uniform_draws_pass_the_kernel_exactly_the_unsettled_pairs(monkeypatch, 
 def test_products_have_at_least_as_many_elements_as_either_side(spec, data):
     # the premise of the settle rule: A * y is a translate of A, and x * B
     # of B; the restricted product leaves out at most x * x from each
-    g = corpus_group(spec)
+    g = cached_group(spec)
     top = (1 << g.order) - 1
     a = SubsetMask(data.draw(st.integers(1, top)), g.order)
     b = SubsetMask(data.draw(st.integers(1, top)), g.order)
@@ -528,14 +552,13 @@ def test_sampled_kernel_matches_the_scalar_oracle_on_unsettled_sizes(spec, theor
     assert not scan.settle(*sizes)[0]
     plan = SamplingPlan(seed=2, count=count, fixed_sizes=sizes)
     want = scalar_sampled_report(g, theorem, plan)
-    assert sampled_bytes(g, theorem, plan, 1) == sampled_bytes(g, theorem, plan, 3) == want
+    assert small_and_default(lambda: sampled_bytes(g, theorem, plan)) == (want, want)
 
 
-def test_exhaustive_workers_do_not_change_the_report():
+def test_exhaustive_report_does_not_depend_on_the_batch_budget():
     z7 = build_group("cyclic:7")
-    one = verify_exhaustive(z7, "cd", workers=1)
-    four = verify_exhaustive(z7, "cd", workers=4)
-    assert one.to_json_dict() == four.to_json_dict()
+    small, default = small_and_default(lambda: verify_exhaustive(z7, "cd").to_json_dict())
+    assert small == default
 
 
 def test_find_extremal_z7():
@@ -663,14 +686,14 @@ def test_multiset_of_sizes_is_invariant_under_the_pair_isomorphism():
     assert stats(g) == stats(ext)
 
 
-def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
+def test_violations_are_exact_and_ordered_for_any_batch_budget(monkeypatch):
     # The bound holds on every real group, so pretend p(G) = |G| on
     # Z/2 x Z/4, where products of subgroup cosets fall below |A| + |B| - 1.
-    # A small batch budget splits every scan, so three workers use the pool.
+    # A small batch budget splits the full and the sampled scan; each report
+    # must be the default budget's.
     g = build_group("product:cyclic:2,cyclic:4")
     n = g.order
     monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
 
     def naive_witnesses(pairs):
         found = []
@@ -685,13 +708,12 @@ def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
     rng = SplitMix64(3)
     drawn = [(rng.nonempty_mask(n), rng.nonempty_mask(n)) for _ in range(500)]
     runs = [
-        (lambda w: verify_exhaustive(g, "cd", workers=w), every, True),
-        (lambda w: verify_exhaustive(g, "cd", Caps(2, 3), workers=w), capped, True),
-        (lambda w: verify_sampled(g, "cd", SamplingPlan(3, 500), workers=w), drawn,
-         False),
+        (lambda: verify_exhaustive(g, "cd"), every, True),
+        (lambda: verify_exhaustive(g, "cd", Caps(2, 3)), capped, True),
+        (lambda: verify_sampled(g, "cd", SamplingPlan(3, 500)), drawn, False),
     ]
     for run, pairs, mask_order in runs:
-        one, three = run(1), run(3)
+        one, default = small_and_default(run)
         want = naive_witnesses(pairs)
         assert want
         assert [(v.a.bits, v.b.bits, v.product_size) for v in one.violations] == want
@@ -700,7 +722,7 @@ def test_violations_are_exact_and_ordered_for_any_worker_count(monkeypatch):
         if mask_order:
             assert want == sorted(want)
         assert one.pairs_checked == len(pairs)
-        assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
+        assert dumps_stable(one.to_json_dict()) == dumps_stable(default.to_json_dict())
 
 
 def force_automorphisms(monkeypatch):
@@ -716,8 +738,8 @@ def force_automorphisms(monkeypatch):
                                            ("cyclic:7", "cd"), ("cyclic:7", "eh"),
                                            ("product:cyclic:3,cyclic:3", "cd"),
                                            ("product:cyclic:3,cyclic:3", "eh")])
-def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch, spec,
-                                                                     theorem):
+def test_violations_expand_from_orbits_exactly_for_any_batch_budget(monkeypatch, spec,
+                                                                    theorem):
     # The sibling of the test above for the orbit expansion.  Each witness
     # expands into its images (sigma(A), sigma(B)) under the automorphisms
     # that fix element 0, then into translates.  Z/2 x Z/4, Z/7 and Z/3 x
@@ -737,18 +759,17 @@ def test_violations_expand_from_orbits_exactly_for_any_worker_count(monkeypatch,
                                                             != ("dihedral:4", "eh"))
     monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
     monkeypatch.setattr(engine, "_size_slack", lambda theorem: slack)
-    monkeypatch.setattr(engine, "_BATCH_BYTES", 1 << 12)
     for forced, caps in product((False, True), (None, Caps(3, 4))):
         if forced:
             force_automorphisms(monkeypatch)
-        one, three = (verify_exhaustive(g, theorem, caps, workers=w) for w in (1, 3))
+        one, default = small_and_default(lambda: verify_exhaustive(g, theorem, caps))
         pairs, extremal, want = brute_force_scan(g, theorem, caps, p=n, slack=slack)
         assert want
         assert [(v.a.bits, v.b.bits, v.product_size) for v in one.violations] == want
         assert all(not v.holds and v.bound == min(n, v.a_size + v.b_size - slack)
                    for v in one.violations)
         assert (one.pairs_checked, one.extremal_count) == (pairs, extremal)
-        assert dumps_stable(one.to_json_dict()) == dumps_stable(three.to_json_dict())
+        assert dumps_stable(one.to_json_dict()) == dumps_stable(default.to_json_dict())
 
 
 def brute_force_scan(g, theorem, caps=None, p=None, slack=None):
@@ -797,7 +818,7 @@ def assert_scans_match_brute_force(g, theorem):
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
 def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
     # oracle for the orbit reductions: the full scan, written out
-    assert_scans_match_brute_force(corpus_group(spec), theorem)
+    assert_scans_match_brute_force(cached_group(spec), theorem)
 
 
 @pytest.mark.parametrize("theorem", ["cd", "eh"])
@@ -805,7 +826,7 @@ def test_orbit_reduced_scans_match_brute_force_on_the_corpus(spec, theorem):
 def test_forced_automorphism_reduction_matches_brute_force(monkeypatch, spec, theorem):
     # the cost rule declines most scans here
     force_automorphisms(monkeypatch)
-    assert_scans_match_brute_force(corpus_group(spec), theorem)
+    assert_scans_match_brute_force(cached_group(spec), theorem)
 
 
 @pytest.mark.parametrize("theorem", ["cd", "eh"])
@@ -890,7 +911,7 @@ def kappa(n, r, s):
 
 
 @pytest.mark.parametrize("spec", [spec for spec in CORPUS_SPECS
-                                  if corpus_group(spec).is_abelian()]
+                                  if cached_group(spec).is_abelian()]
                          + ["dihedral:3", "dihedral:4", "dihedral:5"])
 def test_extremal_pairs_exist_exactly_where_kappa_meets_the_bound(spec):
     # min |A * B| over |A| = r, |B| = s is kappa_n(r, s) on abelian groups

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.factor_system import build_factor_system
 from reference import as_candidate_group
 from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
-                              build_group, closure, element_order,
+                              build_group, cached_group, closure, element_order,
                               lowest_first_generators, parse_group_spec,
                               validate_group)
 from sumsetlab.structure import choose_decomposition_subgroup
@@ -191,12 +191,12 @@ def _relabelled(op: np.ndarray, rng) -> np.ndarray:
 
 
 @pytest.mark.parametrize("spec", [s for s in CORPUS_SPECS
-                                  if 5 * corpus_group(s).order <= 150])
+                                  if 5 * cached_group(s).order <= 150])
 def test_light_test_matches_brute_force_associativity(spec):
     # oracle: the O(n^3) definition, on the corpus group and on its product
     # with the 5-element loop, both under a random relabelling
-    rng = np.random.default_rng(corpus_group(spec).order)
-    group_op = corpus_group(spec).op
+    rng = np.random.default_rng(cached_group(spec).order)
+    group_op = cached_group(spec).op
     for op in (group_op, _product_table([np.array(NONASSOCIATIVE_LOOP), group_op])):
         op = _relabelled(op, rng)
         report = validate_group(as_candidate_group(op))
@@ -513,7 +513,7 @@ def _intercalate_switch(op: np.ndarray, rng) -> np.ndarray | None:
 
 def _crafted_invalid_tables(rng):
     """(kind, candidate group) pairs; kind names the check meant to fail."""
-    groups = [corpus_group(s) for s in CORPUS_SPECS if 1 < corpus_group(s).order <= 27]
+    groups = [cached_group(s) for s in CORPUS_SPECS if 1 < cached_group(s).order <= 27]
     loop = np.array(NONASSOCIATIVE_LOOP)
     for _ in range(150):
         n = int(rng.integers(1, 8))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import sumsetlab.structure as structure
 from reference import moved_identity, normal_subgroup_inventory
-from sumsetlab.corpus import CORPUS_SPECS, corpus_group
-from sumsetlab.groups import (SubsetMask, build_group, closure, element_order,
-                              table_group, validate_group)
+from sumsetlab.corpus import CORPUS_SPECS
+from sumsetlab.groups import (SubsetMask, build_group, cached_group, closure,
+                              element_order, table_group, validate_group)
 from sumsetlab.structure import (INFINITY, _members, automorphisms,
                                  choose_decomposition_subgroup,
                                  commutator_subgroup, derived_series,
@@ -417,7 +417,7 @@ def test_closure_matches_the_squaring_closure(oracle_group):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_incremental_closure_matches_the_closure_from_scratch(data):
-    g = corpus_group(data.draw(st.sampled_from(CORPUS_SPECS)))
+    g = cached_group(data.draw(st.sampled_from(CORPUS_SPECS)))
     elements = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
     start = data.draw(st.integers(0, len(elements)))
     grown = closure(g, elements[:start])
@@ -522,7 +522,7 @@ AUTOMORPHISM_COUNTS = {"quaternion": 24, "dihedral:5": 20, "frobenius:7:3:2": 42
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
 def test_automorphism_counts_on_the_corpus(spec):
-    g = corpus_group(spec)
+    g = cached_group(spec)
     n = g.order
     # Aut(Z/n) is the unit group, of phi(n) elements
     want = AUTOMORPHISM_COUNTS.get(spec) or sum(math.gcd(k, n) == 1 for k in range(n))
@@ -535,6 +535,6 @@ def test_automorphism_counts_on_the_corpus(spec):
 def test_automorphism_search_declines_past_its_candidate_limit():
     # heisenberg:3 has 3 lowest-first generators of order 3 and 26 elements
     # of order 3, so 26^3 candidates
-    g = corpus_group("heisenberg:3")
+    g = cached_group("heisenberg:3")
     assert automorphisms(g, limit=26**3 - 1) is None
     assert len(automorphisms(g, limit=26**3)) == 432
