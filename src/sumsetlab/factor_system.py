@@ -128,7 +128,7 @@ def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
     those of ``conj`` and ``carry``)."""
     kop = subgroup_as_group(fs.kernel).op
     k_out = kop[kop[pos1, fs.conj[blk1, pos2]], fs.carry[blk1, blk2]]
-    return k_out * fs.num_blocks + fs.quot.table.op[blk1, blk2]
+    return k_out.astype(np.intp) * fs.num_blocks + fs.quot.table.op[blk1, blk2]
 
 
 @dataclass(frozen=True)

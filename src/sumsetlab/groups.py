@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-ORDER_CAP = 4096          # tables above this order are refused outright
+ORDER_CAP = 4096          # larger orders are refused, so every index fits int16
 
 INFINITY = float("inf")
 """Torsion value of the trivial group; compares above every integer."""
@@ -128,10 +127,10 @@ class FiniteGroup:
 
 
 def table_group(op: np.ndarray, label: str, identity: int = 0) -> FiniteGroup:
-    """The group on a Cayley table, with each inverse read off its row."""
-    op = np.asarray(op, dtype=np.int32)
+    """The group on a Cayley table, with each inverse read off its row, as int16."""
+    op = np.asarray(op, dtype=np.int16)
     return FiniteGroup(order=len(op), op=op, identity=identity,
-                       inv=np.argmax(op == identity, axis=1).astype(np.int32),
+                       inv=np.argmax(op == identity, axis=1).astype(np.int16),
                        label=label)
 
 
@@ -251,7 +250,7 @@ def _cyclic_table(n: int) -> np.ndarray:
 def _shifts(m: int) -> np.ndarray:
     """Windows of 0..m-1 twice over: row i reads (i + y) % m for y in 0..m-1,
     so rows [:m] add and rows [m:0:-1] subtract, with no modulo pass."""
-    idx = np.arange(m, dtype=np.int32)
+    idx = np.arange(m, dtype=np.int16)
     return np.lib.stride_tricks.sliding_window_view(np.concatenate((idx, idx)), m)
 
 
@@ -261,23 +260,23 @@ def _quaternion_table() -> np.ndarray:
     flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     unit, sign = np.arange(8) // 2, np.arange(8) % 2
     u, v = unit[:, None], unit[None, :]
-    return (2 * (u ^ v) + (sign[:, None] ^ sign[None, :] ^ flip[u, v])).astype(np.int32)
+    return (2 * (u ^ v) + (sign[:, None] ^ sign[None, :] ^ flip[u, v])).astype(np.int16)
 
 
 def _dihedral_table(m: int) -> np.ndarray:
     # index = flip*m + rotation; (f1,a1)(f2,a2) = (f1 xor f2, a2 + (-1)^f2 a1)
     shifts = _shifts(m)
     rotation = np.stack((shifts[:m], shifts[m:0:-1]), axis=1)    # [a1, f2, a2]
-    flip = np.array([[0, m], [m, 0]], dtype=np.int32)             # [f1, f2]
+    flip = np.array([[0, m], [m, 0]], dtype=np.int16)             # [f1, f2]
     return (flip[:, None, :, None] + rotation[None]).reshape(2 * m, 2 * m)
 
 
 def _heisenberg_table(p: int) -> np.ndarray:
     # index = a*p^2 + b*p + c for the unitriangular matrix [[1,a,c],[0,1,b],[0,0,1]];
     # the product adds a and b and takes c = c1 + c2 + a1*b2, so the table is
-    # the sum of small int32 tables over axes (a1, b1, c1, a2, b2, c2)
+    # the sum of small int16 tables over axes (a1, b1, c1, a2, b2, c2)
     add = _cyclic_table(p)
-    r = np.arange(p, dtype=np.int32)
+    r = np.arange(p, dtype=np.int16)
     c = (r[:, None, None, None] * r[None, None, :, None]            # a1 * b2
          + add[None, :, None, :]) % p                                # + c1 + c2
     ab = (add[:, None, None, :, None, None] * (p * p)
@@ -287,21 +286,18 @@ def _heisenberg_table(p: int) -> np.ndarray:
 
 def _frobenius_table(p: int, q: int, k: int) -> np.ndarray:
     # index = x*q + y; (x1,y1)(x2,y2) = (x1 + k^y1 * x2 mod p, y1 + y2 mod q),
-    # the sum of an int32 table over (x1, y1, x2) and one over (y1, y2)
+    # the sum of Z/p's table read at (x1, k^y1 * x2) and Z/q's read at (y1, y2)
     kpow = np.array([pow(k, e, p) for e in range(q)], dtype=np.int64)
-    x = np.arange(p)
-    x_out = (x[:, None, None] + kpow[None, :, None] * x[None, None, :]) % p * q
-    return (x_out.astype(np.int32)[:, :, :, None]
-            + _cyclic_table(q)[None, :, None, :]).reshape(p * q, p * q)
+    moved = kpow[:, None] * np.arange(p) % p                       # [y1, x2]
+    x_out = _cyclic_table(p)[:, moved] * q
+    return (x_out[:, :, :, None] + _cyclic_table(q)[None, :, None, :]).reshape(p * q, p * q)
 
 
 def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
-    acc = tables[0].astype(np.int32)
+    acc = tables[0]
     for t in tables[1:]:
-        na, nb = len(acc), len(t)
-        acc = (acc[:, None, :, None] * nb + t[None, :, None, :]).reshape(
-            na * nb, na * nb
-        ).astype(np.int32)
+        na, nb = len(acc), len(t)     # int16 in and out: every value is below na * nb
+        acc = (acc[:, None, :, None] * nb + t[None, :, None, :]).reshape(na * nb, na * nb)
     return acc
 
 
@@ -356,7 +352,6 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
 
 CACHE_BYTES = 4 << 20     # table bytes (op.nbytes) that cached_group keeps
 _cached: OrderedDict[str, FiniteGroup] = OrderedDict()   # least recent first
-_cached_lock = threading.Lock()
 
 
 def cached_group(spec: str) -> FiniteGroup:
@@ -368,23 +363,21 @@ def cached_group(spec: str) -> FiniteGroup:
     and a larger table is returned but not kept: its own n^2 work outweighs
     the build.  A spec that names a table file is built afresh on every
     call, so the file is read and checked as it is now, and a failed build
-    raises every time.
+    raises every time.  The cache is for one thread: nothing locks it.
     """
     parsed = parse_group_spec(spec)
     if any(s.kind == "table" for s in (parsed, *parsed.children)):
         return build_group(parsed)
     key = parsed.label()
-    with _cached_lock:
-        group = _cached.get(key)
-        if group is not None:
-            _cached.move_to_end(key)
-            return group
+    group = _cached.get(key)
+    if group is not None:
+        _cached.move_to_end(key)
+        return group
     group = build_group(parsed)
     if group.op.nbytes <= CACHE_BYTES:
-        with _cached_lock:
-            group = _cached.setdefault(key, group)
-            while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
-                _cached.popitem(last=False)
+        _cached[key] = group
+        while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
+            _cached.popitem(last=False)
     return group
 
 
@@ -408,21 +401,23 @@ def _load_table_group(path: Path) -> FiniteGroup:
             f"table file {path}: expected {n * n} entries, got {len(values) - 1}"
         )
     entries = values[1:]
-    if isinstance(entries, list):            # int() tokens may not fit in int32
+    if isinstance(entries, list):            # int() tokens may not fit in int64
         entries = [v if 0 <= v < n else -1 for v in entries]
-    op = np.array(entries, dtype=np.int32).reshape(n, n)
+    op = np.asarray(entries).reshape(n, n)
     if op.min() < 0 or op.max() >= n:
         bad = np.argwhere((op < 0) | (op >= n))[0]
         raise GroupBuildError(
             f"table file {path}: entry op({bad[0]},{bad[1]}) out of range"
         )
+    op = op.astype(np.int16)                 # after the check: as int16, 65537 reads 1
+    del values, entries                      # one n x n table from here on
 
     identity = _find_identity(op)
     label = f"table:{path.name}"
     if identity is None:
         raise GroupBuildError(f"table file {path}: no two-sided identity element")
     if identity != 0:
-        perm = np.arange(n, dtype=np.int32)
+        perm = np.arange(n, dtype=np.int16)
         perm[[0, identity]] = perm[[identity, 0]]
         op = perm[op[perm][:, perm]]  # transposition is its own inverse
         label += f"|identity={identity}->0"

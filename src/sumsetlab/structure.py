@@ -226,8 +226,8 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     if cached is not None:
         return cached
     m = np.fromiter(h.element_list, dtype=np.int64, count=h.order)
-    pos = np.full(g.order, -1, dtype=np.int32)
-    pos[m] = np.arange(h.order, dtype=np.int32)
+    pos = np.full(g.order, -1, dtype=np.int16)
+    pos[m] = np.arange(h.order, dtype=np.int16)
     table = pos[g.op[np.ix_(m, m)]]
     if (table < 0).any():
         raise ValueError("member set is not closed under the group operation")

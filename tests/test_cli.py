@@ -173,7 +173,9 @@ def test_bad_rep_policies_exit_2(runner, policy, message):
     assert result.stderr == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("entry", ["4294967296", "-4294967296000000000000"])
+# 32768, 65536 and 65537 would read -32768, 0 and 1 as int16
+@pytest.mark.parametrize("entry", ["4294967296", "-4294967296000000000000",
+                                   "32768", "65536", "65537"])
 def test_table_entries_beyond_int32_exit_2(runner, tmp_path, entry):
     path = tmp_path / "t.tbl"
     path.write_text(f"2\n0 1\n1 {entry}\n")

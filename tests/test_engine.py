@@ -206,8 +206,9 @@ def test_capped_sum_cap_counts():
 
 
 # orders on each side of every word boundary of the kernel's masks
+# heisenberg:7 (order 343): x * n + y passes 2^15, where an int16 index wraps
 BOUNDARY_SPECS = ["dihedral:8", "cyclic:17", "dihedral:16", "cyclic:33",
-                  "dihedral:32", "cyclic:65", "heisenberg:5"]
+                  "dihedral:32", "cyclic:65", "heisenberg:5", "heisenberg:7"]
 
 
 def _mask_ints(words):

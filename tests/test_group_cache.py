@@ -92,6 +92,24 @@ def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
     assert built == {"heisenberg:3": 1, "cyclic:7": 1, "heisenberg:5": 1}
 
 
+def test_heisenberg_11_is_built_once_for_validate_and_decompose(empty_cache,
+                                                               monkeypatch):
+    # its int16 table (3.4 MiB) fits the budget, so decompose reuses the
+    # group that validate built
+    built = Counter()
+    build = groups.build_group
+
+    def spy(spec):
+        built[spec.label()] += 1
+        return build(spec)
+
+    monkeypatch.setattr(groups, "build_group", spy)
+    assert run("validate", "--group", "heisenberg:11")[0] == 0
+    assert run("decompose", "--group", "heisenberg:11")[0] == 0
+    assert built == {"heisenberg:11": 1}
+    assert groups._cached["heisenberg:11"].op.nbytes <= groups.CACHE_BYTES
+
+
 @pytest.mark.parametrize("spec, message", [
     ("cyclic:abc", "error: cyclic parameters must be integers, got 'abc'\n"),
     ("heisenberg:4", "error: heisenberg needs an odd prime\n"),
@@ -141,13 +159,13 @@ def test_validate_runs_lights_test_on_a_cached_group(empty_cache, monkeypatch):
 
 
 def test_the_least_recently_used_group_goes_first(empty_cache, monkeypatch):
-    monkeypatch.setattr(groups, "CACHE_BYTES", 2 << 20)     # two order-512 tables
+    monkeypatch.setattr(groups, "CACHE_BYTES", 1 << 20)     # two order-512 tables
     specs = ("cyclic:512", "dihedral:256", "product:cyclic:2,cyclic:256")
     held = []
 
     def get(spec):
         g = cached_group(spec)
-        assert g.op.nbytes == 1 << 20
+        assert g.op.nbytes == 1 << 19
         held.append(sum(h.op.nbytes for h in groups._cached.values()))
         return g
 
@@ -164,7 +182,7 @@ def test_a_table_over_the_budget_is_returned_but_not_kept(empty_cache):
     assert groups.CACHE_BYTES == 4 << 20
     small = cached_group("cyclic:5")
     big = cached_group("cyclic:2048")
-    assert big.order == 2048 and big.op.nbytes == 16 << 20
+    assert big.order == 2048 and big.op.nbytes == 8 << 20
     assert list(groups._cached) == ["cyclic:5"]
     assert cached_group("cyclic:5") is small
     assert cached_group("cyclic:2048") is not big

@@ -410,26 +410,41 @@ FORMULAS = {"cyclic": _formula_cyclic, "dihedral": _formula_dihedral,
             "quaternion": _formula_quaternion}
 
 
+def _formula_product(left, right):
+    # index = x*m + y for x in the left factor and y in the right one
+    m = len(right)
+    idx = np.arange(len(left) * m, dtype=np.int32)
+    x, y = idx // m, idx % m
+    return left[x[:, None], x[None, :]] * m + right[y[:, None], y[None, :]]
+
+
+def _formula(spec):
+    if spec.startswith("product:"):
+        return _formula_product(*map(_formula, spec[len("product:"):].split(",")))
+    kind, *params = spec.split(":")
+    return FORMULAS[kind](*map(int, params))
+
+
 @pytest.mark.parametrize("spec", [
     "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:8", "cyclic:25", "cyclic:4096",
     "dihedral:1", "dihedral:2", "dihedral:3", "dihedral:5", "dihedral:32",
     "dihedral:2048",
     "heisenberg:3", "heisenberg:5", "heisenberg:7", "heisenberg:13", "quaternion",
     "frobenius:7:3:2", "frobenius:7:3:4", "frobenius:13:3:3", "frobenius:11:5:3",
-    "frobenius:31:5:2",
+    "frobenius:31:5:2", "product:cyclic:64,cyclic:64",
 ])
 def test_canonical_builders_match_their_int64_formulas(spec):
-    kind, *params = spec.split(":")
     g = build_group(spec)
-    assert g.op.dtype == np.int32
-    assert np.array_equal(g.op, FORMULAS[kind](*map(int, params)))
+    assert g.op.dtype == g.inv.dtype == np.int16
+    assert np.array_equal(g.op, _formula(spec))
     assert np.array_equal(g.inv, np.argmax(g.op == 0, axis=1))
 
 
 def test_structure_path_memory_stays_bounded_at_heisenberg_13():
     # build, validate, decomposition kernel and factor system: 184 MiB when
     # the derived series and the normality test formed n x n products; about
-    # 26 MiB once they work on generating sets, most of it the table itself
+    # 25 MiB once they work on generating sets, most of it the int32 table;
+    # about 14 MiB with int16 tables, so an int32 table or copy fails here
     tracemalloc.start()
     try:
         g = build_group("heisenberg:13")
@@ -438,7 +453,7 @@ def test_structure_path_memory_stays_bounded_at_heisenberg_13():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------
