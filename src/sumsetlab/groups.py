@@ -472,13 +472,14 @@ def validate_group(g: FiniteGroup) -> list[str]:
     """Check the group axioms; return a list of violations (empty if valid).
 
     The identity and inverse laws, then associativity by Light's test:
-    (xs)y = x(sy) for every x, y and each s, lowest first, outside the
-    ``closure`` of the s that passed.  Each s at least doubles it, so at most
-    log2(n) + 1 are checked; a passing set is cached as the group's
-    generators.  A table that passes is a group, hence a Latin square, so
-    rows and columns are sorted only after a failure; the report lists Latin,
-    identity and inverse violations, or else the associativity failure.
-    Violations are data, not errors.
+    (xs)y = x(sy) for every x, y and each s of ``generating_set(g)``.  Any
+    generating set is sound: the s that pass form an op-closed set holding
+    the identity, so it holds the set's op-closed hull, all of g.  After a
+    failure the ``lowest_first_generators`` are checked in order, so the
+    report names the same first failing triple.  A table that passes is a
+    group, hence a Latin square, so rows and columns are sorted only after a
+    failure; the report lists Latin, identity and inverse violations, or
+    else the associativity failure.  Violations are data, not errors.
     """
     op = g.op
     n = g.order
@@ -502,12 +503,10 @@ def validate_group(g: FiniteGroup) -> list[str]:
 
     failure = None
     if not problems:
-        for s in lowest_first_generators(g):
-            failure = _first_nonassociative(op, s)
-            if failure is not None:
-                break
-        else:
+        if all(_first_nonassociative(op, s) is None for s in generating_set(g)):
             return []
+        failures = (_first_nonassociative(op, s) for s in lowest_first_generators(g))
+        failure = next(f for f in failures if f is not None)
     return _latin_problems(op) + problems or [failure]
 
 
@@ -579,26 +578,47 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
         letters = gens
 
 
-def lowest_first_generators(g: FiniteGroup, members=None) -> Iterator[int]:
-    """Yield the lowest element of ``members`` (a bool array; default: all of
-    g) outside the ``closure`` of those yielded before it, until none is left;
-    each one at least doubles the closure, so at most log2(n) + 1 come out.
-    The closure grows with each one, O(n * k) in all.  A finished
-    whole-group sequence is cached as ``g._cache["generators"]``."""
-    whole = members is None or bool(members.all())
-    if whole and "generators" in g._cache:
-        yield from g._cache["generators"]
-        return
+def lowest_first_generators(g: FiniteGroup) -> Iterator[int]:
+    """Yield the lowest element of g outside the ``closure`` of those yielded
+    before it, until none is left; each one at least doubles the closure, so
+    at most log2(n) + 1 come out.  The closure grows with each one, O(n * k)
+    in all.  Nothing is cached: ``generating_set`` keeps the group's set."""
     gens: list[int] = []
     closed = closure(g, gens)
-    outside = ~closed if whole else members & ~closed
-    while outside.any():
-        gens.append(int(np.argmax(outside)))
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
         yield gens[-1]
         closed = closure(g, gens, closed)
-        outside &= ~closed
-    if whole:
-        g._cache["generators"] = tuple(gens)
+
+
+def generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """The ``lowest_first_generators`` less each one, in order, that the
+    others kept generate; cached in ``g._cache``.  The last lies outside the
+    closure of those before it and is kept untested; one other element is
+    tested by its ``_powers``, not by an m-round closure.  Each test set lies
+    in the op-closed hull of the others, so on any table with an identity
+    the hull of the set kept is all of g."""
+    gens = g._cache.get("generators")
+    if gens is None:
+        kept = list(lowest_first_generators(g))
+        for s in kept[:-1]:
+            rest = [t for t in kept if t != s]
+            if (_powers(g, rest[0]) if len(rest) == 1 else closure(g, rest))[s]:
+                kept.remove(s)
+        gens = g._cache["generators"] = tuple(kept)
+    return gens
+
+
+def _powers(g: FiniteGroup, x: int) -> np.ndarray:
+    """Membership of the identity and the powers of x, by doubling: those
+    below x^(2m) are those below x^m and their products with x^m, so order m
+    takes log2(m) + 1 rounds.  Each round adds x^m, so it ends on any table
+    with an identity."""
+    member = closure(g, ())
+    while not member[x]:
+        member[g.op[np.flatnonzero(member), x]] = True
+        x = g.op[x, x]
+    return member
 
 
 def element_order(g: FiniteGroup, x: int) -> int:

@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import (INFINITY, FiniteGroup, SubsetMask, closure,
-                     lowest_first_generators, smallest_prime_factor, table_group)
+from .groups import (INFINITY, FiniteGroup, SubsetMask, closure, generating_set,
+                     smallest_prime_factor, table_group)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
-    return _subgroup(g, np.ones(g.order, dtype=bool), lowest_first_generators(g))
+    return _subgroup(g, np.ones(g.order, dtype=bool), generating_set(g))
 
 
 def _grow(g: FiniteGroup, candidates: np.ndarray, gens: list[int],
@@ -111,7 +111,7 @@ def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndar
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """True iff x h x^-1 is contained in h for every x in g; it suffices that
     g's generators conjugate h's generators into h."""
-    by = np.fromiter(lowest_first_generators(g), dtype=np.intp)
+    by = np.array(generating_set(g), dtype=np.intp)
     return bool(_members(h)[_conjugates(g, by, _generators(h))].all())
 
 
@@ -287,8 +287,8 @@ def automorphisms(g: FiniteGroup, limit: int | None = None) -> np.ndarray | None
     """Every automorphism of g as a row sigma (sigma[x] is the image of x),
     or None when there are more than ``limit`` candidates.
 
-    The candidates map the lowest-first generators to elements of the same
-    orders.  For a chunk of them at once, sigma(x s) = sigma(x) sigma(s)
+    The candidates map the group's ``generating_set`` to elements of the
+    same orders.  For a chunk of them at once, sigma(x s) = sigma(x) sigma(s)
     fills sigma breadth first from the identity, one numpy step per layer,
     and the rows kept are the bijections for which it holds at every x and
     generator s.  By induction on the length of a word w in the generators,
@@ -296,7 +296,7 @@ def automorphisms(g: FiniteGroup, limit: int | None = None) -> np.ndarray | None
     word, so the rows kept are exactly the automorphisms.
     """
     n = g.order
-    gens = np.fromiter(lowest_first_generators(g), dtype=np.intp)
+    gens = np.array(generating_set(g), dtype=np.intp)
     orders = _element_orders(g)
     pools = [np.flatnonzero(orders == orders[s]) for s in gens]
     if limit is not None and math.prod(map(len, pools)) > limit:

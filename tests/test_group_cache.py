@@ -4,6 +4,7 @@ the kept tables stay within the byte budget."""
 
 from collections import Counter, OrderedDict
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -156,6 +157,69 @@ def test_validate_runs_lights_test_on_a_cached_group(empty_cache, monkeypatch):
     assert "heisenberg:3" in groups._cached
     assert checked == list(cached_group("heisenberg:3")._cache["generators"])
     assert checked
+
+
+def _spy_on_lights_test(monkeypatch):
+    """The (order, s) of every Light's test run from now on."""
+    checked = []
+    first = groups._first_nonassociative
+
+    def spy(op, s):
+        checked.append((len(op), int(s)))
+        return first(op, s)
+
+    monkeypatch.setattr(groups, "_first_nonassociative", spy)
+    return checked
+
+
+def test_validate_checks_the_pruned_generating_set(empty_cache, monkeypatch):
+    # heisenberg:13 (9.2 MiB) is over the cache budget, so each command builds
+    # it; (13, 169) generate it, since their commutator 12 generates the
+    # centre, which holds the lowest-first element 1
+    assert run("validate", "--group", "heisenberg:13")[0] == 0
+    checked = _spy_on_lights_test(monkeypatch)
+    assert run("validate", "--group", "heisenberg:13")[0] == 0
+    assert checked == [(2197, 13), (2197, 169)]
+
+
+def _write_relabelled(path, spec, seed):
+    """The group's table renamed by a seeded permutation that moves the
+    identity off 0, written as the benchmark writes its table files."""
+    op = groups.build_group(spec).op.astype(np.int64)
+    perm = np.random.default_rng(seed).permutation(len(op))
+    if perm[0] == 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    relabelled = np.empty_like(op)
+    relabelled[np.ix_(perm, perm)] = perm[op]
+    _write_table(path, relabelled.tolist())
+
+
+def test_a_table_file_is_checked_once_per_command(empty_cache, tmp_path, monkeypatch):
+    path = tmp_path / "heisenberg-7.tbl"
+    # like the benchmark's seed-0 file: 3 lowest-first elements, 2 kept
+    _write_relabelled(path, "heisenberg:7", 12)
+    loaded = groups.build_group(f"table:{path}")
+    assert tuple(groups.lowest_first_generators(loaded)) == (1, 2, 3)
+    gens = groups.generating_set(loaded)
+    assert gens == (2, 3)
+    checked = _spy_on_lights_test(monkeypatch)
+    for _ in range(2):
+        code, out, _ = run("validate", "--group", f"table:{path}")
+        assert (code, out.split("\n")[1]) == (0, "  all group axioms hold")
+        assert checked == [(343, s) for s in gens]
+        checked.clear()
+
+
+def test_a_product_of_a_table_file_is_checked_as_a_product(empty_cache, tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "heisenberg-3.tbl"
+    _write_relabelled(path, "heisenberg:3", 1)
+    spec = f"product:table:{path},cyclic:3"
+    table_gens = groups.generating_set(groups.build_group(f"table:{path}"))
+    product_gens = groups.generating_set(groups.build_group(spec))
+    checked = _spy_on_lights_test(monkeypatch)
+    assert run("validate", "--group", spec)[0] == 0
+    assert checked == [(27, s) for s in table_gens] + [(81, s) for s in product_gens]
 
 
 def test_the_least_recently_used_group_goes_first(empty_cache, monkeypatch):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.factor_system import build_factor_system
 from reference import as_candidate_group
+from sumsetlab import groups
 from sumsetlab.groups import (GroupBuildError, SubsetMask, _product_table,
                               build_group, cached_group, closure, element_order,
-                              lowest_first_generators, parse_group_spec,
-                              validate_group)
-from sumsetlab.structure import choose_decomposition_subgroup
+                              generating_set, lowest_first_generators,
+                              parse_group_spec, validate_group)
+from sumsetlab.structure import choose_decomposition_subgroup, whole_subgroup
 
 QUATERNION_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
@@ -552,6 +553,10 @@ def _crafted_invalid_tables(rng):
                                    inv=np.array([0, 1]), label="out of range")
 
 
+def _first_failing(g, gens):
+    return next(s for s in gens if groups._first_nonassociative(g.op, s) is not None)
+
+
 def test_validate_matches_the_latin_first_reference_on_crafted_tables():
     rng = np.random.default_rng(6)
     reached = {}
@@ -562,8 +567,20 @@ def test_validate_matches_the_latin_first_reference_on_crafted_tables():
         if report and all(msg.startswith("latin:") for msg in report):
             first = "latin after Light's test"    # identity and inverses held
         reached[first] = reached.get(first, 0) + 1
-    # every branch of the report is reached, associativity on loops often
+        if first == "associativity":
+            # the pruned set failed, and the lowest-first rerun named the triple
+            lowest = tuple(lowest_first_generators(g))
+            if generating_set(g) != lowest:
+                reached["pruned"] = reached.get("pruned", 0) + 1
+                if _first_failing(g, generating_set(g)) != _first_failing(g, lowest):
+                    reached["pruned fails elsewhere"] = \
+                        reached.get("pruned fails elsewhere", 0) + 1
+    # every branch of the report is reached, associativity on loops often;
+    # 9 of the 21 associativity failures come from a pruned set, and in 3 of
+    # them the pruned set fails first at another generator
     assert reached.get("associativity", 0) >= 20, reached
+    assert reached.get("pruned", 0) >= 5, reached
+    assert reached.get("pruned fails elsewhere", 0) >= 1, reached
     assert reached.get("latin after Light's test", 0) >= 20, reached
     assert {"latin", "identity", "inverse", "table entries out of range"} \
         <= set(reached)
@@ -590,12 +607,36 @@ def test_lowest_first_generators_are_unchanged(spec, gens):
 
 
 def test_structure_and_validation_share_one_generating_sequence(corpus_member):
+    # the cached set is the lowest-first sequence pruned: a subsequence of it
+    # whose closure is the whole group
     fresh = build_group(corpus_member.label)
-    gens = tuple(lowest_first_generators(fresh))
+    gens = whole_subgroup(fresh).generators
     assert fresh._cache["generators"] == gens
+    lowest = iter(lowest_first_generators(fresh))
+    assert all(s in lowest for s in gens)
+    assert closure(fresh, gens).all()
     validated = build_group(corpus_member.label)
     validate_group(validated)
     assert validated._cache["generators"] == gens
+
+
+# the lowest-first sequences less each element that the others generate;
+# the last lowest-first element always stays
+@pytest.mark.parametrize("spec, gens", [
+    ("heisenberg:13", (13, 169)), ("heisenberg:11", (11, 121)),
+    ("heisenberg:7", (7, 49)), ("heisenberg:3", (3, 9)), ("quaternion", (2, 4)),
+    ("product:heisenberg:3,cyclic:5", (1, 15, 45)), ("cyclic:4096", (1,)),
+    ("product:cyclic:2048,cyclic:2", (1, 2)), ("product:cyclic:2,cyclic:2048", (1, 2048)),
+    ("dihedral:2048", (1, 2048)), ("product:cyclic:64,cyclic:64", (1, 64)),
+])
+def test_generating_sets_are_pruned(spec, gens):
+    assert generating_set(build_group(spec)) == gens
+
+
+def test_powers_by_doubling_give_the_cyclic_subgroup(corpus_member):
+    g = corpus_member
+    for x in range(g.order):
+        assert np.array_equal(groups._powers(g, x), closure(g, [x])), x
 
 
 # ---------------------------------------------------------------------------

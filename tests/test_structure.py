@@ -533,8 +533,8 @@ def test_automorphism_counts_on_the_corpus(spec):
 
 
 def test_automorphism_search_declines_past_its_candidate_limit():
-    # heisenberg:3 has 3 lowest-first generators of order 3 and 26 elements
-    # of order 3, so 26^3 candidates
+    # heisenberg:3's generating set is 2 elements of order 3, and 26 elements
+    # have order 3, so 26^2 candidates
     g = cached_group("heisenberg:3")
-    assert automorphisms(g, limit=26**3 - 1) is None
-    assert len(automorphisms(g, limit=26**3)) == 432
+    assert automorphisms(g, limit=26**2 - 1) is None
+    assert len(automorphisms(g, limit=26**2)) == 432
