@@ -28,6 +28,9 @@ COMMANDS = (
     ("decompose", "--group", "quaternion", "--kernel", "6", "--rep-policy", "explicit:0,4"),
     ("validate", "--group", "heisenberg:3", "--json"),
     ("validate", "--group", "product:heisenberg:3,cyclic:5"),
+    ("validate", "--group", "heisenberg:13", "--json"),
+    ("decompose", "--group", "heisenberg:13", "--json"),
+    ("validate", "--group", "dihedral:2048"),
     ("verify", "--group", "frobenius:7:3:2", "--mode", "sampled", "--seed", "3",
      "--count", "2000", "--json"),
     ("verify", "--group", "cyclic:25", "--theorem", "eh", "--mode", "sampled",

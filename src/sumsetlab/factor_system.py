@@ -98,11 +98,12 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
         if reps[0] != g.identity:
             raise ValueError("the identity block must be represented by the identity")
 
-    kernel_pos = np.full(g.order, -1, dtype=np.int32)
+    # int16 like the table: positions, blocks and elements are < ORDER_CAP
+    kernel_pos = np.full(g.order, -1, dtype=np.int16)
     ke = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
-    kernel_pos[ke] = np.arange(k.order, dtype=np.int32)
+    kernel_pos[ke] = np.arange(k.order, dtype=np.int16)
 
-    reps_arr = np.fromiter(reps, dtype=np.int64, count=nblocks)
+    reps_arr = np.fromiter(reps, dtype=np.int16, count=nblocks)
     conj_elt = g.op[g.op[reps_arr[:, None], ke[None, :]], g.inv[reps_arr][:, None]]
     conj = kernel_pos[conj_elt]
     if (conj < 0).any():  # pragma: no cover - normality guarantees membership
@@ -114,10 +115,9 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
     if (carry < 0).any():  # pragma: no cover - forced by coset arithmetic
         raise ValueError("carry value left the kernel")
 
-    pair_block = q.project.astype(np.int32)
+    pair_block = q.project
     pair_pos = kernel_pos[g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]]]
-    return FactorSystem(parent=g, kernel=k, quot=q, reps=reps,
-                        conj=conj.astype(np.int32), carry=carry.astype(np.int32),
+    return FactorSystem(parent=g, kernel=k, quot=q, reps=reps, conj=conj, carry=carry,
                         pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 
 

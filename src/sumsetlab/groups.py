@@ -350,7 +350,7 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     return table_group(op, spec.label())
 
 
-CACHE_BYTES = 4 << 20     # table bytes (op.nbytes) that cached_group keeps
+CACHE_BYTES = 2 * ORDER_CAP ** 2   # one int16 table of the largest order
 _cached: OrderedDict[str, FiniteGroup] = OrderedDict()   # least recent first
 
 
@@ -360,10 +360,10 @@ def cached_group(spec: str) -> FiniteGroup:
     Groups are kept by canonical label, so ``cyclic:07`` and ``cyclic:7``
     share one, with whatever later calls derive from them in ``_cache``.
     The least recently used go first once the kept tables pass CACHE_BYTES,
-    and a larger table is returned but not kept: its own n^2 work outweighs
-    the build.  A spec that names a table file is built afresh on every
-    call, so the file is read and checked as it is now, and a failed build
-    raises every time.  The cache is for one thread: nothing locks it.
+    one table of order ORDER_CAP, so every group the loader accepts is kept.
+    A spec that names a table file is built afresh on every call, so the
+    file is read and checked as it is now, and a failed build raises every
+    time.  The cache is for one thread: nothing locks it.
     """
     parsed = parse_group_spec(spec)
     if any(s.kind == "table" for s in (parsed, *parsed.children)):
@@ -373,11 +373,9 @@ def cached_group(spec: str) -> FiniteGroup:
     if group is not None:
         _cached.move_to_end(key)
         return group
-    group = build_group(parsed)
-    if group.op.nbytes <= CACHE_BYTES:
-        _cached[key] = group
-        while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
-            _cached.popitem(last=False)
+    group = _cached[key] = build_group(parsed)
+    while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
+        _cached.popitem(last=False)
     return group
 
 
@@ -540,7 +538,8 @@ def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
 
 def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.ndarray:
     """Membership of the identity and every left-nested product
-    ((x1 x2) x3) ... xk of ``elements``, as a bool array over 0..n-1.
+    ((x1 x2) x3) ... xk of ``elements``, as a bool array over 0..n-1, or
+    from the identity alone one element's ``_powers``, in log2(m) + 1 rounds.
 
     Grows the set from a frontier by right multiplication with the given
     elements, so k elements cost O(n * k).  ``members``, if given, must be
@@ -562,6 +561,8 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
         member[g.identity] = True
     else:
         member = members.copy()
+    if len(gens) == 1 and np.count_nonzero(member) == 1:
+        return _powers(g, int(gens[0]))
     letters = gens[~member[gens]]
     if not len(letters):
         return member
@@ -594,16 +595,14 @@ def lowest_first_generators(g: FiniteGroup) -> Iterator[int]:
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     """The ``lowest_first_generators`` less each one, in order, that the
     others kept generate; cached in ``g._cache``.  The last lies outside the
-    closure of those before it and is kept untested; one other element is
-    tested by its ``_powers``, not by an m-round closure.  Each test set lies
+    closure of those before it and is kept untested.  Each test set lies
     in the op-closed hull of the others, so on any table with an identity
     the hull of the set kept is all of g."""
     gens = g._cache.get("generators")
     if gens is None:
         kept = list(lowest_first_generators(g))
         for s in kept[:-1]:
-            rest = [t for t in kept if t != s]
-            if (_powers(g, rest[0]) if len(rest) == 1 else closure(g, rest))[s]:
+            if closure(g, [t for t in kept if t != s])[s]:
                 kept.remove(s)
         gens = g._cache["generators"] = tuple(kept)
     return gens

@@ -202,8 +202,8 @@ def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
         np.minimum(labels, g.op[members[lo:lo + 256]].min(axis=0), out=labels)
     reps = np.unique(labels)
     reps = np.concatenate((members[:1], reps[reps != members[0]]))
-    index = np.empty(g.order, dtype=np.int32)
-    index[reps] = np.arange(len(reps), dtype=np.int32)
+    index = np.empty(g.order, dtype=np.int16)         # blocks < ORDER_CAP
+    index[reps] = np.arange(len(reps), dtype=np.int16)
     project = index[labels]
     blocks = np.argsort(project, kind="stable").reshape(len(reps), k.order)
     quot_group = table_group(project[g.op[reps[:, None], reps[None, :]]],

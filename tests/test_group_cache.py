@@ -76,7 +76,8 @@ def test_equal_specs_share_one_entry(empty_cache):
     assert list(groups._cached) == ["cyclic:7", "product:cyclic:3,cyclic:3"]
 
 
-def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
+def _spy_on_builds(monkeypatch):
+    """The label of every group built from now on, counted."""
     built = Counter()
     build = groups.build_group
 
@@ -85,6 +86,11 @@ def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
         return build(spec)
 
     monkeypatch.setattr(groups, "build_group", spy)
+    return built
+
+
+def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
+    built = _spy_on_builds(monkeypatch)
     for _ in range(3):
         for spec, a, b in (("heisenberg:3", "0,1", "0,3"), ("cyclic:07", "1,2", "3"),
                            ("heisenberg:5", "8,22,38,82", "34,42"),
@@ -97,18 +103,23 @@ def test_heisenberg_11_is_built_once_for_validate_and_decompose(empty_cache,
                                                                monkeypatch):
     # its int16 table (3.4 MiB) fits the budget, so decompose reuses the
     # group that validate built
-    built = Counter()
-    build = groups.build_group
-
-    def spy(spec):
-        built[spec.label()] += 1
-        return build(spec)
-
-    monkeypatch.setattr(groups, "build_group", spy)
+    built = _spy_on_builds(monkeypatch)
     assert run("validate", "--group", "heisenberg:11")[0] == 0
     assert run("decompose", "--group", "heisenberg:11")[0] == 0
     assert built == {"heisenberg:11": 1}
     assert groups._cached["heisenberg:11"].op.nbytes <= groups.CACHE_BYTES
+
+
+def test_heisenberg_13_is_built_once_for_validate_and_decompose(empty_cache,
+                                                               monkeypatch):
+    # its int16 table (9.2 MiB) fits the budget, so decompose reuses the
+    # group that validate built, and both run again on the kept group
+    built = _spy_on_builds(monkeypatch)
+    for _ in range(2):
+        assert run("validate", "--group", "heisenberg:13")[0] == 0
+        assert run("decompose", "--group", "heisenberg:13")[0] == 0
+    assert built == {"heisenberg:13": 1}
+    assert groups._cached["heisenberg:13"].op.nbytes <= groups.CACHE_BYTES
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -173,9 +184,9 @@ def _spy_on_lights_test(monkeypatch):
 
 
 def test_validate_checks_the_pruned_generating_set(empty_cache, monkeypatch):
-    # heisenberg:13 (9.2 MiB) is over the cache budget, so each command builds
-    # it; (13, 169) generate it, since their commutator 12 generates the
-    # centre, which holds the lowest-first element 1
+    # the second command finds heisenberg:13 kept, and Light's test runs on
+    # it again; (13, 169) generate it, since their commutator 12 generates
+    # the centre, which holds the lowest-first element 1
     assert run("validate", "--group", "heisenberg:13")[0] == 0
     checked = _spy_on_lights_test(monkeypatch)
     assert run("validate", "--group", "heisenberg:13")[0] == 0
@@ -242,14 +253,21 @@ def test_the_least_recently_used_group_goes_first(empty_cache, monkeypatch):
     assert max(held) <= groups.CACHE_BYTES
 
 
-def test_a_table_over_the_budget_is_returned_but_not_kept(empty_cache):
-    assert groups.CACHE_BYTES == 4 << 20
+def test_a_table_of_the_largest_order_is_kept(empty_cache):
+    # the budget is one int16 table of order ORDER_CAP: that table is kept,
+    # and the next group evicts the older ones to make room
+    assert groups.CACHE_BYTES == 2 * groups.ORDER_CAP ** 2
     small = cached_group("cyclic:5")
-    big = cached_group("cyclic:2048")
-    assert big.order == 2048 and big.op.nbytes == 8 << 20
-    assert list(groups._cached) == ["cyclic:5"]
-    assert cached_group("cyclic:5") is small
-    assert cached_group("cyclic:2048") is not big
+    big = cached_group("cyclic:4096")
+    assert big.op.nbytes == groups.CACHE_BYTES
+    assert list(groups._cached) == ["cyclic:4096"]
+    assert cached_group("cyclic:4096") is big
+    middle = cached_group("heisenberg:13")
+    assert list(groups._cached) == ["heisenberg:13"]
+    assert cached_group("cyclic:5") is not small
+    assert list(groups._cached) == ["heisenberg:13", "cyclic:5"]
+    assert cached_group("heisenberg:13") is middle
+    assert sum(g.op.nbytes for g in groups._cached.values()) <= groups.CACHE_BYTES
 
 
 def test_build_group_builds_a_fresh_group_every_time(empty_cache):

@@ -633,10 +633,46 @@ def test_generating_sets_are_pruned(spec, gens):
     assert generating_set(build_group(spec)) == gens
 
 
+def _m_round_closure(g, elements, members=None):
+    """closure as one round per frontier, with single letters only: a
+    cyclic chain of order m takes m rounds."""
+    gens = np.asarray(elements, dtype=np.intp)
+    member = np.arange(g.order) == g.identity if members is None else members.copy()
+    frontier = np.flatnonzero(member)
+    while True:
+        products = np.unique(g.op[frontier[:, None], gens])
+        frontier = products[~member[products]]
+        if not len(frontier):
+            return member
+        member[frontier] = True
+
+
+def _m_round_lowest_first(g):
+    gens, closed = [], _m_round_closure(g, ())
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        closed = _m_round_closure(g, gens, closed)
+    return tuple(gens)
+
+
 def test_powers_by_doubling_give_the_cyclic_subgroup(corpus_member):
     g = corpus_member
     for x in range(g.order):
-        assert np.array_equal(groups._powers(g, x), closure(g, [x])), x
+        rounds = _m_round_closure(g, [x])
+        assert np.array_equal(groups._powers(g, x), rounds), x
+        assert np.array_equal(closure(g, [x]), rounds), x
+        assert np.array_equal(closure(g, [x], closure(g, ())), rounds), x
+    assert tuple(lowest_first_generators(g)) == _m_round_lowest_first(g)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4096", "dihedral:2048",
+                                  "product:cyclic:2048,cyclic:2"])
+def test_one_element_closes_by_doubling_at_order_4096(spec):
+    g = build_group(spec)
+    lowest = tuple(lowest_first_generators(g))
+    assert lowest == _m_round_lowest_first(g)
+    for x in (*lowest, 2, 3, 4095):
+        assert np.array_equal(closure(g, [x]), _m_round_closure(g, [x])), x
 
 
 # ---------------------------------------------------------------------------
