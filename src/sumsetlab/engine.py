@@ -53,8 +53,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, SubsetMask, iter_bits
+from .jsonio import record_json
 from .rng import SplitMix64
-from .structure import INFINITY, automorphisms, minimal_torsion
+from .structure import automorphisms, minimal_torsion
 
 THEOREMS = ("cd", "eh")
 EXHAUSTIVE_DEFAULT_LIMIT = 11   # (2^11 - 1)^2 pairs is seconds of work
@@ -129,17 +130,7 @@ class BoundCheck:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "a": list(self.a.elements()),
-            "b": list(self.b.elements()),
-            "a_size": self.a_size,
-            "b_size": self.b_size,
-            "product_size": self.product_size,
-            "p_g": None if self.p_g == INFINITY else int(self.p_g),
-            "bound": self.bound,
-            "holds": self.holds,
-        }
+        return record_json(self)
 
 
 def cd_bound(g: FiniteGroup, a: SubsetMask, b: SubsetMask,
@@ -230,17 +221,9 @@ class VerificationReport:
     wall_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "sumsetlab.verification/1",
-            "group": self.group,
-            "group_order": self.group_order,
-            "theorem": self.theorem,
-            "mode": self.mode,
-            "p_g": None if self.p_g == INFINITY else int(self.p_g),
-            "pairs_checked": self.pairs_checked,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "extremal_count": self.extremal_count,
-        }
+        payload = record_json(self, "sumsetlab.verification/1")
+        del payload["wall_time"]
+        return payload
 
 
 def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:

@@ -23,15 +23,15 @@ from .groups import FiniteGroup, SubsetMask, iter_bits
 from .rng import SplitMix64
 from .structure import QuotientGroup, Subgroup, quotient, subgroup_as_group
 
-def _normalize_policy(rep_policy: str) -> tuple:
+def _normalize_policy(rep_policy: str) -> str | dict:
     """Parses 'lowest_index', 'seeded_random:SEED' or 'explicit:R0,R1,...'
-    into a normalized tuple."""
+    into its JSON form."""
     if rep_policy == "lowest_index":
-        return ("lowest_index",)
+        return rep_policy
     if rep_policy.startswith("seeded_random:"):
-        return ("seeded_random", int(rep_policy.split(":", 1)[1]))
+        return {"seeded_random": int(rep_policy.split(":", 1)[1])}
     if rep_policy.startswith("explicit:"):
-        return ("explicit", tuple(int(v) for v in rep_policy[len("explicit:"):].split(",")))
+        return {"explicit": [int(v) for v in rep_policy[len("explicit:"):].split(",")]}
     raise ValueError(f"unknown representative policy {rep_policy!r}")
 
 
@@ -44,7 +44,8 @@ class FactorSystem:
     block 0, by normalization).  ``conj[h, p]``, ``carry[h1, h2]`` and
     ``pair_pos[x]`` are kernel *positions* (indices into
     ``kernel.element_list``): element x is k * reps[pair_block[x]] for the
-    kernel element k at position ``pair_pos[x]``.
+    kernel element k at position ``pair_pos[x]``.  ``policy`` is in its JSON
+    form: "lowest_index", {"seeded_random": SEED} or {"explicit": [R0, ...]}.
     """
 
     parent: FiniteGroup
@@ -55,7 +56,7 @@ class FactorSystem:
     carry: np.ndarray
     pair_pos: np.ndarray
     pair_block: np.ndarray
-    policy: tuple
+    policy: str | dict
 
     def __post_init__(self):
         for table in (self.conj, self.carry, self.pair_pos, self.pair_block):
@@ -81,13 +82,13 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
     blocks = q.blocks
     nblocks = len(blocks)
 
-    if policy[0] == "lowest_index":
+    if policy == "lowest_index":
         reps = (g.identity,) + tuple(b[0] for b in blocks[1:])
-    elif policy[0] == "seeded_random":
-        rng = SplitMix64(policy[1])
+    elif "seeded_random" in policy:
+        rng = SplitMix64(policy["seeded_random"])
         reps = (g.identity,) + tuple(b[rng.below(len(b))] for b in blocks[1:])
     else:
-        reps = policy[1]
+        reps = tuple(policy["explicit"])
         if len(reps) != nblocks:
             raise ValueError(f"expected {nblocks} representatives, got {len(reps)}")
         for h, r in enumerate(reps):
@@ -187,18 +188,12 @@ def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
 
 def factor_system_json(fs: FactorSystem) -> dict:
     """Stable JSON payload for a factor system (documented in the README)."""
-    if fs.policy[0] == "lowest_index":
-        policy = "lowest_index"
-    elif fs.policy[0] == "seeded_random":
-        policy = {"seeded_random": fs.policy[1]}
-    else:
-        policy = {"explicit": list(fs.policy[1])}
     ke = np.fromiter(fs.kernel.element_list, dtype=np.int64, count=fs.kernel.order)
     return {
         "schema": "sumsetlab.factor-system/1",
         "group": fs.parent.label,
         "group_order": fs.parent.order,
-        "policy": policy,
+        "policy": fs.policy,
         "kernel": ke.tolist(),
         "blocks": [list(b) for b in fs.quot.blocks],
         "representatives": list(fs.reps),

@@ -1,7 +1,8 @@
 """Stable JSON emission: fixed key order, fixed formatting, trailing newline.
 
-Payload dicts are built with deterministic insertion order, so identical runs
-serialize to identical bytes.  ``dumps_stable(payload)`` returns exactly
+``record_json`` builds every record's payload: its schema, then its fields in
+declaration order, so field order is key order and identical runs serialize
+to identical bytes.  ``dumps_stable(payload)`` returns exactly
 ``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` for every payload
 of dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``,
 ``bool`` and ``None``; any other type, and any non-``str`` key, raises
@@ -15,6 +16,37 @@ from __future__ import annotations
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
+
+from .groups import INFINITY, SubsetMask
+
+_AS_IS = frozenset((bool, int, str, dict, tuple))   # a field tuple holds ints or records
+
+
+def record_json(record, schema: str | None = None) -> dict:
+    """A record's payload: ``schema`` if given, then its fields in declaration
+    order, less those that are None.  A ``SubsetMask`` is written as its
+    sorted elements, a float (a minimal torsion) as an int or, when infinite,
+    null, and a record or a tuple of records as their payloads, by
+    ``to_json_dict`` where the record has one (a nested trace keeps its schema)."""
+    payload = {} if schema is None else {"schema": schema}
+    for name, v in vars(record).items():     # insertion order is field order
+        if v is None:
+            continue
+        t = type(v)
+        if t is SubsetMask:
+            v = list(v.elements())
+        elif t is float:
+            v = None if v == INFINITY else int(v)
+        elif t is tuple and v and type(v[0]) not in _AS_IS:
+            v = tuple(map(_nested, v))
+        elif t not in _AS_IS:
+            v = _nested(v)
+        payload[name] = v
+    return payload
+
+
+def _nested(record) -> dict:
+    return record.to_json_dict() if hasattr(record, "to_json_dict") else record_json(record)
 
 
 def dumps_stable(payload: dict) -> str:

@@ -21,14 +21,15 @@ mean a bug in this library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 
 from .engine import product_set
 from .factor_system import build_factor_system, decompose_subset, pair_products
 from .groups import FiniteGroup, SubsetMask
-from .structure import (INFINITY, choose_decomposition_subgroup, is_solvable,
-                        minimal_torsion, subgroup_as_group)
+from .jsonio import record_json
+from .structure import (choose_decomposition_subgroup, is_solvable, minimal_torsion,
+                        subgroup_as_group)
 
 
 class ReplayPreconditionError(ValueError):
@@ -103,15 +104,6 @@ class FinalChain:
     holds: bool
 
 
-def _record_json(record) -> dict:
-    """A check record's fields in declaration order (tuples dump as lists),
-    with a block check's subtrace as its own payload."""
-    payload = {f.name: getattr(record, f.name) for f in fields(record)}
-    if isinstance(record, BlockCheck):
-        payload["subtrace"] = record.subtrace.to_json_dict()
-    return payload
-
-
 @dataclass(frozen=True)
 class ProofTrace:
     """Complete record of one replay, with recursive subtraces.
@@ -121,7 +113,7 @@ class ProofTrace:
     (``swapped`` is True) and the trace certifies the swapped instance; the
     target |A| + |B| - 1 is symmetric either way.  A swapped trace certifies
     |B * A|, which in a non-abelian group can differ from the |A * B| that
-    was asked about.
+    was asked about.  Fields of the other kind are None, left out of the payload.
     """
 
     group: str
@@ -144,30 +136,7 @@ class ProofTrace:
     final_chain: FinalChain | None = None
 
     def to_json_dict(self) -> dict:
-        payload = {
-            "schema": "sumsetlab.proof-trace/1",
-            "group": self.group,
-            "group_order": self.group_order,
-            "a": list(self.a.elements()),
-            "b": list(self.b.elements()),
-            "swapped": self.swapped,
-            "p_g": None if self.p_g == INFINITY else int(self.p_g),
-            "target": self.target,
-            "kind": self.kind,
-        }
-        if self.kind == "base":
-            payload["base"] = _record_json(self.base)
-        else:
-            payload["kernel"] = list(self.kernel)
-            payload["alpha"] = self.alpha
-            payload["beta"] = self.beta
-            payload["a_sizes"] = list(self.a_sizes)
-            payload["b_sizes"] = list(self.b_sizes)
-            payload["block_checks"] = [_record_json(bc) for bc in self.block_checks]
-            payload["quotient_check"] = _record_json(self.quotient_check)
-            payload["disjointness_check"] = _record_json(self.disjointness_check)
-            payload["final_chain"] = _record_json(self.final_chain)
-        return payload
+        return record_json(self, "sumsetlab.proof-trace/1")
 
 
 def _replay_context(g: FiniteGroup):

@@ -145,8 +145,7 @@ def derived_series(g: FiniteGroup) -> list[Subgroup]:
     """G, G', G'', ... until the trivial subgroup or a subgroup that is its
     own derived subgroup, with no entry repeated.
 
-    Computed once per group and cached; ``subgroup_as_group`` hands the tail
-    of the series to the group it makes of a non-abelian term.
+    Computed once per group and cached.
     """
     series = g._cache.get("derived_series")
     if series is None:
@@ -216,9 +215,8 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a group on positions 0..|h|-1.
 
     Positions follow the sorted element list, so the identity lands at
-    position 0 whenever it is element 0 of the parent.  When h is a
-    non-abelian term of the parent's cached derived series, the rest of that
-    series, with its generating sets, becomes the new group's derived series.
+    position 0 whenever it is element 0 of the parent.  The group is cached
+    on the parent.
     """
     g = h.parent
     cache_key = ("subgroup_as_group", h.members.bits)
@@ -232,15 +230,6 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     if (table < 0).any():
         raise ValueError("member set is not closed under the group operation")
     group = table_group(table, f"{g.label}|sub<{h.order}>", int(pos[g.identity]))
-    # an abelian group's series is itself and the trivial group, one
-    # derived_of away; the replay takes it as a base case and never asks
-    series = () if group.is_abelian() else g._cache.get("derived_series", ())
-    for depth, term in enumerate(series):
-        if term.members.bits == h.members.bits:
-            tail = tuple(_subgroup(group, _members(s)[m], pos[_generators(s)].tolist())
-                         for s in series[depth:])
-            group._cache["derived_series"] = tail
-            break
     g._cache[cache_key] = group
     return group
 

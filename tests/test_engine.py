@@ -351,7 +351,12 @@ def scalar_sampled_report(g, theorem, plan):
         check = cd_bound(g, SubsetMask(a, n), SubsetMask(b, n), theorem)
         extremal += check.product_size == check.bound
         if not check.holds:
-            violations.append(check.to_json_dict())
+            violations.append({
+                "group": g.label, "a": list(check.a.elements()),
+                "b": list(check.b.elements()), "a_size": check.a_size,
+                "b_size": check.b_size, "product_size": check.product_size,
+                "p_g": None if check.p_g == INFINITY else int(check.p_g),
+                "bound": check.bound, "holds": False})
     p = engine.minimal_torsion(g)
     return dumps_stable({
         "schema": "sumsetlab.verification/1", "group": g.label, "group_order": n,

@@ -4,7 +4,7 @@ import pytest
 
 from sumsetlab import structure
 from sumsetlab.engine import cd_bound
-from sumsetlab.groups import SubsetMask, build_group, table_group
+from sumsetlab.groups import SubsetMask, build_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.replay import (ReplayInvariantError, ReplayPreconditionError,
                               _invariant, replay_solvable_proof)
@@ -229,18 +229,3 @@ def test_replay_derives_only_the_input_group(monkeypatch):
     calls.clear()
     replay_solvable_proof(build_group("cyclic:25"), mask(25, 0, 1), mask(25, 0, 2))
     assert calls == []
-
-
-def test_replay_reads_a_non_abelian_kernel_series_off_the_input_group(
-        monkeypatch, permutation_groups):
-    # S4 > A4 > V4 > 1: the replay of a block inside A4 needs A4's series,
-    # which is the tail of S4's
-    s4 = permutation_groups["symmetric:4"]
-    g = table_group(s4.op, s4.label)             # a copy with nothing cached
-    calls = []
-    real = structure.derived_of
-    monkeypatch.setattr(structure, "derived_of",
-                        lambda h: calls.append(h.order) or real(h))
-    trace = replay_solvable_proof(g, mask(24, 0), mask(24, 0, 3))
-    assert trace.block_checks[0].subtrace.kind == "inductive"    # inside A4
-    assert calls == [24, 12, 4]
