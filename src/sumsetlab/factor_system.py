@@ -21,7 +21,8 @@ import numpy as np
 
 from .groups import FiniteGroup, SubsetMask, iter_bits
 from .rng import SplitMix64
-from .structure import QuotientGroup, Subgroup, quotient, subgroup_as_group
+from .structure import (QuotientGroup, Subgroup, _conjugates, quotient,
+                        subgroup_as_group)
 
 def _normalize_policy(rep_policy: str) -> str | dict:
     """Parses 'lowest_index', 'seeded_random:SEED' or 'explicit:R0,R1,...'
@@ -100,24 +101,20 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
             raise ValueError("the identity block must be represented by the identity")
 
     # int16 like the table: positions, blocks and elements are < ORDER_CAP
-    kernel_pos = np.full(g.order, -1, dtype=np.int16)
     ke = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
-    kernel_pos[ke] = np.arange(k.order, dtype=np.int16)
-
     reps_arr = np.fromiter(reps, dtype=np.int16, count=nblocks)
-    conj_elt = g.op[g.op[reps_arr[:, None], ke[None, :]], g.inv[reps_arr][:, None]]
-    conj = kernel_pos[conj_elt]
+    conj = k.positions[_conjugates(g, reps_arr, ke)]
     if (conj < 0).any():  # pragma: no cover - normality guarantees membership
         raise ValueError("conjugation left the kernel; kernel is not normal")
 
     prod = g.op[reps_arr[:, None], reps_arr[None, :]]
     carry_elt = g.op[prod, g.inv[reps_arr[q.project[prod]]]]
-    carry = kernel_pos[carry_elt]
+    carry = k.positions[carry_elt]
     if (carry < 0).any():  # pragma: no cover - forced by coset arithmetic
         raise ValueError("carry value left the kernel")
 
     pair_block = q.project
-    pair_pos = kernel_pos[g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]]]
+    pair_pos = k.positions[g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]]]
     return FactorSystem(parent=g, kernel=k, quot=q, reps=reps, conj=conj, carry=carry,
                         pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 

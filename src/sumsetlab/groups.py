@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 ORDER_CAP = 4096          # larger orders are refused, so every index fits int16
+BLOCK_ROWS = 256          # rows of an n x n table handled at a time
 
 INFINITY = float("inf")
 """Torsion value of the trivial group; compares above every integer."""
@@ -81,10 +82,11 @@ class SubsetMask:
 class FiniteGroup:
     """A finite group given by a dense multiplication table.
 
-    ``op[a, b]`` is the product ab and ``inv[a]`` the inverse of a.  Instances
-    are immutable after construction and safe to share across threads;
-    ``_cache`` holds lazily built derived lookups (plain-list rows, the
-    derived series, ...) keyed by name.
+    ``op[a, b]`` is the product ab and ``inv[a]`` the inverse of a; both are
+    immutable after construction.  ``_cache`` holds what is derived from
+    them (plain-list rows, the derived series, ...) keyed by name, and is
+    filled only through ``derived``; like ``cached_group`` it is for one
+    thread: nothing locks it.
     """
 
     order: int
@@ -104,23 +106,18 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def elements(self) -> range:
-        return range(self.order)
+    def derived(self, key, build):
+        """``_cache[key]``, from ``build()`` on the first call for that key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def is_abelian(self) -> bool:
-        cached = self._cache.get("abelian")
-        if cached is None:
-            cached = bool((self.op == self.op.T).all())
-            self._cache["abelian"] = cached
-        return cached
+        return self.derived("abelian", lambda: bool((self.op == self.op.T).all()))
 
     def op_rows(self) -> list[list[int]]:
         """Multiplication rows as plain lists, for tight pure-Python loops."""
-        rows = self._cache.get("rows")
-        if rows is None:
-            rows = [[int(v) for v in row] for row in self.op]
-            self._cache["rows"] = rows
-        return rows
+        return self.derived("rows", self.op.tolist)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -509,11 +506,12 @@ def validate_group(g: FiniteGroup) -> list[str]:
 
 
 def _latin_problems(op: np.ndarray) -> list[str]:
-    """Rows, then columns, that are not permutations, sorted 256 at a time."""
+    """Rows, then columns, that are not permutations, sorted BLOCK_ROWS at a time."""
     n = len(op)
     bad = {"row": [], "column": []}
-    for lo in range(0, n, 256):
-        for kind, block in (("row", op[lo:lo + 256]), ("column", op[:, lo:lo + 256].T)):
+    for lo in range(0, n, BLOCK_ROWS):
+        for kind, block in (("row", op[lo:lo + BLOCK_ROWS]),
+                            ("column", op[:, lo:lo + BLOCK_ROWS].T)):
             wrong = (np.sort(block, axis=1) != np.arange(n)).any(axis=1)
             bad[kind].extend(lo + np.flatnonzero(wrong))
     return [f"latin: {kind} {i} is not a permutation of 0..{n - 1}"
@@ -523,12 +521,12 @@ def _latin_problems(op: np.ndarray) -> list[str]:
 def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
     """The first (lowest a, then c) failure of (as)c = a(sc), or None.
 
-    Rows a are compared 256 at a time, so no n x n table is built (two of
-    them and their comparison took 144 MB at order 4096)."""
-    right = op[s]                                   # right[c] = sc
-    for lo in range(0, len(op), 256):
-        lhs = op[op[lo:lo + 256, s]]                # lhs[a - lo, c] = (as)c
-        rhs = op[lo:lo + 256].take(right, axis=1)   # rhs[a - lo, c] = a(sc)
+    Rows a are compared BLOCK_ROWS at a time, so no n x n table is built (two
+    of them and their comparison took 144 MB at order 4096)."""
+    right = op[s]                                          # right[c] = sc
+    for lo in range(0, len(op), BLOCK_ROWS):
+        lhs = op[op[lo:lo + BLOCK_ROWS, s]]                # lhs[a - lo, c] = (as)c
+        rhs = op[lo:lo + BLOCK_ROWS].take(right, axis=1)   # rhs[a - lo, c] = a(sc)
         if not np.array_equal(lhs, rhs):
             a, c = np.argwhere(lhs != rhs)[0]
             return (f"associativity: op(op({lo + a},{s}),{c}) = {int(lhs[a, c])} "
@@ -579,17 +577,28 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
         letters = gens
 
 
-def lowest_first_generators(g: FiniteGroup) -> Iterator[int]:
-    """Yield the lowest element of g outside the ``closure`` of those yielded
-    before it, until none is left; each one at least doubles the closure, so
-    at most log2(n) + 1 come out.  The closure grows with each one, O(n * k)
-    in all.  Nothing is cached: ``generating_set`` keeps the group's set."""
-    gens: list[int] = []
-    closed = closure(g, gens)
-    while not closed.all():
-        gens.append(int(np.argmin(closed)))
-        yield gens[-1]
+def grow_generators(g: FiniteGroup, candidates: np.ndarray, gens: list[int],
+                    closed: np.ndarray) -> np.ndarray:
+    """Append to ``gens``, in order, each candidate outside ``closed``, the
+    closure of gens, and grow it; return the grown closure.  Each appended
+    element at least doubles the closure, so gens stays within
+    log2(order) + 1 elements of the subgroup it generates, and the closure
+    grows with each one, O(n * k) in all."""
+    outside = candidates[~closed[candidates]]
+    while len(outside):
+        gens.append(int(outside[0]))
         closed = closure(g, gens, closed)
+        outside = outside[~closed[outside]]
+    return closed
+
+
+def lowest_first_generators(g: FiniteGroup) -> list[int]:
+    """The lowest element of g outside the ``closure`` of those before it,
+    until none is left: ``grow_generators`` over 0..n-1.  Nothing is cached:
+    ``generating_set`` keeps the group's set."""
+    gens: list[int] = []
+    grow_generators(g, np.arange(g.order), gens, closure(g, gens))
+    return gens
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -598,14 +607,13 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     closure of those before it and is kept untested.  Each test set lies
     in the op-closed hull of the others, so on any table with an identity
     the hull of the set kept is all of g."""
-    gens = g._cache.get("generators")
-    if gens is None:
-        kept = list(lowest_first_generators(g))
+    def build():
+        kept = lowest_first_generators(g)
         for s in kept[:-1]:
             if closure(g, [t for t in kept if t != s])[s]:
                 kept.remove(s)
-        gens = g._cache["generators"] = tuple(kept)
-    return gens
+        return tuple(kept)
+    return g.derived("generators", build)
 
 
 def _powers(g: FiniteGroup, x: int) -> np.ndarray:

@@ -141,11 +141,8 @@ class ProofTrace:
 
 def _replay_context(g: FiniteGroup):
     """The factor system over the decomposition kernel, cached."""
-    fs = g._cache.get("replay_ctx")
-    if fs is None:
-        fs = build_factor_system(g, choose_decomposition_subgroup(g), "lowest_index")
-        g._cache["replay_ctx"] = fs
-    return fs
+    return g.derived("replay_ctx", lambda: build_factor_system(
+        g, choose_decomposition_subgroup(g), "lowest_index"))
 
 
 def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:

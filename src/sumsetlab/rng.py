@@ -60,19 +60,14 @@ class SplitMix64:
             if v < limit:
                 return v % bound
 
-    def bit_mask(self, width: int) -> int:
-        """Uniform bit mask of the given width (possibly zero)."""
-        bits = 0
-        for shift in range(0, width, 64):
-            bits |= self.next_u64() << shift
-        return bits & ((1 << width) - 1)
-
     def nonempty_mask(self, width: int) -> int:
-        """Uniform bit mask over the 2**width - 1 nonempty masks."""
+        """Uniform bit mask over the 2**width - 1 nonempty masks: the low
+        ``width`` bits of words drawn low word first, redrawn while zero."""
         if width <= 0:
             raise ValueError("width must be positive")
         while True:
-            bits = self.bit_mask(width)
+            words = sum(self.next_u64() << shift for shift in range(0, width, 64))
+            bits = words & ((1 << width) - 1)
             if bits:
                 return bits
 

@@ -19,27 +19,30 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import (INFINITY, FiniteGroup, SubsetMask, closure, generating_set,
-                     smallest_prime_factor, table_group)
+from .groups import (BLOCK_ROWS, INFINITY, FiniteGroup, SubsetMask, closure,
+                     generating_set, grow_generators, smallest_prime_factor,
+                     table_group)
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup of ``parent`` as a member mask plus sorted element list,
     and the generating set it was built from, of at most log2(order) + 1
-    elements."""
+    elements.  ``positions[x]`` is the index of x in ``element_list``, or -1
+    for an x outside the subgroup (int16, read-only)."""
 
     parent: FiniteGroup
     members: SubsetMask
     element_list: tuple[int, ...]
     generators: tuple[int, ...] = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.positions.setflags(write=False)
 
     @property
     def order(self) -> int:
         return len(self.element_list)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -56,7 +59,8 @@ def _subgroup(parent: FiniteGroup, member: np.ndarray, generators) -> Subgroup:
     bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
     return Subgroup(parent=parent, members=SubsetMask(bits, parent.order),
                     element_list=tuple(np.flatnonzero(member).tolist()),
-                    generators=tuple(generators))
+                    generators=tuple(generators),
+                    positions=np.where(member, member.cumsum() - 1, -1).astype(np.int16))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -65,20 +69,6 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
     return _subgroup(g, np.ones(g.order, dtype=bool), generating_set(g))
-
-
-def _grow(g: FiniteGroup, candidates: np.ndarray, gens: list[int],
-          closed: np.ndarray) -> np.ndarray:
-    """Append to ``gens``, in order, each candidate outside ``closed``, the
-    closure of gens, and grow it; return the grown closure.  Each appended
-    element at least doubles the closure, so gens stays within
-    log2(order) + 1 elements of the subgroup it generates."""
-    outside = candidates[~closed[candidates]]
-    while len(outside):
-        gens.append(int(outside[0]))
-        closed = closure(g, gens, closed)
-        outside = outside[~closed[outside]]
-    return closed
 
 
 def generated_subgroup(g: FiniteGroup, gens: SubsetMask | Iterable[int]) -> Subgroup:
@@ -91,13 +81,7 @@ def generated_subgroup(g: FiniteGroup, gens: SubsetMask | Iterable[int]) -> Subg
     if len(outside):
         raise ValueError(f"generator {outside[0]} outside 0..{g.order - 1}")
     kept: list[int] = []
-    return _subgroup(g, _grow(g, elements, kept, closure(g, kept)), kept)
-
-
-def _members(h: Subgroup) -> np.ndarray:
-    member = np.zeros(h.parent.order, dtype=bool)
-    member[np.fromiter(h.element_list, dtype=np.intp, count=h.order)] = True
-    return member
+    return _subgroup(g, grow_generators(g, elements, kept, closure(g, kept)), kept)
 
 
 def _generators(h: Subgroup) -> np.ndarray:
@@ -105,14 +89,14 @@ def _generators(h: Subgroup) -> np.ndarray:
 
 
 def _conjugates(g: FiniteGroup, by: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    return g.op[g.op[by[:, None], elements], g.inv[by][:, None]].ravel()   # x y x^-1
+    return g.op[g.op[by[:, None], elements], g.inv[by][:, None]]   # [i, j]: x_i y_j x_i^-1
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """True iff x h x^-1 is contained in h for every x in g; it suffices that
     g's generators conjugate h's generators into h."""
     by = np.array(generating_set(g), dtype=np.intp)
-    return bool(_members(h)[_conjugates(g, by, _generators(h))].all())
+    return bool((h.positions[_conjugates(g, by, _generators(h))] >= 0).all())
 
 
 def commutator_subgroup(g: FiniteGroup) -> Subgroup:
@@ -135,7 +119,7 @@ def derived_of(h: Subgroup) -> Subgroup:
     gens: list[int] = []
     closed = closure(g, gens)
     while len(candidates):
-        closed = _grow(g, candidates, gens, closed)
+        closed = grow_generators(g, candidates, gens, closed)
         conj = _conjugates(g, by, np.array(gens, dtype=np.intp))
         candidates = conj[~closed[conj]]
     return _subgroup(g, closed, gens)
@@ -147,16 +131,15 @@ def derived_series(g: FiniteGroup) -> list[Subgroup]:
 
     Computed once per group and cached.
     """
-    series = g._cache.get("derived_series")
-    if series is None:
+    def build():
         series = [whole_subgroup(g)]
         while not series[-1].is_trivial():
             nxt = derived_of(series[-1])
             if nxt.members.bits == series[-1].members.bits:
                 break
             series.append(nxt)
-        series = g._cache["derived_series"] = tuple(series)
-    return list(series)
+        return tuple(series)
+    return list(g.derived("derived_series", build))
 
 
 def is_solvable(g: FiniteGroup) -> bool:
@@ -195,10 +178,10 @@ def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
         raise ValueError("kernel is not a normal subgroup")
     members = np.fromiter(k.element_list, dtype=np.intp, count=k.order)
     # label each right coset Kx by its least element, a running minimum over
-    # 256 rows of the table at a time; K's own label is its least element
-    labels = g.op[members[:256]].min(axis=0)
-    for lo in range(256, k.order, 256):
-        np.minimum(labels, g.op[members[lo:lo + 256]].min(axis=0), out=labels)
+    # BLOCK_ROWS rows of the table at a time; K's own label is its least element
+    labels = g.op[members[:BLOCK_ROWS]].min(axis=0)
+    for lo in range(BLOCK_ROWS, k.order, BLOCK_ROWS):
+        np.minimum(labels, g.op[members[lo:lo + BLOCK_ROWS]].min(axis=0), out=labels)
     reps = np.unique(labels)
     reps = np.concatenate((members[:1], reps[reps != members[0]]))
     index = np.empty(g.order, dtype=np.int16)         # blocks < ORDER_CAP
@@ -219,19 +202,13 @@ def subgroup_as_group(h: Subgroup) -> FiniteGroup:
     on the parent.
     """
     g = h.parent
-    cache_key = ("subgroup_as_group", h.members.bits)
-    cached = g._cache.get(cache_key)
-    if cached is not None:
-        return cached
-    m = np.fromiter(h.element_list, dtype=np.int64, count=h.order)
-    pos = np.full(g.order, -1, dtype=np.int16)
-    pos[m] = np.arange(h.order, dtype=np.int16)
-    table = pos[g.op[np.ix_(m, m)]]
-    if (table < 0).any():
-        raise ValueError("member set is not closed under the group operation")
-    group = table_group(table, f"{g.label}|sub<{h.order}>", int(pos[g.identity]))
-    g._cache[cache_key] = group
-    return group
+    def build():
+        m = np.fromiter(h.element_list, dtype=np.int64, count=h.order)
+        table = h.positions[g.op[np.ix_(m, m)]]
+        if (table < 0).any():
+            raise ValueError("member set is not closed under the group operation")
+        return table_group(table, f"{g.label}|sub<{h.order}>", int(h.positions[g.identity]))
+    return g.derived(("subgroup_as_group", h.members.bits), build)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import sumsetlab.cli as cli
+import sumsetlab.factor_system as factor_system
 import sumsetlab.groups as groups
-from sumsetlab.groups import GroupBuildError, cached_group
+import sumsetlab.replay as replay
+import sumsetlab.structure as structure
+from sumsetlab.groups import FiniteGroup, GroupBuildError, cached_group
 
 from test_groups import NONASSOCIATIVE_LOOP
 
@@ -97,6 +100,57 @@ def test_a_session_of_traces_builds_each_group_once(empty_cache, monkeypatch):
                            ("cyclic:7", "0", "4,5")):
             assert run("trace", "--group", spec, "--set-a", a, "--set-b", b)[0] == 0
     assert built == {"heisenberg:3": 1, "cyclic:7": 1, "heisenberg:5": 1}
+
+
+def _spy_on_memo(monkeypatch):
+    """The (group label, key name) of every value built through
+    ``FiniteGroup.derived`` from now on, counted."""
+    built = Counter()
+    derived = FiniteGroup.derived
+
+    def spy(self, key, build):
+        def counted():
+            built[self.label, key if isinstance(key, str) else key[0]] += 1
+            return build()
+        return derived(self, key, counted)
+
+    monkeypatch.setattr(FiniteGroup, "derived", spy)
+    return built
+
+
+def _spy_on_calls(monkeypatch, *names):
+    """How often each named function is called from now on, through every
+    module that refers to it."""
+    calls = Counter()
+
+    def spy(name, call):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    for module in (groups, structure, factor_system, replay, cli):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
+def test_a_warm_session_derives_nothing_twice(empty_cache, monkeypatch):
+    trace = ("trace", "--group", "heisenberg:5", *HEISENBERG_5_SWAPPED, "--json")
+    built = _spy_on_memo(monkeypatch)
+    assert run(*trace)[0] == 0
+    assert {key for _, key in built} == {"abelian", "generators", "derived_series",
+                                         "replay_ctx", "subgroup_as_group"}
+    calls = _spy_on_calls(monkeypatch, "derived_of", "table_group",
+                          "build_factor_system", "choose_decomposition_subgroup")
+    assert run(*trace)[0] == 0
+    assert not calls
+    assert run("decompose", "--group", "heisenberg:5", "--json")[0] == 0
+    assert calls["derived_of"] == 0
+    g = cached_group("heisenberg:5")
+    assert g.op_rows() is g.op_rows()
+    assert set(built.values()) == {1}, built
 
 
 def test_heisenberg_11_is_built_once_for_validate_and_decompose(empty_cache,

@@ -12,7 +12,7 @@ from reference import moved_identity, normal_subgroup_inventory
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.groups import (SubsetMask, build_group, cached_group, closure,
                               element_order, table_group, validate_group)
-from sumsetlab.structure import (INFINITY, _members, automorphisms,
+from sumsetlab.structure import (INFINITY, automorphisms,
                                  choose_decomposition_subgroup,
                                  commutator_subgroup, derived_series,
                                  generated_subgroup, is_normal, is_solvable,
@@ -436,6 +436,10 @@ def _recorded_subgroups(g):
     yield generated_subgroup(g, range(g.order - 1, -1, -1))
     for term in derived_series(g):
         yield from derived_series(subgroup_as_group(term))
+    for x in range(g.order):
+        yield generated_subgroup(g, (x,))
+    if g.order > 1 and is_solvable(g):
+        yield choose_decomposition_subgroup(g)
 
 
 @pytest.fixture(params=CORPUS_SPECS + ("heisenberg:13", "alternating:4",
@@ -448,9 +452,14 @@ def generating_set_group(request):
 
 def test_generating_sets_close_to_exactly_their_subgroups(generating_set_group):
     for h in _recorded_subgroups(generating_set_group):
-        gens = h.generators
+        gens, elements = h.generators, list(h.element_list)
+        member = np.zeros(h.parent.order, dtype=bool)
+        member[elements] = True
         assert len(gens) <= h.order.bit_length(), (h, gens)      # log2|H| + 1
-        assert (closure(h.parent, gens) == _members(h)).all(), (h, gens)
+        assert (closure(h.parent, gens) == member).all(), (h, gens)
+        assert h.positions.dtype == np.int16 and not h.positions.flags.writeable
+        assert (h.positions[elements] == np.arange(h.order)).all(), h
+        assert ((h.positions == -1) == ~member).all(), h
 
 
 def test_derived_series_of_a_term_is_the_tail_of_the_series(generating_set_group):
@@ -472,7 +481,7 @@ def test_derived_series_matches_the_n2_commutator_definition(oracle_group):
 def test_is_normal_matches_the_n2_conjugation_definition(oracle_group):
     g = oracle_group
     subgroups = [_squaring_closure(g, s) for s in _oracle_element_sets(g)]
-    subgroups += [_members(h) for h in derived_series(g)]
+    subgroups += [h.positions >= 0 for h in derived_series(g)]
     for member in subgroups:
         h = generated_subgroup(g, np.flatnonzero(member))
         assert is_normal(g, h) == _n2_is_normal(g, member)
