@@ -46,7 +46,7 @@ def in_process(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            cli_main.main(args=list(argv), prog_name="sumsetlab")
+            cli_main(list(argv))
             code = 0
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: one ``argparse`` parser, built at import from the
+``@_command`` declarations below, that accepts no abbreviated flag.
 
 Exit codes: 0 = success with zero bound violations, 1 = at least one bound
 violation found (the report lists witnesses), 2 = usage, input or output
@@ -14,10 +15,8 @@ older scripts pass, is still accepted as an integer and ignored.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
-
-import click
 
 from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, Caps, SamplingPlan,
                      find_extremal, size_bound, verify_exhaustive,
@@ -30,47 +29,52 @@ from .structure import (INFINITY, choose_decomposition_subgroup,
                         generated_subgroup)
 
 
-class _Main(click.Group):
-    """Turns an exception that is not click's own into exit code 3."""
+_PARSER = argparse.ArgumentParser(prog="sumsetlab", allow_abbrev=False, description=(
+    "Finite-group sumset laboratory: verify product-size bounds, decompose groups into "
+    "factor systems, search extremal pairs, and replay the solvable-group induction on "
+    "concrete sets."))
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
 
-    def invoke(self, ctx):
+
+def main(args=None, prog_name=None):
+    """Run the command that ``args`` (default ``sys.argv[1:]``) names; it ends
+    in SystemExit.  Usage lines name ``sumsetlab`` whatever ``prog_name`` is."""
+    try:
+        options = vars(_PARSER.parse_args(args))
         try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.Abort, click.exceptions.Exit):
-            raise
-        except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
-def main():
-    """Finite-group sumset laboratory: verify product-size bounds, decompose
-    groups into factor systems, search extremal pairs, and replay the
-    solvable-group induction on concrete sets."""
-
-
-def _command(fn):
-    """A subcommand called with the group that --group names; its options
-    start with --group and end with --json and --out."""
-    @functools.wraps(fn)
-    def run(spec, **options):
-        try:
-            g = cached_group(spec)
+            g = cached_group(options.pop("spec"))
         except GroupBuildError as exc:
             _fail(str(exc))
-        return fn(g, **options)
+        options.pop("run")(g, **options)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(3)
 
-    cmd = main.command(params=[click.Option(["--group", "spec"], required=True,
-                                            help="Group spec, e.g. cyclic:7.")])(run)
-    cmd.params += [click.Option(["--json", "as_json"], is_flag=True,
-                                help="Emit the JSON report."),
-                   click.Option(["--out", "out_path"], type=click.Path(dir_okay=False))]
-    return cmd
+
+main.main = main    # perfbench/run.py calls main.main(args=[...], prog_name=...)
+
+
+def _command(**options):
+    """Declare ``fn(g, **values)`` a subcommand named after it.  Its flags are
+    --group, one ``--name-with-dashes`` per keyword (whose value holds that
+    flag's ``add_argument`` keywords), then --json and --out."""
+    def declare(fn):
+        sub = _COMMANDS.add_parser(fn.__name__, help=fn.__doc__, description=fn.__doc__,
+                                   allow_abbrev=False)
+        sub.add_argument("--group", dest="spec", required=True,
+                         help="Group spec, e.g. cyclic:7.")
+        for name, keywords in options.items():
+            sub.add_argument("--" + name.replace("_", "-"), **keywords)
+        sub.add_argument("--json", dest="as_json", action="store_true",
+                         help="Emit the JSON report.")
+        sub.add_argument("--out", dest="out_path", metavar="PATH")
+        sub.set_defaults(run=fn)
+        return fn
+    return declare
 
 
 def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -83,7 +87,7 @@ def _emit(text: str, out_path: str | None, code: int = 0):
         except OSError as exc:
             _fail(f"cannot write {out_path}: {exc.strerror}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     sys.exit(code)
 
 
@@ -102,42 +106,39 @@ def _fmt_p(p) -> str:
     return "infinity" if p == INFINITY else str(int(p))
 
 
-@_command
-@click.option("--theorem", type=click.Choice(["cd", "eh"]), default="cd")
-@click.option("--mode", type=click.Choice(["exhaustive", "capped", "sampled"]),
-              default="exhaustive")
-@click.option("--seed", type=int, default=None, help="Sampled mode seed.")
-@click.option("--count", type=int, default=None, help="Sampled mode pair count.")
-@click.option("--fixed-sizes", default=None, metavar="SA,SB",
-              help="Sampled mode: draw subsets of these exact sizes.")
-@click.option("--max-a", type=int, default=None, help="Capped mode: max |A|.")
-@click.option("--max-b", type=int, default=None, help="Capped mode: max |B|.")
-@click.option("--sum-cap", type=int, default=None, help="Capped mode: max |A|+|B|.")
-@click.option("--exhaustive-limit", type=int, default=EXHAUSTIVE_DEFAULT_LIMIT,
-              show_default=True,
-              help="Largest order allowed for full enumeration.")
-@click.option("--workers", type=int, hidden=True, expose_value=False)
+@_command(
+    theorem=dict(choices=["cd", "eh"], default="cd"),
+    mode=dict(choices=["exhaustive", "capped", "sampled"], default="exhaustive"),
+    seed=dict(type=int, help="Sampled mode seed."),
+    count=dict(type=int, help="Sampled mode pair count."),
+    fixed_sizes=dict(metavar="SA,SB", help="Sampled mode: sets of these exact sizes."),
+    max_a=dict(type=int, help="Capped mode: max |A|."),
+    max_b=dict(type=int, help="Capped mode: max |B|."),
+    sum_cap=dict(type=int, help="Capped mode: max |A|+|B|."),
+    exhaustive_limit=dict(type=int, default=EXHAUSTIVE_DEFAULT_LIMIT,
+                          help="Largest order scanned in full (default: %(default)s)."),
+    workers=dict(type=int, help=argparse.SUPPRESS),
+)
 def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
-           sum_cap, exhaustive_limit, as_json, out_path):
+           sum_cap, exhaustive_limit, workers, as_json, out_path):
     """Verify the product-size bound over pairs of subsets."""
     try:
         if mode == "exhaustive":
             report = verify_exhaustive(g, theorem, exhaustive_limit=exhaustive_limit)
         elif mode == "capped":
             if max_a is None and max_b is None and sum_cap is None:
-                raise click.UsageError(
-                    "capped mode needs --max-a, --max-b, or --sum-cap")
+                _fail("capped mode needs --max-a, --max-b, or --sum-cap")
             caps = Caps(max_a_size=max_a, max_b_size=max_b, sum_cap=sum_cap)
             report = verify_exhaustive(g, theorem, caps)
         else:
             if seed is None or count is None:
-                raise click.UsageError("sampled mode needs --seed and --count")
+                _fail("sampled mode needs --seed and --count")
             sizes = None
             if fixed_sizes is not None:
                 try:
                     sa, sb = (int(v) for v in fixed_sizes.split(","))
                 except ValueError:
-                    raise click.UsageError("--fixed-sizes must be SA,SB")
+                    _fail("--fixed-sizes must be SA,SB")
                 sizes = (sa, sb)
             plan = SamplingPlan(seed=seed, count=count, fixed_sizes=sizes)
             report = verify_sampled(g, theorem, plan)
@@ -183,12 +184,13 @@ def _verify_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_command
-@click.option("--kernel", "kernel_raw", default=None, metavar="ELEMS",
-              help="Comma-separated generators of the kernel subgroup "
-                   "(default: the decomposition policy's choice).")
-@click.option("--rep-policy", default="lowest_index", metavar="POLICY",
-              help="lowest_index, seeded_random:SEED, or explicit:R0,R1,...")
+@_command(
+    kernel=dict(dest="kernel_raw", metavar="ELEMS",
+                help="Comma-separated generators of the kernel subgroup "
+                     "(default: the decomposition policy's choice)."),
+    rep_policy=dict(default="lowest_index", metavar="POLICY",
+                    help="lowest_index, seeded_random:SEED, or explicit:R0,R1,..."),
+)
 def decompose(g, kernel_raw, rep_policy, as_json, out_path):
     """Build and print the factor system for a group over a normal subgroup."""
     try:
@@ -217,11 +219,11 @@ def _decompose_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_command
-@click.option("--size-a", type=int, required=True)
-@click.option("--size-b", type=int, required=True)
-@click.option("--limit", type=int, default=None,
-              help="Stop after this many extremal pairs.")
+@_command(
+    size_a=dict(type=int, required=True),
+    size_b=dict(type=int, required=True),
+    limit=dict(type=int, help="Stop after this many extremal pairs."),
+)
 def extremal(g, size_a, size_b, limit, as_json, out_path):
     """List pairs whose product size meets the bound exactly."""
     try:
@@ -257,10 +259,10 @@ def _extremal_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_command
-@click.option("--set-a", "set_a", required=True, metavar="ELEMS",
-              help="Comma-separated element indices.")
-@click.option("--set-b", "set_b", required=True, metavar="ELEMS")
+@_command(
+    set_a=dict(required=True, metavar="ELEMS", help="Comma-separated element indices."),
+    set_b=dict(required=True, metavar="ELEMS"),
+)
 def trace(g, set_a, set_b, as_json, out_path):
     """Replay the solvable-group induction on one concrete pair."""
     a = _parse_elements(set_a, g.order, "--set-a")
@@ -311,7 +313,7 @@ def _trace_text(t, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-@_command
+@_command()
 def validate(g, as_json, out_path):
     """Build a group and check the group axioms; exit 2 on any violation."""
     # a table file's group comes fresh from its loader, which has checked it

@@ -100,12 +100,6 @@ class FiniteGroup:
         self.op.setflags(write=False)
         self.inv.setflags(write=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.op[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
     def derived(self, key, build):
         """``_cache[key]``, from ``build()`` on the first call for that key."""
         if key not in self._cache:
@@ -442,7 +436,10 @@ def _table_values(path: Path):
         values = np.fromstring(data, dtype=np.int64, sep=" ")
         if len(values) == tokens and values.max() < 2**31:
             return values
-    tokens = io.TextIOWrapper(io.BytesIO(data)).read().split()   # as read_text()
+    try:
+        tokens = io.TextIOWrapper(io.BytesIO(data)).read().split()   # as read_text()
+    except UnicodeDecodeError as exc:
+        raise GroupBuildError(f"table file {path}: not {exc.encoding} text") from exc
     if not tokens:
         raise GroupBuildError(f"table file {path} is empty")
     try:

@@ -1,10 +1,40 @@
+import contextlib
+import io
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from sumsetlab import cli
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.groups import FiniteGroup, cached_group
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None     # the SystemExit of a nonzero exit code
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(*args) -> CliResult:
+    """Run one ``sumsetlab`` command in this process with stdout and stderr
+    captured.  Every command ends in SystemExit; any other exception is a
+    test failure and propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            exception = exc
+    code = 0 if exception is None or exception.code is None else exception.code
+    return CliResult(code, out.getvalue(), err.getvalue(), exception if code else None)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from sumsetlab import engine
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import (Caps, SamplingPlan, cd_bound, product_set,
                               verify_exhaustive, verify_sampled)
+from conftest import run_cli
 from reference import (extension_from_factor_system, normal_subgroup_inventory, star,
                        verify_isomorphism)
 from sumsetlab.factor_system import FactorSystem, build_factor_system
@@ -178,7 +179,7 @@ def test_criterion_8_extension_round_trip():
             for a in range(g.order):
                 row = g.op_rows()[a]
                 for b in range(g.order):
-                    assert flat[row[b]] == ext.mul(flat[a], flat[b])
+                    assert flat[row[b]] == ext.op[flat[a], flat[b]]
             checked += 1
     report(8, True,
            f"{checked} (group, kernel) extensions validate and reproduce the "
@@ -199,7 +200,7 @@ def test_criterion_9_proof_replay_on_seeded_pairs():
             trace = replay_solvable_proof(g, a, b)
             # independent oracle: the traced bound never exceeds the plain
             # double-loop product size
-            direct = len({g.mul(x, y) for x in trace.a.elements()
+            direct = len({g.op[x, y] for x in trace.a.elements()
                           for y in trace.b.elements()})
             if trace.kind == "base":
                 assert trace.base.product_size == direct
@@ -237,7 +238,7 @@ def test_criterion_11_bitset_products_match_the_naive_oracle():
         g = groups[rng.below(len(groups))]
         a = SubsetMask(rng.nonempty_mask(g.order), g.order)
         b = SubsetMask(rng.nonempty_mask(g.order), g.order)
-        naive = {g.mul(x, y) for x in a.elements() for y in b.elements()}
+        naive = {g.op[x, y] for x in a.elements() for y in b.elements()}
         if set(product_set(g, a, b).elements()) != naive:
             mismatches += 1
     report(11, mismatches == 0,
@@ -245,17 +246,14 @@ def test_criterion_11_bitset_products_match_the_naive_oracle():
 
 
 def test_criterion_12_seeded_reports_are_byte_identical(monkeypatch):
-    from click.testing import CliRunner
-    import sumsetlab.cli as cli
     g = build_group("heisenberg:3")
     plan = SamplingPlan(seed=42, count=5000)
-    runner = CliRunner()
     args = ["verify", "--group", "frobenius:7:3:2", "--mode", "sampled",
             "--seed", "7", "--count", "2000", "--json"]
 
     def reports():
         return (dumps_stable(verify_sampled(g, "cd", plan).to_json_dict()),
-                runner.invoke(cli.main, args).output)
+                run_cli(*args).output)
 
     first, again = reports(), reports()
     # a small batch budget cuts both runs into many batches

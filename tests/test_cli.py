@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +18,11 @@ from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
 from sumsetlab.groups import SubsetMask, parse_group_spec, spec_order
 
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from conftest import run_cli
 
 
-def invoke(runner, *args):
-    return runner.invoke(cli.main, list(args))
-
-
-def test_verify_exhaustive_cyclic_7(runner):
-    result = invoke(runner, "verify", "--group", "cyclic:7", "--theorem", "cd",
+def test_verify_exhaustive_cyclic_7():
+    result = run_cli("verify", "--group", "cyclic:7", "--theorem", "cd",
                     "--mode", "exhaustive", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -35,8 +31,8 @@ def test_verify_exhaustive_cyclic_7(runner):
     assert payload["theorem"] == "cd"
 
 
-def test_verify_text_output_mentions_pairs(runner):
-    result = invoke(runner, "verify", "--group", "cyclic:5")
+def test_verify_text_output_mentions_pairs():
+    result = run_cli("verify", "--group", "cyclic:5")
     assert result.exit_code == 0
     assert "pairs checked   961" in result.output
     assert "violations      0" in result.output
@@ -53,17 +49,17 @@ def test_verify_text_output_mentions_pairs(runner):
     (("--mode", "sampled", "--seed", "5", "--count", "10", "--fixed-sizes", "3,3"),
      "sampled (seed 5, 10 pairs, fixed sizes 3,3)"),
 ])
-def test_verify_text_output_names_the_mode_in_words(runner, options, words):
-    result = invoke(runner, "verify", "--group", "cyclic:5", *options)
+def test_verify_text_output_names_the_mode_in_words(options, words):
+    result = run_cli("verify", "--group", "cyclic:5", *options)
     assert result.exit_code == 0
     assert f"mode            {words}\n" in result.output
-    report = json.loads(invoke(runner, "verify", "--group", "cyclic:5", *options,
+    report = json.loads(run_cli("verify", "--group", "cyclic:5", *options,
                                "--json").output)
     assert report["mode"]["kind"] == words.split()[0]
 
 
-def test_trace_command_emits_a_full_proof_trace(runner):
-    result = invoke(runner, "trace", "--group", "heisenberg:3",
+def test_trace_command_emits_a_full_proof_trace():
+    result = run_cli("trace", "--group", "heisenberg:3",
                     "--set-a", "0,1", "--set-b", "0,3", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -72,15 +68,15 @@ def test_trace_command_emits_a_full_proof_trace(runner):
     assert payload["final_chain"]["holds"]
 
 
-def test_trace_text_mode_shows_the_chain(runner):
-    result = invoke(runner, "trace", "--group", "heisenberg:3",
+def test_trace_text_mode_shows_the_chain():
+    result = run_cli("trace", "--group", "heisenberg:3",
                     "--set-a", "0,1", "--set-b", "0,3")
     assert result.exit_code == 0
     assert "chain: |A*B| = 4 >= 4 = 4 >= 3" in result.output
 
 
-def test_decompose_quaternion_with_named_kernel_and_reps(runner):
-    result = invoke(runner, "decompose", "--group", "quaternion",
+def test_decompose_quaternion_with_named_kernel_and_reps():
+    result = run_cli("decompose", "--group", "quaternion",
                     "--kernel", "6", "--rep-policy", "explicit:0,4", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -92,25 +88,25 @@ def test_decompose_quaternion_with_named_kernel_and_reps(runner):
     assert payload["carry"][1][1] == 1
 
 
-def test_decompose_defaults_to_the_decomposition_policy_kernel(runner):
-    result = invoke(runner, "decompose", "--group", "quaternion", "--json")
+def test_decompose_defaults_to_the_decomposition_policy_kernel():
+    result = run_cli("decompose", "--group", "quaternion", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["kernel"] == [0, 1]
     assert payload["policy"] == "lowest_index"
 
 
-def test_decompose_seeded_policy_is_stable(runner):
-    first = invoke(runner, "decompose", "--group", "quaternion",
+def test_decompose_seeded_policy_is_stable():
+    first = run_cli("decompose", "--group", "quaternion",
                    "--kernel", "6", "--rep-policy", "seeded_random:3", "--json")
-    second = invoke(runner, "decompose", "--group", "quaternion",
+    second = run_cli("decompose", "--group", "quaternion",
                     "--kernel", "6", "--rep-policy", "seeded_random:3", "--json")
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
 
 
-def test_extremal_command_counts_pairs(runner):
-    result = invoke(runner, "extremal", "--group", "cyclic:7",
+def test_extremal_command_counts_pairs():
+    result = run_cli("extremal", "--group", "cyclic:7",
                     "--size-a", "2", "--size-b", "3", "--json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -121,39 +117,39 @@ def test_extremal_command_counts_pairs(runner):
 
 @pytest.mark.parametrize("sizes, side", [(("7", "30"), "|A| = 7"),
                                          (("30", "23"), "|B| = 23")])
-def test_extremal_refuses_a_side_too_large_to_list(runner, sizes, side):
+def test_extremal_refuses_a_side_too_large_to_list(sizes, side):
     # 2035800 pairs is under EXTREMAL_SEARCH_CAP, but C(30, 7) = C(30, 23)
     # sets on one side exceed what a side may list
-    result = invoke(runner, "extremal", "--group", "cyclic:30",
+    result = run_cli("extremal", "--group", "cyclic:30",
                     "--size-a", sizes[0], "--size-b", sizes[1])
     assert result.exit_code == 2
     assert result.stderr == (f"error: {side}: 2035800 sets of 30 elements exceed "
                              "the listing limit 2^20\n")
 
 
-def test_validate_command_exit_codes(runner, tmp_path):
-    good = invoke(runner, "validate", "--group", "quaternion")
+def test_validate_command_exit_codes(tmp_path):
+    good = run_cli("validate", "--group", "quaternion")
     assert good.exit_code == 0
     assert "all group axioms hold" in good.output
 
     bad_table = tmp_path / "bad.cay"
     bad_table.write_text("2\n0 1\n1 1\n")
-    result = invoke(runner, "validate", "--group", f"table:{bad_table}")
+    result = run_cli("validate", "--group", f"table:{bad_table}")
     assert result.exit_code == 2
 
 
-def test_usage_errors_exit_2(runner, tmp_path):
-    assert invoke(runner, "verify", "--group", "nonsense:1").exit_code == 2
-    assert invoke(runner, "verify", "--group", "cyclic:25").exit_code == 2
-    assert invoke(runner, "verify", "--group", "cyclic:5",
+def test_usage_errors_exit_2(tmp_path):
+    assert run_cli("verify", "--group", "nonsense:1").exit_code == 2
+    assert run_cli("verify", "--group", "cyclic:25").exit_code == 2
+    assert run_cli("verify", "--group", "cyclic:5",
                   "--mode", "sampled").exit_code == 2
-    assert invoke(runner, "verify", "--group", "cyclic:5",
+    assert run_cli("verify", "--group", "cyclic:5",
                   "--mode", "capped").exit_code == 2
     missing = tmp_path / "missing.cay"
-    assert invoke(runner, "verify", "--group", f"table:{missing}").exit_code == 2
-    assert invoke(runner, "trace", "--group", "heisenberg:3",
+    assert run_cli("verify", "--group", f"table:{missing}").exit_code == 2
+    assert run_cli("trace", "--group", "heisenberg:3",
                   "--set-a", "0,1,3", "--set-b", "0,1").exit_code == 2
-    assert invoke(runner, "trace", "--group", "cyclic:5",
+    assert run_cli("trace", "--group", "cyclic:5",
                   "--set-a", "zero", "--set-b", "0").exit_code == 2
 
 
@@ -166,8 +162,8 @@ def test_usage_errors_exit_2(runner, tmp_path):
     ("seeded_random:q", "invalid literal for int() with base 10: 'q'"),
     ("lowest", "unknown representative policy 'lowest'"),
 ])
-def test_bad_rep_policies_exit_2(runner, policy, message):
-    result = invoke(runner, "decompose", "--group", "quaternion",
+def test_bad_rep_policies_exit_2(policy, message):
+    result = run_cli("decompose", "--group", "quaternion",
                     "--kernel", "6", "--rep-policy", policy)
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
@@ -176,51 +172,77 @@ def test_bad_rep_policies_exit_2(runner, policy, message):
 # 32768, 65536 and 65537 would read -32768, 0 and 1 as int16
 @pytest.mark.parametrize("entry", ["4294967296", "-4294967296000000000000",
                                    "32768", "65536", "65537"])
-def test_table_entries_beyond_int32_exit_2(runner, tmp_path, entry):
+def test_table_entries_beyond_int32_exit_2(tmp_path, entry):
     path = tmp_path / "t.tbl"
     path.write_text(f"2\n0 1\n1 {entry}\n")
-    result = invoke(runner, "validate", "--group", f"table:{path}")
+    result = run_cli("validate", "--group", f"table:{path}")
     assert result.exit_code == 2
     assert result.stderr == f"error: table file {path}: entry op(1,1) out of range\n"
 
 
-def test_sampled_runs_are_byte_identical_across_workers(runner):
+@pytest.mark.parametrize("command, options", [
+    ("validate", ()), ("trace", ("--set-a", "0", "--set-b", "1"))])
+def test_table_files_that_are_not_text_exit_2(tmp_path, command, options):
+    path = tmp_path / "t.tbl"
+    path.write_bytes(b"\xff\xfe2\n0 1\n1 0\n")
+    result = run_cli(command, "--group", f"table:{path}", *options)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: table file {path}: not ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_sampled_runs_are_byte_identical_across_workers():
     args = ("verify", "--group", "frobenius:7:3:2", "--mode", "sampled",
             "--seed", "42", "--count", "2000", "--json")
-    one = invoke(runner, *args, "--workers", "1")
-    three = invoke(runner, *args, "--workers", "3")
-    again = invoke(runner, *args, "--workers", "1")
+    one = run_cli(*args, "--workers", "1")
+    three = run_cli(*args, "--workers", "3")
+    again = run_cli(*args, "--workers", "1")
     assert one.exit_code == three.exit_code == again.exit_code == 0
     assert one.output == three.output == again.output
 
 
-def test_exhaustive_json_is_byte_identical_across_runs(runner):
+def test_exhaustive_json_is_byte_identical_across_runs():
     args = ("verify", "--group", "cyclic:7", "--json")
-    assert invoke(runner, *args).output == invoke(runner, *args).output
+    assert run_cli(*args).output == run_cli(*args).output
 
 
-def test_out_flag_writes_the_report_to_a_file(runner, tmp_path):
+def test_out_flag_writes_the_report_to_a_file(tmp_path):
     out = tmp_path / "report.json"
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json",
+    result = run_cli("verify", "--group", "cyclic:5", "--json",
                     "--out", str(out))
     assert result.exit_code == 0
     payload = json.loads(out.read_text())
     assert payload["group"] == "cyclic:5"
 
 
-def test_workers_flag_is_accepted_and_ignored(runner):
+def test_workers_flag_is_accepted_and_ignored():
     args = ("verify", "--group", "cyclic:7", "--theorem", "eh", "--json")
-    plain = invoke(runner, *args)
+    plain = run_cli(*args)
     assert plain.exit_code == 0
     for workers in ("0", "-3", "4"):
-        result = invoke(runner, *args, "--workers", workers)
+        result = run_cli(*args, "--workers", workers)
         assert (result.exit_code, result.output) == (0, plain.output)
-    result = invoke(runner, *args, "--workers", "x")
+    result = run_cli(*args, "--workers", "x")
     assert result.exit_code == 2
-    assert "'x' is not a valid integer" in result.stderr
+    assert "argument --workers: invalid int value: 'x'" in result.stderr
 
 
-def test_every_scan_runs_on_the_calling_thread(runner, monkeypatch):
+IMPORT_CLI = """import sys
+before = set(sys.modules)
+import sumsetlab.cli
+print(sorted({name.partition(".")[0] for name in set(sys.modules) - before}
+             - set(sys.stdlib_module_names)))"""
+
+
+def test_importing_the_cli_loads_only_numpy_beside_the_standard_library():
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", IMPORT_CLI], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, text=True, check=True)
+    assert done.stdout == "['numpy', 'sumsetlab']\n"
+
+
+def test_every_scan_runs_on_the_calling_thread(monkeypatch):
     # With --workers 4 and a budget that cuts every run into several
     # batches, no thread may start, and each report is the one of the plain
     # command under the default budget.
@@ -232,7 +254,7 @@ def test_every_scan_runs_on_the_calling_thread(runner, monkeypatch):
          "--count", "500", "--fixed-sizes", "2,3", "--json"),
         ("extremal", "--group", "cyclic:7", "--size-a", "2", "--size-b", "3", "--json"),
     ]
-    plain = [invoke(runner, *argv).output for argv in commands]
+    plain = [run_cli(*argv).output for argv in commands]
 
     def refuse(thread):
         raise AssertionError(f"a scan started thread {thread.name}")
@@ -252,12 +274,12 @@ def test_every_scan_runs_on_the_calling_thread(runner, monkeypatch):
     for argv, want in zip(commands, plain):
         batches.clear()
         flag = ("--workers", "4") if argv[0] == "verify" else ()
-        result = invoke(runner, *argv, *flag)
+        result = run_cli(*argv, *flag)
         assert (result.exit_code, result.output) == (0, want)
         assert len(batches) > 1, argv
 
 
-def test_violations_drive_exit_code_1(runner, monkeypatch):
+def test_violations_drive_exit_code_1(monkeypatch):
     # a genuine failing BoundCheck is not reachable through real verification,
     # so inject a report double carrying one violation
     fake_check = BoundCheck(
@@ -271,17 +293,17 @@ def test_violations_drive_exit_code_1(runner, monkeypatch):
         violations=(fake_check,), extremal_count=0, wall_time=0.0,
     )
     monkeypatch.setattr(cli, "verify_exhaustive", lambda *a, **k: fake_report)
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
+    result = run_cli("verify", "--group", "cyclic:5", "--json")
     assert result.exit_code == 1
     payload = json.loads(result.output)
     assert payload["violations"][0]["holds"] is False
 
-    text = invoke(runner, "verify", "--group", "cyclic:5")
+    text = run_cli("verify", "--group", "cyclic:5")
     assert text.exit_code == 1
     assert "VIOLATION" in text.output
 
 
-def test_replay_invariant_failure_exits_3_and_names_the_check(runner, monkeypatch):
+def test_replay_invariant_failure_exits_3_and_names_the_check(monkeypatch):
     # |A1 * B_j| = 2 meets its bound exactly for this pair, so a product set
     # one element short must fail the block check, not pass as a weaker bound
     real = replay.product_set
@@ -291,7 +313,7 @@ def test_replay_invariant_failure_exits_3_and_names_the_check(runner, monkeypatc
         return SubsetMask(full.bits & (full.bits - 1), full.width)
 
     monkeypatch.setattr(replay, "product_set", one_short)
-    result = invoke(runner, "trace", "--group", "heisenberg:3",
+    result = run_cli("trace", "--group", "heisenberg:3",
                     "--set-a", "0,1", "--set-b", "0,3", "--json")
     assert result.exit_code == 3
     assert result.stdout == ""
@@ -300,19 +322,19 @@ def test_replay_invariant_failure_exits_3_and_names_the_check(runner, monkeypatc
     assert "heisenberg:3: block (0,0) product size 1 < 2" in result.stderr
 
 
-def test_unexpected_exceptions_exit_3(runner, monkeypatch):
+def test_unexpected_exceptions_exit_3(monkeypatch):
     def broken(*args, **kwargs):
         raise ArithmeticError("orbit count for |A| = 2 is not whole")
 
     monkeypatch.setattr(cli, "verify_exhaustive", broken)
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
+    result = run_cli("verify", "--group", "cyclic:5", "--json")
     assert result.exit_code == 3
     assert result.stderr == ("internal error: ArithmeticError: "
                              "orbit count for |A| = 2 is not whole\n")
 
 
-def test_json_reports_carry_no_wall_time(runner):
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--json")
+def test_json_reports_carry_no_wall_time():
+    result = run_cli("verify", "--group", "cyclic:5", "--json")
     payload = json.loads(result.output)
     assert "wall_time" not in payload
     assert "wall time" not in result.output.lower()
@@ -321,32 +343,32 @@ def test_json_reports_carry_no_wall_time(runner):
 @pytest.mark.parametrize("caps", [("--max-a", "0"), ("--max-a", "-3"),
                                   ("--max-a", "2", "--max-b", "0"),
                                   ("--sum-cap", "1")])
-def test_degenerate_caps_exit_2(runner, caps):
-    result = invoke(runner, "verify", "--group", "cyclic:5", "--mode", "capped",
+def test_degenerate_caps_exit_2(caps):
+    result = run_cli("verify", "--group", "cyclic:5", "--mode", "capped",
                     *caps)
     assert result.exit_code == 2
     assert "must be at least" in result.output
 
 
-def test_non_integer_group_parameter_exits_2(runner):
-    result = invoke(runner, "verify", "--group", "cyclic:abc")
+def test_non_integer_group_parameter_exits_2():
+    result = run_cli("verify", "--group", "cyclic:abc")
     assert result.exit_code == 2
     assert "must be integers" in result.output
 
 
-def test_unwritable_out_path_exits_2(runner, tmp_path):
+def test_unwritable_out_path_exits_2(tmp_path):
     out = tmp_path / "missing-dir" / "x.json"
-    result = invoke(runner, "validate", "--group", "cyclic:5", "--json",
+    result = run_cli("validate", "--group", "cyclic:5", "--json",
                     "--out", str(out))
     assert result.exit_code == 2
     assert "cannot write" in result.output
     assert not out.exists()
 
 
-def test_oversized_capped_scan_exits_2_before_listing(runner):
+def test_oversized_capped_scan_exits_2_before_listing():
     # 2^27 - 1 sets A on heisenberg:3: refused from the count, not listed
     start = time.perf_counter()
-    result = invoke(runner, "verify", "--group", "heisenberg:3", "--mode", "capped",
+    result = run_cli("verify", "--group", "heisenberg:3", "--mode", "capped",
                     "--max-a", "27", "--max-b", "1")
     assert result.exit_code == 2
     assert "exceed the limit 2^20" in result.output
@@ -394,7 +416,7 @@ def test_verify_exit_codes_hold_for_any_arguments(spec, theorem, mode, max_a, ma
     for flag, value in args.items():
         if value is not None:
             argv += [flag, str(value)]
-    result = CliRunner().invoke(cli.main, argv)
+    result = run_cli(*argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         result.exception
     assert result.exit_code in (0, 1, 2)
@@ -405,3 +427,42 @@ def test_verify_exit_codes_hold_for_any_arguments(spec, theorem, mode, max_a, ma
     assert (result.exit_code == 1) == bool(payload["violations"])
     if result.exit_code == 0:
         assert payload["pairs_checked"] == _closed_form_pairs(args, SMALL_SPECS[spec])
+
+
+_ELEMENTS = st.sampled_from(["zero", "", "-0,1"]) | st.lists(
+    st.integers(-1, 6), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["verify", "decompose", "extremal", "trace", "validate"]),
+       spec=st.sampled_from(sorted(SMALL_SPECS)),
+       kernel=st.none() | _ELEMENTS,
+       policy=st.none() | st.sampled_from(["lowest_index", "seeded_random:3",
+                                           "seeded_random:q", "explicit:0,1", "explicit:",
+                                           "lowest"]),
+       size_a=st.integers(-1, 6), size_b=st.integers(-1, 6), limit=_maybe_int,
+       set_a=_ELEMENTS, set_b=_ELEMENTS,
+       extra=st.sampled_from([(), ("--json",)])
+       | st.sampled_from([("--ex", "5"), ("--json", "--ex=5"), ("--grou", "cyclic:5"),
+                          ("--json", "--js"), ("--out", str(Path(__file__).parent))]))
+def test_every_command_exits_0_1_or_2_for_any_arguments(command, spec, kernel, policy,
+                                                        size_a, size_b, limit, set_a,
+                                                        set_b, extra):
+    # element lists and sizes may begin with "-", --out may name a directory,
+    # and an abbreviated flag is refused
+    options = {"decompose": {"--kernel": kernel, "--rep-policy": policy},
+               "extremal": {"--size-a": size_a, "--size-b": size_b, "--limit": limit},
+               "trace": {"--set-a": set_a, "--set-b": set_b}}.get(command, {})
+    argv = [command, "--group", spec]
+    for flag, value in options.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    result = run_cli(*argv, *extra)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    assert result.exit_code in (0, 1, 2)
+    event(f"{command} exit {result.exit_code}")
+    if result.exit_code == 2:
+        assert "error: " in result.stderr and result.stderr.endswith("\n")
+    elif "--json" in extra:
+        json.loads(result.stdout)

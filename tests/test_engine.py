@@ -40,7 +40,7 @@ def small_and_default(run):
 def naive_product(g, a, b, restricted=False):
     """Oracle: plain double loop into a python set."""
     return {
-        g.mul(x, y)
+        g.op[x, y]
         for x in a.elements()
         for y in b.elements()
         if not (restricted and x == y)

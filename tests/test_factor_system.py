@@ -118,9 +118,9 @@ def test_conjugation_tables_are_automorphisms_of_the_kernel(corpus_member):
             assert sorted(images) == list(k.element_list)  # bijective on K
             for x in k.element_list:
                 for y in k.element_list:
-                    assert _conj(fs, h, g.mul(x, y)) == g.mul(
+                    assert _conj(fs, h, g.op[x, y]) == g.op[
                         _conj(fs, h, x), _conj(fs, h, y)
-                    )
+                    ]
 
 
 @pytest.mark.parametrize("policy", ["lowest_index", "seeded_random:7"])
@@ -214,8 +214,8 @@ def test_extension_round_trip_for_named_pairs():
         flat = (fs.pair_pos * fs.num_blocks + fs.pair_block).tolist()
         for a in range(g.order):
             for b in range(g.order):
-                flat_ab = flat[g.mul(a, b)]
-                assert flat_ab == ext.mul(flat[a], flat[b])
+                flat_ab = flat[g.op[a, b]]
+                assert flat_ab == ext.op[flat[a], flat[b]]
 
 
 def test_trivial_factor_system_rebuilds_the_direct_product():

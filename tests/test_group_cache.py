@@ -6,7 +6,6 @@ from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import sumsetlab.cli as cli
 import sumsetlab.factor_system as factor_system
@@ -15,6 +14,7 @@ import sumsetlab.replay as replay
 import sumsetlab.structure as structure
 from sumsetlab.groups import FiniteGroup, GroupBuildError, cached_group
 
+from conftest import run_cli
 from test_groups import NONASSOCIATIVE_LOOP
 
 HEISENBERG_5_SWAPPED = ("--set-a", "8,22,38,82", "--set-b", "34,42")
@@ -57,7 +57,7 @@ def empty_cache(monkeypatch):
 
 
 def run(*argv):
-    result = CliRunner().invoke(cli.main, list(argv))
+    result = run_cli(*argv)
     return result.exit_code, result.stdout, result.stderr
 
 

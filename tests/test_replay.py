@@ -17,7 +17,7 @@ def mask(width, *elements):
 
 
 def naive_product_size(g, a, b):
-    return len({g.mul(x, y) for x in a.elements() for y in b.elements()})
+    return len({g.op[x, y] for x in a.elements() for y in b.elements()})
 
 
 def audit_trace(g, trace):
