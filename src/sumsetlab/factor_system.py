@@ -140,15 +140,14 @@ class DecompositionBlock:
 
 @dataclass(frozen=True)
 class SubsetDecomposition:
-    """A subset split into kernel-coordinate and block-coordinate parts.
+    """A subset split along its pair coordinates.
 
-    ``kernel_part`` masks kernel positions (first coordinates), ``block_part``
-    masks quotient blocks (second coordinates), and ``blocks`` lists the
-    per-block kernel masks sorted by descending size, ties broken by
-    ascending block index.
+    ``block_part`` masks quotient blocks (second coordinates), and
+    ``blocks`` lists the per-block masks of kernel positions (first
+    coordinates) sorted by descending size, ties broken by ascending block
+    index.
     """
 
-    kernel_part: SubsetMask
     block_part: SubsetMask
     blocks: tuple[DecompositionBlock, ...]
 
@@ -161,12 +160,9 @@ def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     if s.width != fs.parent.order:
         raise ValueError("mask width does not match the group order")
     per_block: dict[int, int] = {}
-    kernel_bits = 0
     for x in iter_bits(s.bits):
-        p = int(fs.pair_pos[x])
         h = int(fs.pair_block[x])
-        per_block[h] = per_block.get(h, 0) | (1 << p)
-        kernel_bits |= 1 << p
+        per_block[h] = per_block.get(h, 0) | (1 << int(fs.pair_pos[x]))
     ordered = sorted(per_block.items(), key=lambda item: (-item[1].bit_count(), item[0]))
     m = fs.kernel.order
     blocks = tuple(
@@ -177,7 +173,6 @@ def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     for h in per_block:
         block_bits |= 1 << h
     return SubsetDecomposition(
-        kernel_part=SubsetMask(kernel_bits, m),
         block_part=SubsetMask(block_bits, fs.num_blocks),
         blocks=blocks,
     )

@@ -4,6 +4,10 @@ Every group here is a concrete multiplication table.  Element 0 is the
 identity in all canonical constructors, and every higher layer (subgroups,
 quotients, factor systems, sumset search) speaks plain element indices, so
 subsets are uniform bit masks regardless of the group family.
+
+A spec names a group: ``parse_group_spec`` checks it against its family's
+entry in ``_FAMILIES`` (parameter count, rules, order, table builder),
+``build_group`` builds it and ``cached_group`` keeps it.
 """
 
 from __future__ import annotations
@@ -60,22 +64,11 @@ class SubsetMask:
             bits |= 1 << x
         return cls(bits, width)
 
-    @classmethod
-    def empty(cls, width: int) -> "SubsetMask":
-        return cls(0, width)
-
-    @classmethod
-    def full(cls, width: int) -> "SubsetMask":
-        return cls((1 << width) - 1, width)
-
     def elements(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.width and (self.bits >> x) & 1 == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,25 +124,23 @@ def table_group(op: np.ndarray, label: str, identity: int = 0) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parsed description of a buildable group; see ``parse_group_spec``."""
+    """A parsed spec whose parameters passed their family's rules; see
+    ``parse_group_spec``.  ``label`` is the canonical spec text, and
+    ``order`` the group's order, or None when a table file is involved (its
+    order is known only once the file is read)."""
 
     kind: str
+    label: str
+    order: int | None
     params: tuple[int, ...] = ()
     children: tuple["GroupSpec", ...] = ()
     table_source: str | None = None
 
-    def label(self) -> str:
-        if self.kind == "direct_product":
-            return "product:" + ",".join(c.label() for c in self.children)
-        if self.kind == "table":
-            return f"table:{self.table_source}"
-        if self.params:
-            return self.kind + ":" + ":".join(str(p) for p in self.params)
-        return self.kind
-
 
 def parse_group_spec(text: str) -> GroupSpec:
-    """Parse a spec string.
+    """Parse a spec string and check its parameters against their family's
+    rules in ``_FAMILIES``; GroupBuildError names the first error in
+    reading order.
 
     Grammar: ``cyclic:N``, ``quaternion``, ``dihedral:M`` (order 2M),
     ``heisenberg:P``, ``frobenius:P:Q:K``, ``product:SPEC,SPEC,...`` (two or
@@ -165,12 +156,15 @@ def parse_group_spec(text: str) -> GroupSpec:
             if part.startswith("product:"):
                 raise GroupBuildError("nested product specs are not supported")
             children.append(parse_group_spec(part))
-        return GroupSpec(kind="direct_product", children=tuple(children))
+        orders = [c.order for c in children]
+        return GroupSpec("direct_product", "product:" + ",".join(c.label for c in children),
+                         None if None in orders else math.prod(orders),
+                         children=tuple(children))
     if text.startswith("table:"):
         source = text[len("table:"):]
         if not source:
             raise GroupBuildError("table spec needs a file path")
-        return GroupSpec(kind="table", table_source=source)
+        return GroupSpec("table", text, None, table_source=source)
     name, _, rest = text.partition(":")
     if name not in _FAMILIES:
         raise GroupBuildError(f"unknown group kind {name!r}")
@@ -179,10 +173,14 @@ def parse_group_spec(text: str) -> GroupSpec:
     except ValueError:
         raise GroupBuildError(
             f"{name} parameters must be integers, got {rest!r}") from None
-    count = _FAMILIES[name][0]
+    count, rules, order, _ = _FAMILIES[name]
     if len(params) != count:
         raise GroupBuildError(f"{name} takes {count} parameter(s), got {len(params)}")
-    return GroupSpec(kind=name, params=params)
+    for holds, error in rules:
+        if not holds(*params):
+            raise GroupBuildError(error)
+    return GroupSpec(name, ":".join((name, *map(str, params))), order(*params),
+                     params=params)
 
 
 def smallest_prime_factor(n: int):
@@ -199,35 +197,6 @@ def smallest_prime_factor(n: int):
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_factor(n) == n
-
-
-def validate_spec(spec: GroupSpec) -> None:
-    """Raise GroupBuildError if the spec parameters are invalid."""
-    if spec.kind == "cyclic":
-        if spec.params[0] < 1:
-            raise GroupBuildError("cyclic order must be >= 1")
-    elif spec.kind == "dihedral":
-        if spec.params[0] < 1:
-            raise GroupBuildError("dihedral parameter must be >= 1")
-    elif spec.kind == "heisenberg":
-        p = spec.params[0]
-        if not _is_prime(p) or p == 2:
-            raise GroupBuildError("heisenberg needs an odd prime")
-    elif spec.kind == "frobenius":
-        p, q, k = spec.params
-        if not (_is_prime(p) and _is_prime(q) and q < p):
-            raise GroupBuildError("frobenius needs primes q < p")
-        if pow(k, q, p) != 1 or k % p == 1:
-            raise GroupBuildError(
-                "frobenius multiplier must satisfy k^q = 1 (mod p), k != 1 (mod p)"
-            )
-    elif spec.kind == "direct_product":
-        if len(spec.children) < 2:
-            raise GroupBuildError("product spec needs at least two children")
-        for child in spec.children:
-            validate_spec(child)
-    elif spec.kind not in ("quaternion", "table"):
-        raise GroupBuildError(f"unknown group kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +261,22 @@ def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-# kind -> (parameter count, order from the parameters, table builder)
+# kind -> (parameter count, rules: (test, error) pairs checked in order,
+#          order from the parameters, table builder)
 _FAMILIES = {
-    "cyclic": (1, lambda n: n, _cyclic_table),
-    "quaternion": (0, lambda: 8, _quaternion_table),
-    "dihedral": (1, lambda m: 2 * m, _dihedral_table),
-    "heisenberg": (1, lambda p: p ** 3, _heisenberg_table),
-    "frobenius": (3, lambda p, q, k: p * q, _frobenius_table),
+    "cyclic": (1, [(lambda n: n >= 1, "cyclic order must be >= 1")],
+               lambda n: n, _cyclic_table),
+    "quaternion": (0, [], lambda: 8, _quaternion_table),
+    "dihedral": (1, [(lambda m: m >= 1, "dihedral parameter must be >= 1")],
+                 lambda m: 2 * m, _dihedral_table),
+    "heisenberg": (1, [(lambda p: p != 2 and _is_prime(p), "heisenberg needs an odd prime")],
+                   lambda p: p ** 3, _heisenberg_table),
+    "frobenius": (3, [(lambda p, q, k: _is_prime(p) and _is_prime(q) and q < p,
+                       "frobenius needs primes q < p"),
+                      (lambda p, q, k: pow(k, q, p) == 1 and k % p != 1,
+                       "frobenius multiplier must satisfy k^q = 1 (mod p), k != 1 (mod p)")],
+                  lambda p, q, k: p * q, _frobenius_table),
 }
-
-
-def spec_order(spec: GroupSpec) -> int | None:
-    """Order implied by a spec, or None for table specs (known only on load)."""
-    if spec.kind in _FAMILIES:
-        return _FAMILIES[spec.kind][1](*spec.params)
-    if spec.kind == "direct_product":
-        child_orders = [spec_order(c) for c in spec.children]
-        if any(o is None for o in child_orders):
-            return None
-        return math.prod(child_orders)
-    return None
 
 
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
@@ -324,10 +289,8 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    validate_spec(spec)
-    order = spec_order(spec)
-    if order is not None and order > ORDER_CAP:
-        raise GroupBuildError(f"order {order} exceeds the cap {ORDER_CAP}")
+    if spec.order is not None and spec.order > ORDER_CAP:
+        raise GroupBuildError(f"order {spec.order} exceeds the cap {ORDER_CAP}")
     if spec.kind == "table":
         return _load_table_group(Path(spec.table_source))
     if spec.kind == "direct_product":
@@ -337,8 +300,8 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
             raise GroupBuildError(f"order {built_order} exceeds the cap {ORDER_CAP}")
         op = _product_table([c.op for c in children])
     else:
-        op = _FAMILIES[spec.kind][2](*spec.params)
-    return table_group(op, spec.label())
+        op = _FAMILIES[spec.kind][3](*spec.params)
+    return table_group(op, spec.label)
 
 
 CACHE_BYTES = 2 * ORDER_CAP ** 2   # one int16 table of the largest order
@@ -357,9 +320,9 @@ def cached_group(spec: str) -> FiniteGroup:
     time.  The cache is for one thread: nothing locks it.
     """
     parsed = parse_group_spec(spec)
-    if any(s.kind == "table" for s in (parsed, *parsed.children)):
+    if parsed.order is None:                  # a table file is involved
         return build_group(parsed)
-    key = parsed.label()
+    key = parsed.label
     group = _cached.get(key)
     if group is not None:
         _cached.move_to_end(key)

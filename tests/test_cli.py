@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import sumsetlab.cli as cli
 import sumsetlab.engine as engine
+import sumsetlab.groups as groups
 import sumsetlab.replay as replay
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
-from sumsetlab.groups import SubsetMask, parse_group_spec, spec_order
+from sumsetlab.groups import SubsetMask, build_group, parse_group_spec
 
 from conftest import run_cli
 
@@ -190,6 +191,96 @@ def test_table_files_that_are_not_text_exit_2(tmp_path, command, options):
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: table file {path}: not ")
     assert result.stderr.count("\n") == 1
+
+
+def _table_bytes(rows, header=None) -> bytes:
+    return (f"{len(rows) if header is None else header}\n"
+            + "".join(" ".join(map(str, r)) + "\n" for r in rows)).encode()
+
+
+_GROUP_ROWS = st.sampled_from(["cyclic:1", "cyclic:3", "dihedral:3", "quaternion"]).map(
+    lambda spec: build_group(spec).op.tolist())
+_BIG_VALUES = st.sampled_from([2 ** 15, 2 ** 31, 2 ** 63]).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+_ODD_BYTES = (lambda d: d.replace(b"\n", b"\r\n"), lambda d: d.replace(b" ", b"\t"),
+              lambda d: b"\xef\xbb\xbf" + d, lambda d: d.replace(b"\n", b"\n\0", 1))
+
+
+@st.composite
+def _edited_tables(draw):
+    rows = draw(_GROUP_ROWS)
+    n = len(rows)
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+        st.integers(-1, n) | _BIG_VALUES)
+    return _table_bytes(rows)
+
+
+@st.composite
+def _misheaded_tables(draw):
+    rows = draw(_GROUP_ROWS)
+    return _table_bytes(rows, draw(st.integers(-1, len(rows) + 2).filter(
+        lambda h: h != len(rows))))
+
+
+# the bytes of a table file, or None for a directory in its place
+TABLE_FILES = st.one_of(
+    st.binary(max_size=48),
+    _edited_tables(),
+    _misheaded_tables(),
+    st.tuples(_GROUP_ROWS.map(_table_bytes), st.sampled_from(_ODD_BYTES)).map(
+        lambda t: t[1](t[0])),
+    st.sampled_from([b"", None]),
+)
+
+
+def _reads_as_a_group(path) -> bool:
+    """Whether the file's text, split and read by ``int``, is the order n and
+    n rows of n entries in 0..n-1 that form a group, by brute force."""
+    try:
+        n, *entries = map(int, path.read_text().split())
+    except ValueError:                   # so also UnicodeDecodeError
+        return False
+    if not (1 <= n <= groups.ORDER_CAP and len(entries) == n * n
+            and all(0 <= v < n for v in entries)):
+        return False
+    op = [entries[i * n:(i + 1) * n] for i in range(n)]
+    ids = [e for e in range(n) if all(op[e][x] == x == op[x][e] for x in range(n))]
+    return (bool(ids)
+            and all(any(op[x][y] == ids[0] == op[y][x] for y in range(n)) for x in range(n))
+            and all(op[op[x][y]][z] == op[x][op[y][z]]
+                    for x in range(n) for y in range(n) for z in range(n)))
+
+
+def test_validate_exits_0_or_2_on_any_table_file(tmp_path, monkeypatch):
+    seen = set()
+    table_values = groups._table_values
+
+    def spy(path):
+        values = table_values(path)
+        seen.add(type(values).__name__)
+        event(f"_table_values returns a {type(values).__name__}")
+        return values
+
+    monkeypatch.setattr(groups, "_table_values", spy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=TABLE_FILES)
+    def check(data):
+        path = tmp_path / "t.tbl"
+        if data is None:
+            path = tmp_path / "a-directory"
+            path.mkdir(exist_ok=True)
+        else:
+            path.write_bytes(data)
+        result = run_cli("validate", "--group", f"table:{path}")
+        event(f"exit {result.exit_code}")
+        assert result.exit_code in (0, 2), result
+        assert (result.exit_code == 0) == (data is not None and _reads_as_a_group(path))
+        if result.exit_code == 2:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    check()
+    assert seen == {"ndarray", "list"}    # the numpy parse and the text fallback
 
 
 def test_sampled_runs_are_byte_identical_across_workers():
@@ -375,8 +466,8 @@ def test_oversized_capped_scan_exits_2_before_listing():
     assert time.perf_counter() - start < 5
 
 
-SMALL_SPECS = {spec: spec_order(parse_group_spec(spec)) for spec in CORPUS_SPECS
-               if spec_order(parse_group_spec(spec)) <= 12}
+SMALL_SPECS = {spec: parse_group_spec(spec).order for spec in CORPUS_SPECS
+               if parse_group_spec(spec).order <= 12}
 SMALL_SPECS["cyclic:x"] = None    # malformed
 _maybe_int = st.none() | st.integers(-2, 14)
 

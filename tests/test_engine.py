@@ -123,7 +123,7 @@ def test_cd_bound_examples():
 def test_cd_bound_rejects_empty_sets_in_plain_mode():
     z5 = build_group("cyclic:5")
     with pytest.raises(ValueError):
-        cd_bound(z5, SubsetMask.empty(5), mask(5, 0))
+        cd_bound(z5, SubsetMask(0, 5), mask(5, 0))
     # the restricted variant tolerates empty and singleton sets
     c = cd_bound(z5, mask(5, 2), mask(5, 2), theorem="eh")
     assert c.product_size == 0 and c.bound == -1 and c.holds

@@ -85,7 +85,7 @@ def _spy_on_builds(monkeypatch):
     build = groups.build_group
 
     def spy(spec):
-        built[spec.label()] += 1
+        built[spec.label] += 1
         return build(spec)
 
     monkeypatch.setattr(groups, "build_group", spy)
@@ -177,9 +177,23 @@ def test_heisenberg_13_is_built_once_for_validate_and_decompose(empty_cache,
 
 
 @pytest.mark.parametrize("spec, message", [
+    ("nonsense:3", "error: unknown group kind 'nonsense'\n"),
     ("cyclic:abc", "error: cyclic parameters must be integers, got 'abc'\n"),
+    ("cyclic", "error: cyclic takes 1 parameter(s), got 0\n"),
+    ("product:cyclic:3", "error: product spec needs at least two children\n"),
+    ("product:product:cyclic:2,cyclic:3",
+     "error: nested product specs are not supported\n"),
+    ("table:", "error: table spec needs a file path\n"),
+    ("cyclic:0", "error: cyclic order must be >= 1\n"),
+    ("dihedral:0", "error: dihedral parameter must be >= 1\n"),
+    ("heisenberg:2", "error: heisenberg needs an odd prime\n"),
     ("heisenberg:4", "error: heisenberg needs an odd prime\n"),
+    ("heisenberg:9", "error: heisenberg needs an odd prime\n"),
+    ("frobenius:7:3:3", "error: frobenius multiplier must satisfy "
+                        "k^q = 1 (mod p), k != 1 (mod p)\n"),
+    ("frobenius:3:7:2", "error: frobenius needs primes q < p\n"),
     ("cyclic:4097", "error: order 4097 exceeds the cap 4096\n"),
+    ("product:cyclic:64,cyclic:65", "error: order 4160 exceeds the cap 4096\n"),
 ])
 def test_a_bad_spec_fails_the_same_way_every_time(empty_cache, spec, message):
     for _ in range(2):

@@ -1,10 +1,15 @@
 import hashlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sumsetlab import structure
 from sumsetlab.engine import cd_bound
-from sumsetlab.groups import SubsetMask, build_group
+from sumsetlab.groups import SubsetMask, build_group, cached_group, table_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.replay import (ReplayInvariantError, ReplayPreconditionError,
                               _invariant, replay_solvable_proof)
@@ -21,7 +26,14 @@ def naive_product_size(g, a, b):
 
 
 def audit_trace(g, trace):
-    """Re-check every recorded quantity from raw data, independently."""
+    """Re-derive every recorded quantity from ``g.op``, ``g.inv`` and the
+    naive definitions, never from the replay's own tables, and audit each
+    subtrace on the kernel's table in the same way.
+
+    Blocks are the cosets of the kernel numbered by their least element,
+    which is also their representative (the replay's lowest_index policy),
+    and x has kernel coordinate x * rep(x)^-1.
+    """
     assert trace.target == len(trace.a) + len(trace.b) - 1
     if trace.kind == "base":
         assert g.is_abelian()
@@ -29,25 +41,66 @@ def audit_trace(g, trace):
         assert trace.base.product_size == size
         assert size >= trace.target
         return
+    op, inv, n = g.op, g.inv, g.order
+    kernel = np.array(trace.kernel)
+    # a proper normal subgroup, in ascending order, with an abelian quotient
+    assert kernel.tolist() == sorted(set(trace.kernel)) and 1 < len(kernel) < n
+    position = np.full(n, -1)
+    position[kernel] = np.arange(len(kernel))
+    assert position[g.identity] >= 0
+    assert (position[op[np.ix_(kernel, kernel)]] >= 0).all()
+    assert (position[op[op[:, kernel], inv[:, None]]] >= 0).all()     # x k x^-1
+    assert (position[op[op, inv[op.T]]] >= 0).all()                   # (xy)(yx)^-1
+
+    reps, block = np.unique(op[kernel].min(axis=0), return_inverse=True)
+    a, b = trace.a.elements(), trace.b.elements()
+    a_count = Counter(int(block[x]) for x in a)
+    b_count = Counter(int(block[y]) for y in b)
+    a_blocks = sorted(a_count, key=lambda h: (-a_count[h], h))
+    b_blocks = sorted(b_count, key=lambda h: (-b_count[h], h))
+    assert trace.a_sizes == tuple(a_count[h] for h in a_blocks)
+    assert trace.b_sizes == tuple(b_count[h] for h in b_blocks)
+    assert (trace.alpha, trace.beta) == (len(a_blocks), len(b_blocks))
     assert trace.alpha <= trace.beta
-    assert sum(trace.a_sizes) == len(trace.a)
-    assert sum(trace.b_sizes) == len(trace.b)
-    assert list(trace.a_sizes) == sorted(trace.a_sizes, reverse=True)
-    assert list(trace.b_sizes) == sorted(trace.b_sizes, reverse=True)
-    a1 = trace.a_sizes[0]
-    for check, b_size in zip(trace.block_checks, trace.b_sizes):
-        assert check.lower_bound == a1 + b_size - 1
-        assert check.product_size >= check.lower_bound
-        assert len(check.translated_b) == b_size
-    assert trace.quotient_check.lower_bound == trace.alpha + trace.beta - 1
-    assert trace.quotient_check.product_size >= trace.quotient_check.lower_bound
-    seconds = trace.disjointness_check.second_coordinates
-    assert len(set(seconds)) == len(seconds) == trace.beta
+
+    def kernel_coordinate(x):
+        return int(op[x, inv[reps[block[x]]]])
+
+    def kernel_mask(elements):
+        return SubsetMask.from_elements(len(kernel), (position[x] for x in elements))
+
+    kernel_group = table_group(position[op[np.ix_(kernel, kernel)]],
+                               f"{g.label}|kernel", int(position[g.identity]))
+    h1 = a_blocks[0]
+    a1 = {kernel_coordinate(x) for x in a if block[x] == h1}
+    assert len(trace.block_checks) == trace.beta
+    for check, hj in zip(trace.block_checks, b_blocks):
+        assert (check.a_block, check.b_block) == (h1, hj)
+        assert (check.a1_size, check.b_size) == (len(a1), b_count[hj])
+        # B_j moved into the kernel: the kernel coordinates of rep(h1) * B_j
+        translated = {kernel_coordinate(op[reps[h1], y]) for y in b if block[y] == hj}
+        assert len(translated) == b_count[hj]
+        assert check.translated_b == tuple(sorted(translated))
+        assert check.product_size == len({int(op[x, y]) for x in a1 for y in translated})
+        assert check.lower_bound == len(a1) + b_count[hj] - 1 <= check.product_size
+        sub = check.subtrace
+        certified = (sub.b, sub.a) if sub.swapped else (sub.a, sub.b)
+        assert certified == (kernel_mask(a1), kernel_mask(translated))
+        audit_trace(kernel_group, sub)
+
+    quotient_size = len({int(block[op[x, y]]) for x in a for y in b})
+    assert trace.quotient_check.product_size == quotient_size
+    assert trace.quotient_check.lower_bound == trace.alpha + trace.beta - 1 <= quotient_size
+    seconds = tuple(int(block[op[reps[h1], reps[hj]]]) for hj in b_blocks)
+    assert trace.disjointness_check.second_coordinates == seconds
+    assert len(set(seconds)) == trace.beta
     chain = trace.final_chain
+    a1_size = len(a1)
     direct = naive_product_size(g, trace.a, trace.b)
     assert chain.product_size == direct
-    assert chain.sum_bound == sum(a1 + bj - 1 for bj in trace.b_sizes) + trace.alpha - 1
-    assert chain.closed_form == trace.beta * a1 + len(trace.b) - trace.beta + trace.alpha - 1
+    assert chain.sum_bound == sum(a1_size + bj - 1 for bj in trace.b_sizes) + trace.alpha - 1
+    assert chain.closed_form == (trace.beta * a1_size + len(trace.b) - trace.beta
+                                 + trace.alpha - 1)
     assert chain.sum_bound == chain.closed_form
     assert direct >= chain.sum_bound >= chain.target
 
@@ -120,7 +173,7 @@ def test_swapped_trace_certifies_the_product_that_was_asked_about():
 def test_replay_preconditions():
     g = build_group("heisenberg:3")
     with pytest.raises(ReplayPreconditionError, match="nonempty"):
-        replay_solvable_proof(g, SubsetMask.empty(27), mask(27, 0))
+        replay_solvable_proof(g, SubsetMask(0, 27), mask(27, 0))
     with pytest.raises(ReplayPreconditionError, match="torsion"):
         replay_solvable_proof(g, mask(27, 0, 1, 3), mask(27, 0, 1))
     with pytest.raises(ReplayPreconditionError, match="width"):
@@ -175,6 +228,27 @@ def test_seeded_replays_audit_cleanly():
             b = SubsetMask(rng.subset_of_size(g.order, sb), g.order)
             trace = replay_solvable_proof(g, a, b)
             audit_trace(g, trace)
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_every_trace_of_the_trace_workload_audits_cleanly(monkeypatch):
+    # the benchmark's seed-0 trace commands, replayed on their own inputs;
+    # its dataclasses need the module in sys.modules while it loads
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    tables = {s: cached_group(s).op for s in workloads.groups_used("trace")}
+    cmds = workloads.commands("trace", 0, Path("unused"), 1, tables)
+    assert {cmd.kind for cmd in cmds} == {"trace"} and len(cmds) == 466
+    for cmd in cmds:
+        g = cached_group(cmd.expect["group"])
+        a, b = (SubsetMask.from_elements(g.order, cmd.expect[side]) for side in "ab")
+        trace = replay_solvable_proof(g, a, b)
+        assert (trace.a, trace.b) == ((b, a) if trace.swapped else (a, b))
+        audit_trace(g, trace)
 
 
 def test_invariant_failure_message_names_a_library_bug():
