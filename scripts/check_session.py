@@ -7,7 +7,8 @@ Runs each command of COMMANDS twice in this interpreter through
 ``sumsetlab.cli.main`` (the second run, and some first ones, find their group
 already built), then once each as its own process, ``sumsetlab`` by default or
 the PROGRAM given (e.g. ``python -m sumsetlab.cli``).  Exits 1 unless the
-SHA-256 of stdout and the exit code agree for every command.
+exit code, the SHA-256 of stdout and stderr agree for every command; the
+last commands are input errors, so their one ``error:`` line is compared too.
 """
 
 import contextlib
@@ -35,6 +36,11 @@ COMMANDS = (
      "--count", "2000", "--json"),
     ("verify", "--group", "cyclic:25", "--theorem", "eh", "--mode", "sampled",
      "--seed", "1", "--count", "500", "--json"),
+    ("verify", "--group", "cyclic:5", "--mode", "capped"),
+    ("decompose", "--group", "quaternion", "--kernel", "9"),
+    ("extremal", "--group", "cyclic:5", "--size-a", "6", "--size-b", "1"),
+    ("trace", "--group", "cyclic:5", "--set-a", ",", "--set-b", "1"),
+    ("validate", "--group", "nonsense:3"),
 )
 
 
@@ -42,20 +48,20 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def in_process(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             cli_main(list(argv))
             code = 0
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
-    return code, digest(out.getvalue())
+    return code, digest(out.getvalue()), err.getvalue()
 
 
-def one_shot(program, argv) -> tuple[int, str]:
+def one_shot(program, argv) -> tuple[int, str, str]:
     done = subprocess.run([*program, *argv], capture_output=True, text=True)
-    return done.returncode, digest(done.stdout)
+    return done.returncode, digest(done.stdout), done.stderr
 
 
 def main() -> int:
@@ -68,8 +74,8 @@ def main() -> int:
             if got != fresh:
                 bad += 1
                 print(f"MISMATCH ({run} in-process run) {' '.join(argv)}: "
-                      f"exit {got[0]} sha256 {got[1]}, one-shot exit {fresh[0]} "
-                      f"sha256 {fresh[1]}")
+                      f"exit {got[0]} sha256 {got[1]} stderr {got[2]!r}, one-shot "
+                      f"exit {fresh[0]} sha256 {fresh[1]} stderr {fresh[2]!r}")
         print(f"exit {fresh[0]} sha256 {fresh[1][:16]}  {' '.join(argv)}")
     if bad:
         print(f"{bad} mismatch(es)")

@@ -12,8 +12,8 @@ from .engine import (BoundCheck, Caps, SamplingPlan, VerificationReport,
 from .factor_system import (FactorSystem, SubsetDecomposition,
                             build_factor_system, decompose_subset,
                             factor_system_json)
-from .groups import (FiniteGroup, GroupBuildError, GroupSpec, SubsetMask,
-                     build_group, element_order, parse_group_spec,
+from .groups import (FiniteGroup, GroupBuildError, GroupSpec, InputError,
+                     SubsetMask, build_group, element_order, parse_group_spec,
                      validate_group)
 from .replay import (ProofTrace, ReplayInvariantError,
                      ReplayPreconditionError, replay_solvable_proof)

@@ -3,8 +3,9 @@
 
 Exit codes: 0 = success with zero bound violations, 1 = at least one bound
 violation found (the report lists witnesses), 2 = usage, input or output
-error, 3 = internal error (a failed consistency check or any other
-unexpected exception: a bug in this library, named on one stderr line).
+error (argparse's, or an ``InputError`` on one ``error:`` line), 3 = internal
+error (any other exception, a plain ``ValueError`` included: a bug in this
+library, named on one stderr line).  ``main`` alone maps exceptions to codes.
 
 Each command gets its group from ``groups.cached_group``, so a process that
 runs several commands builds each canonical group, and what is derived from
@@ -22,9 +23,9 @@ from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, Caps, SamplingPlan,
                      find_extremal, size_bound, verify_exhaustive,
                      verify_sampled)
 from .factor_system import build_factor_system, factor_system_json
-from .groups import GroupBuildError, SubsetMask, cached_group, validate_group
+from .groups import InputError, SubsetMask, cached_group, validate_group
 from .jsonio import dumps_stable
-from .replay import ReplayPreconditionError, replay_solvable_proof
+from .replay import replay_solvable_proof
 from .structure import (INFINITY, choose_decomposition_subgroup,
                         generated_subgroup)
 
@@ -41,11 +42,11 @@ def main(args=None, prog_name=None):
     in SystemExit.  Usage lines name ``sumsetlab`` whatever ``prog_name`` is."""
     try:
         options = vars(_PARSER.parse_args(args))
-        try:
-            g = cached_group(options.pop("spec"))
-        except GroupBuildError as exc:
-            _fail(str(exc))
+        g = cached_group(options.pop("spec"))
         options.pop("run")(g, **options)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(3)
@@ -73,11 +74,6 @@ def _command(**options):
     return declare
 
 
-def _fail(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
-
-
 def _emit(text: str, out_path: str | None, code: int = 0):
     """Write the report to ``out_path`` (stdout if None), then exit with ``code``."""
     if out_path:
@@ -85,7 +81,7 @@ def _emit(text: str, out_path: str | None, code: int = 0):
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail(f"cannot write {out_path}: {exc.strerror}")
+            raise InputError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     sys.exit(code)
@@ -95,11 +91,8 @@ def _parse_elements(raw: str, order: int, name: str) -> SubsetMask:
     try:
         elements = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        _fail(f"{name} must be comma-separated element indices")
-    try:
-        return SubsetMask.from_elements(order, elements)
-    except ValueError as exc:
-        _fail(str(exc))
+        raise InputError(f"{name} must be comma-separated element indices") from None
+    return SubsetMask.from_elements(order, elements)
 
 
 def _fmt_p(p) -> str:
@@ -122,29 +115,25 @@ def _fmt_p(p) -> str:
 def verify(g, theorem, mode, seed, count, fixed_sizes, max_a, max_b,
            sum_cap, exhaustive_limit, workers, as_json, out_path):
     """Verify the product-size bound over pairs of subsets."""
-    try:
-        if mode == "exhaustive":
-            report = verify_exhaustive(g, theorem, exhaustive_limit=exhaustive_limit)
-        elif mode == "capped":
-            if max_a is None and max_b is None and sum_cap is None:
-                _fail("capped mode needs --max-a, --max-b, or --sum-cap")
-            caps = Caps(max_a_size=max_a, max_b_size=max_b, sum_cap=sum_cap)
-            report = verify_exhaustive(g, theorem, caps)
-        else:
-            if seed is None or count is None:
-                _fail("sampled mode needs --seed and --count")
-            sizes = None
-            if fixed_sizes is not None:
-                try:
-                    sa, sb = (int(v) for v in fixed_sizes.split(","))
-                except ValueError:
-                    _fail("--fixed-sizes must be SA,SB")
-                sizes = (sa, sb)
-            plan = SamplingPlan(seed=seed, count=count, fixed_sizes=sizes)
-            report = verify_sampled(g, theorem, plan)
-    except ValueError as exc:
-        _fail(str(exc))
-
+    if mode == "exhaustive":
+        report = verify_exhaustive(g, theorem, exhaustive_limit=exhaustive_limit)
+    elif mode == "capped":
+        if max_a is None and max_b is None and sum_cap is None:
+            raise InputError("capped mode needs --max-a, --max-b, or --sum-cap")
+        caps = Caps(max_a_size=max_a, max_b_size=max_b, sum_cap=sum_cap)
+        report = verify_exhaustive(g, theorem, caps)
+    else:
+        if seed is None or count is None:
+            raise InputError("sampled mode needs --seed and --count")
+        sizes = None
+        if fixed_sizes is not None:
+            try:
+                sa, sb = (int(v) for v in fixed_sizes.split(","))
+            except ValueError:
+                raise InputError("--fixed-sizes must be SA,SB") from None
+            sizes = (sa, sb)
+        plan = SamplingPlan(seed=seed, count=count, fixed_sizes=sizes)
+        report = verify_sampled(g, theorem, plan)
     _emit(dumps_stable(report.to_json_dict()) if as_json else _verify_text(report),
           out_path, 1 if report.violations else 0)
 
@@ -193,16 +182,11 @@ def _verify_text(report) -> str:
 )
 def decompose(g, kernel_raw, rep_policy, as_json, out_path):
     """Build and print the factor system for a group over a normal subgroup."""
-    try:
-        if kernel_raw is None:
-            kernel = choose_decomposition_subgroup(g)
-        else:
-            gens = _parse_elements(kernel_raw, g.order, "--kernel")
-            kernel = generated_subgroup(g, gens)
-        fs = build_factor_system(g, kernel, rep_policy)
-    except ValueError as exc:
-        _fail(str(exc))
-    payload = factor_system_json(fs)
+    if kernel_raw is None:
+        kernel = choose_decomposition_subgroup(g)
+    else:
+        kernel = generated_subgroup(g, _parse_elements(kernel_raw, g.order, "--kernel"))
+    payload = factor_system_json(build_factor_system(g, kernel, rep_policy))
     _emit(dumps_stable(payload) if as_json else _decompose_text(payload), out_path)
 
 
@@ -226,10 +210,7 @@ def _decompose_text(payload: dict) -> str:
 )
 def extremal(g, size_a, size_b, limit, as_json, out_path):
     """List pairs whose product size meets the bound exactly."""
-    try:
-        pairs = find_extremal(g, size_a, size_b, limit=limit)
-    except ValueError as exc:
-        _fail(str(exc))
+    pairs = find_extremal(g, size_a, size_b, limit=limit)
     payload = {
         "schema": "sumsetlab.extremal/1",
         "group": g.label,
@@ -267,10 +248,7 @@ def trace(g, set_a, set_b, as_json, out_path):
     """Replay the solvable-group induction on one concrete pair."""
     a = _parse_elements(set_a, g.order, "--set-a")
     b = _parse_elements(set_b, g.order, "--set-b")
-    try:
-        result = replay_solvable_proof(g, a, b)
-    except ReplayPreconditionError as exc:
-        _fail(str(exc))
+    result = replay_solvable_proof(g, a, b)
     _emit(dumps_stable(result.to_json_dict()) if as_json else _trace_text(result),
           out_path)
 

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, iter_bits
+from .groups import FiniteGroup, InputError, SubsetMask, iter_bits
 from .jsonio import record_json
 from .rng import SplitMix64
 from .structure import automorphisms, minimal_torsion
@@ -73,7 +73,7 @@ _ORBIT_COST = 16
 def _check_theorem(theorem: str) -> str:
     t = theorem.lower()
     if t not in THEOREMS:
-        raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
+        raise InputError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
     return t
 
 
@@ -83,7 +83,7 @@ def _size_slack(theorem: str) -> int:
 
 def _check_mask(g: FiniteGroup, m: SubsetMask, name: str) -> None:
     if m.width != g.order:
-        raise ValueError(f"mask {name} has width {m.width}, group order is {g.order}")
+        raise InputError(f"mask {name} has width {m.width}, group order is {g.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def cd_bound(g: FiniteGroup, a: SubsetMask, b: SubsetMask,
     """
     theorem = _check_theorem(theorem)
     if theorem == "cd" and (len(a) == 0 or len(b) == 0):
-        raise ValueError("plain product bound requires nonempty sets")
+        raise InputError("plain product bound requires nonempty sets")
     product = (product_set if theorem == "cd" else restricted_product_set)(g, a, b)
     return _make_check(g, theorem, a.bits, b.bits, len(product),
                        minimal_torsion(g), size_bound(g, len(a), len(b), theorem))
@@ -171,7 +171,7 @@ class Caps:
         for name, least in (("max_a_size", 1), ("max_b_size", 1), ("sum_cap", 2)):
             value = getattr(self, name)
             if value is not None and value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+                raise InputError(f"{name} must be at least {least}, got {value}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,7 +193,7 @@ class SamplingPlan:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise InputError("count must be >= 1")
 
     def to_json_dict(self) -> dict:
         dist = ("uniform" if self.fixed_sizes is None
@@ -525,12 +525,12 @@ def verify_exhaustive(
     n = g.order
     if caps is None:
         if n > exhaustive_limit:
-            raise ValueError(
+            raise InputError(
                 f"order {n} exceeds the exhaustive limit {exhaustive_limit}; "
                 "use caps or sampling"
             )
         if n > EXHAUSTIVE_HARD_CEILING:
-            raise ValueError(f"order {n} exceeds the hard exhaustive ceiling")
+            raise InputError(f"order {n} exceeds the hard exhaustive ceiling")
         scan = _Scan(g, theorem, n, n, orbits=True)
         b_masks = range(1, 1 << n, 1 + scan.pivot_b)
         a_masks, a_orbits = scan.reduce(range(1, 1 << n, 1 + scan.pivot_a), len(b_masks))
@@ -562,7 +562,7 @@ def _masks_by_size(n: int, min_size: int, max_size: int,
     """
     count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     if count > 1 << EXHAUSTIVE_HARD_CEILING:
-        raise ValueError(
+        raise InputError(
             f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
             f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
     bits = [1 << x for x in range(pivot, n)]
@@ -663,13 +663,13 @@ def verify_sampled(
     """
     theorem = _check_theorem(theorem)
     if plan is None:
-        raise ValueError("sampled verification requires a SamplingPlan")
+        raise InputError("sampled verification requires a SamplingPlan")
     start = time.perf_counter()
     n = g.order
     if plan.fixed_sizes is not None:
         sa, sb = plan.fixed_sizes
         if not (1 <= sa <= n and 1 <= sb <= n):
-            raise ValueError(f"fixed sizes must be in 1..{n}")
+            raise InputError(f"fixed sizes must be in 1..{n}")
     scan = _Scan(g, theorem, n, n)
     # every pair of a fixed-size plan has the same sizes: if they settle it,
     # nothing is drawn
@@ -812,16 +812,16 @@ def find_extremal(
     """
     n = g.order
     if not (1 <= size_a <= n and 1 <= size_b <= n):
-        raise ValueError(f"sizes must be in 1..{n}")
+        raise InputError(f"sizes must be in 1..{n}")
     if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+        raise InputError(f"limit must be at least 1, got {limit}")
     space = math.comb(n, size_a) * math.comb(n, size_b)
     if space > EXTREMAL_SEARCH_CAP:
-        raise ValueError(
+        raise InputError(
             f"search space of {space} pairs exceeds cap {EXTREMAL_SEARCH_CAP}")
     for name, size in (("A", size_a), ("B", size_b)):
         if (sets := math.comb(n, size)) > 1 << EXHAUSTIVE_HARD_CEILING:
-            raise ValueError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
+            raise InputError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
                              f"the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal, limit=limit)
     a_masks, b_masks = _masks_by_size(n, size_a, size_a), _masks_by_size(n, size_b, size_b)

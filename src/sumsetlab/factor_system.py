@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, SubsetMask, iter_bits
+from .groups import FiniteGroup, InputError, SubsetMask, iter_bits
 from .rng import SplitMix64
 from .structure import (QuotientGroup, Subgroup, _conjugates, quotient,
                         subgroup_as_group)
@@ -29,11 +29,14 @@ def _normalize_policy(rep_policy: str) -> str | dict:
     into its JSON form."""
     if rep_policy == "lowest_index":
         return rep_policy
-    if rep_policy.startswith("seeded_random:"):
-        return {"seeded_random": int(rep_policy.split(":", 1)[1])}
-    if rep_policy.startswith("explicit:"):
-        return {"explicit": [int(v) for v in rep_policy[len("explicit:"):].split(",")]}
-    raise ValueError(f"unknown representative policy {rep_policy!r}")
+    try:
+        if rep_policy.startswith("seeded_random:"):
+            return {"seeded_random": int(rep_policy.split(":", 1)[1])}
+        if rep_policy.startswith("explicit:"):
+            return {"explicit": [int(v) for v in rep_policy[len("explicit:"):].split(",")]}
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    raise InputError(f"unknown representative policy {rep_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +94,14 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
     else:
         reps = tuple(policy["explicit"])
         if len(reps) != nblocks:
-            raise ValueError(f"expected {nblocks} representatives, got {len(reps)}")
+            raise InputError(f"expected {nblocks} representatives, got {len(reps)}")
         for h, r in enumerate(reps):
             if not 0 <= r < g.order:
-                raise ValueError(f"representative {r} outside 0..{g.order - 1}")
+                raise InputError(f"representative {r} outside 0..{g.order - 1}")
             if q.block_of(r) != h:
-                raise ValueError(f"representative {r} does not lie in block {h}")
+                raise InputError(f"representative {r} does not lie in block {h}")
         if reps[0] != g.identity:
-            raise ValueError("the identity block must be represented by the identity")
+            raise InputError("the identity block must be represented by the identity")
 
     # int16 like the table: positions, blocks and elements are < ORDER_CAP
     ke = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
@@ -158,7 +161,7 @@ class SubsetDecomposition:
 def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     """Split a subset of the parent group along its pair coordinates."""
     if s.width != fs.parent.order:
-        raise ValueError("mask width does not match the group order")
+        raise InputError("mask width does not match the group order")
     per_block: dict[int, int] = {}
     for x in iter_bits(s.bits):
         h = int(fs.pair_block[x])

@@ -28,7 +28,11 @@ INFINITY = float("inf")
 """Torsion value of the trivial group; compares above every integer."""
 
 
-class GroupBuildError(ValueError):
+class InputError(ValueError):
+    """Input the caller got wrong; the command line exits 2 on it."""
+
+
+class GroupBuildError(InputError):
     """An invalid group spec, or a table that violates the group axioms."""
 
 
@@ -49,9 +53,9 @@ class SubsetMask:
 
     def __post_init__(self):
         if self.width < 0:
-            raise ValueError("mask width must be nonnegative")
+            raise InputError("mask width must be nonnegative")
         if self.bits < 0 or self.bits >> self.width:
-            raise ValueError(
+            raise InputError(
                 f"mask 0x{self.bits:x} has bits outside 0..{self.width - 1}"
             )
 
@@ -60,7 +64,7 @@ class SubsetMask:
         bits = 0
         for x in elements:
             if not 0 <= x < width:
-                raise ValueError(f"element {x} outside 0..{width - 1}")
+                raise InputError(f"element {x} outside 0..{width - 1}")
             bits |= 1 << x
         return cls(bits, width)
 
@@ -495,23 +499,25 @@ def _first_nonassociative(op: np.ndarray, s: int) -> str | None:
 
 
 def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.ndarray:
-    """Membership of the identity and every left-nested product
-    ((x1 x2) x3) ... xk of ``elements``, as a bool array over 0..n-1, or
-    from the identity alone one element's ``_powers``, in log2(m) + 1 rounds.
+    """Membership of the subgroup that ``elements`` generate, as a bool
+    array over 0..n-1.
 
-    Grows the set from a frontier by right multiplication with the given
-    elements, so k elements cost O(n * k).  ``members``, if given, must be
-    the closure of some of the elements; it is grown, not rebuilt: being
-    op-closed, it gains only from its products with the other elements, and
-    each element gained joins the frontier, the other elements first (as
-    their products with the identity).  Each round marks its new products
-    in a scratch array, so the frontier holds each element once without a
-    sort.  In a group this is the subgroup they generate: finite order makes
-    x^-1 a positive power of x.  On any table with an identity whose given
-    elements all pass Light's test ((xs)y = x(sy) for all x, y), it is also
-    the smallest op-closed set that holds them: passing elements are closed
-    under products, and w(vt) = (wv)t for a passing t, so a product of two
-    left-nested words is one.
+    ``members``, if given, must be the closure of some of the elements; it
+    is grown, not rebuilt.  Each element not yet in it is first closed by
+    its ``_powers``, in log2(m) + 1 rounds for order m, so a long cyclic
+    chain costs no round per power.  Then the whole set is the frontier,
+    and each round multiplies the frontier on the right by every element,
+    so k elements cost O(n * k) past the powers.  Each round marks its new
+    products in a scratch array, so the frontier holds each element once
+    without a sort.  In a group the set grown is the subgroup: finite order
+    makes x^-1 a positive power of x.  On any table with an identity whose
+    given elements all pass Light's test ((xs)y = x(sy) for all x, y), it
+    is the smallest op-closed set that holds them.  Every element added is
+    a product of two elements of that op-closed hull, so the set lies in
+    the hull; and it holds the identity and is closed under right
+    multiplication by each given element, which pass, so it is op-closed:
+    passing elements are closed under products, and w(vt) = (wv)t for a
+    passing v.
     """
     gens = np.asarray(elements, dtype=np.intp)
     if members is None:
@@ -519,14 +525,14 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
         member[g.identity] = True
     else:
         member = members.copy()
-    if len(gens) == 1 and np.count_nonzero(member) == 1:
-        return _powers(g, int(gens[0]))
     letters = gens[~member[gens]]
     if not len(letters):
         return member
+    for x in letters:
+        member |= _powers(g, int(x))
     frontier, fresh = np.flatnonzero(member), np.zeros(g.order, dtype=bool)
     while True:
-        products = g.op[frontier[:, None], letters]
+        products = g.op[frontier[:, None], gens]
         products = products[~member[products]]
         if not len(products):
             return member
@@ -534,7 +540,6 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
         frontier = fresh.nonzero()[0]
         fresh[frontier] = False
         member[frontier] = True
-        letters = gens
 
 
 def grow_generators(g: FiniteGroup, candidates: np.ndarray, gens: list[int],

@@ -26,13 +26,13 @@ from itertools import islice
 
 from .engine import product_set
 from .factor_system import build_factor_system, decompose_subset, pair_products
-from .groups import FiniteGroup, SubsetMask
+from .groups import FiniteGroup, InputError, SubsetMask
 from .jsonio import record_json
 from .structure import (choose_decomposition_subgroup, is_solvable, minimal_torsion,
                         subgroup_as_group)
 
 
-class ReplayPreconditionError(ValueError):
+class ReplayPreconditionError(InputError):
     """The input pair is outside the regime the replay certifies."""
 
 

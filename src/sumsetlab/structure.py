@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import (BLOCK_ROWS, INFINITY, FiniteGroup, SubsetMask, closure,
+from .groups import (BLOCK_ROWS, INFINITY, FiniteGroup, InputError, SubsetMask, closure,
                      generating_set, grow_generators, smallest_prime_factor,
                      table_group)
 
@@ -79,7 +79,7 @@ def generated_subgroup(g: FiniteGroup, gens: SubsetMask | Iterable[int]) -> Subg
                            dtype=np.intp)
     outside = elements[(elements < 0) | (elements >= g.order)]
     if len(outside):
-        raise ValueError(f"generator {outside[0]} outside 0..{g.order - 1}")
+        raise InputError(f"generator {outside[0]} outside 0..{g.order - 1}")
     kept: list[int] = []
     return _subgroup(g, grow_generators(g, elements, kept, closure(g, kept)), kept)
 
@@ -173,9 +173,9 @@ class QuotientGroup:
 
 
 def quotient(g: FiniteGroup, k: Subgroup) -> QuotientGroup:
-    """Quotient by a normal subgroup; raises ValueError if k is not normal."""
+    """Quotient by a normal subgroup; raises InputError if k is not normal."""
     if not is_normal(g, k):
-        raise ValueError("kernel is not a normal subgroup")
+        raise InputError("kernel is not a normal subgroup")
     members = np.fromiter(k.element_list, dtype=np.intp, count=k.order)
     # label each right coset Kx by its least element, a running minimum over
     # BLOCK_ROWS rows of the table at a time; K's own label is its least element
@@ -223,7 +223,7 @@ def solvable_chain(g: FiniteGroup) -> SolvableChain:
     """Reverse the derived series into a chain with abelian step quotients."""
     series = derived_series(g)
     if not series[-1].is_trivial():
-        raise ValueError(f"{g.label} is not solvable")
+        raise InputError(f"{g.label} is not solvable")
     witnesses = []
     for upper in series[:-1]:
         upper_group = subgroup_as_group(upper)
@@ -307,9 +307,9 @@ def choose_decomposition_subgroup(g: FiniteGroup) -> Subgroup:
     back to the trivial subgroup when that generator spans the whole group.
     """
     if g.order <= 1:
-        raise ValueError("no decomposition subgroup for the trivial group")
+        raise InputError("no decomposition subgroup for the trivial group")
     if not is_solvable(g):
-        raise ValueError(f"{g.label} is not solvable")
+        raise InputError(f"{g.label} is not solvable")
     derived = commutator_subgroup(g)
     if not derived.is_trivial():
         # solvability of a nonabelian group forces derived to be proper

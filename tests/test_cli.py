@@ -424,6 +424,39 @@ def test_unexpected_exceptions_exit_3(monkeypatch):
                              "orbit count for |A| = 2 is not whole\n")
 
 
+# each command, and the library call it makes through cli's namespace
+_LIBRARY_CALLS = [
+    ("verify_exhaustive", ("verify", "--group", "cyclic:5")),
+    ("build_factor_system", ("decompose", "--group", "quaternion")),
+    ("find_extremal", ("extremal", "--group", "cyclic:5", "--size-a", "2", "--size-b", "2")),
+    ("replay_solvable_proof", ("trace", "--group", "cyclic:5", "--set-a", "0", "--set-b", "1")),
+    ("validate_group", ("validate", "--group", "cyclic:5")),
+]
+
+
+@pytest.mark.parametrize("call, argv", _LIBRARY_CALLS)
+def test_a_plain_value_error_is_an_internal_error(monkeypatch, call, argv):
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, call, broken)
+    result = run_cli(*argv)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == ("internal error: ValueError: "
+                             "operands could not be broadcast together\n")
+
+
+@pytest.mark.parametrize("call, argv", _LIBRARY_CALLS)
+def test_an_input_error_exits_2_on_one_line(monkeypatch, call, argv):
+    def refused(*args, **kwargs):
+        raise groups.InputError("x")
+
+    monkeypatch.setattr(cli, call, refused)
+    result = run_cli(*argv)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", "error: x\n")
+
+
 def test_json_reports_carry_no_wall_time():
     result = run_cli("verify", "--group", "cyclic:5", "--json")
     payload = json.loads(result.output)

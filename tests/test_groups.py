@@ -674,6 +674,25 @@ def test_one_element_closes_by_doubling_at_order_4096(spec):
         assert np.array_equal(closure(g, [x]), _m_round_closure(g, [x])), x
 
 
+def test_a_new_element_closes_by_its_powers_before_the_frontier_rounds():
+    # element 2, of order 2048, joins the closure {0, 1} of element 1: grown
+    # by right multiplication alone, that took one gather a round for about
+    # a thousand rounds
+    gathers = []
+
+    class CountingTable(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            out = super().__getitem__(key)
+            return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+    g = build_group("product:cyclic:2048,cyclic:2")
+    counted = groups.FiniteGroup(g.order, g.op.view(CountingTable), g.identity,
+                                 g.inv, g.label)
+    assert lowest_first_generators(counted) == [1, 2]
+    assert 0 < len(gathers) < 100
+
+
 # ---------------------------------------------------------------------------
 # table files: the numpy parse against today's token-by-token parse
 
