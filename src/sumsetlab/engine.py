@@ -20,6 +20,14 @@ capped and extremal scans at each B's elements; sampled scans pack each
 A_k * B_k directly.  One scoring step compares popcounts with the bound of
 each pair's sizes (|A|, |B|).
 
+Capped scans and the extremal search list their sides with one numpy lister
+(``_sets_by_size``): each row of k elements extends a row of k - 1 by a
+larger element, and the rows, kept in the narrowest integer type that holds
+the group order, are sorted by mask.  An exhaustive scan's sets are its
+masks, unpacked to elements a batch at a time.  A group's element orders and
+automorphisms are found once and kept in its memo, so every later scan of
+the session reuses them.
+
 Verification covers ordered pairs (A, B) of nonempty subsets; products
 need not commute.  Exhaustive and capped scans score one pair per orbit.
 |gA * Bh| = |A * B|, so a cd scan lists only the sets A and B that hold
@@ -47,8 +55,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, compress, islice, product
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -237,15 +245,6 @@ def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:
 # the batched product-size kernel
 
 
-def _elements(masks: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and padded element lists of nonempty n-bit masks (see
-    ``_padded``)."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                        dtype=np.uint8).reshape(len(masks), nbytes)
-    return _padded(np.unpackbits(raw, axis=1, count=n, bitorder="little"))
-
-
 def _padded(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sizes and padded element lists of the nonempty rows of a 0/1
     membership array: row k lists row k's elements in ascending order,
@@ -367,14 +366,15 @@ class _Scan:
         """The extremal count (``count`` of the pairs that meet the bound)
         and the collected (a_bits, b_bits, size, bound) of one batch, in
         row-major order, which is ascending (A, B) mask order;
-        ``masks_of(r, c)`` gives the masks at row r, column c."""
+        ``masks_of(r, c)`` gives the lists of masks at rows r, columns c."""
         hits = np.equal(sizes, bounds, out=self.buffer("hits", sizes.shape, bool))
         extremal = count(hits)
         hits = self.collect(sizes, bounds, out=hits)
         if not hits.any():
             return extremal, []
-        return extremal, [(*masks_of(int(r), int(c)), int(sizes[r, c]), int(bounds[r, c]))
-                          for r, c in islice(zip(*np.nonzero(hits)), self.limit)]
+        r, c = (index[:self.limit] for index in np.nonzero(hits))
+        return extremal, list(zip(*masks_of(r, c), sizes[r, c].tolist(),
+                                  bounds[r, c].tolist()))
 
     def settle(self, a_sizes, b_sizes):
         """Which pairs of these sizes are decided by the sizes alone, and how
@@ -389,21 +389,20 @@ class _Scan:
         least = np.maximum(a_sizes, b_sizes) - (self.theorem == "eh")
         return full | (least > bounds), int(np.count_nonzero(full & (bounds == n)))
 
-    def reduce(self, a_masks: Sequence[int], b_sets: int) -> tuple[Sequence[int], np.ndarray]:
-        """The sets of ``a_masks`` (ascending) least in their orbit under
-        ``auts``, and their orbit sizes: |auts| over the sigma that fix the
-        set.  ``auts`` is the automorphisms that fix element 0 when masks fit
-        an int64 (n <= 62) and the search, candidates * n, and the orbit
-        pass, at most candidates * |A side|, each cost at most the listed
-        pairs, a step counting ``_ORBIT_COST`` pairs; else the identity row."""
+    def reduce(self, keys: np.ndarray | None, a_sets: int, b_sets: int):
+        """Which of the ``a_sets`` A sets, with ascending int64 masks ``keys``
+        (None above order 62), are least in their orbit under ``auts``, as a
+        row selection, and their orbit sizes: |auts| over the sigma that fix
+        the set.  ``auts`` is the automorphisms that fix element 0 when masks
+        fit an int64 and the search, candidates * n, and the orbit pass, at
+        most candidates * |A side|, each cost at most the listed pairs, a
+        step counting ``_ORBIT_COST`` pairs; else the identity row."""
         n = self.g.order
-        limit = len(a_masks) * b_sets // (_ORBIT_COST * max(n, len(a_masks)))
-        auts = automorphisms(self.g, limit) if limit > 1 and n <= 62 else None
+        limit = a_sets * b_sets // (_ORBIT_COST * max(n, a_sets))
+        auts = automorphisms(self.g, limit) if limit > 1 and keys is not None else None
         self.auts = np.arange(n)[None] if auts is None else auts[auts[:, 0] == 0]
         if len(self.auts) == 1:
-            return a_masks, np.ones(len(a_masks), dtype=np.int64)
-        keys = (np.arange(a_masks.start, a_masks.stop, a_masks.step)
-                if isinstance(a_masks, range) else np.array(a_masks, dtype=np.int64))
+            return slice(None), np.ones(a_sets, dtype=np.int64)
         least = np.ones(len(keys), dtype=bool)
         fixed = np.zeros(len(keys), dtype=np.int64)
         step = max(1, _BATCH_BYTES // (3 * keys.nbytes))
@@ -411,7 +410,7 @@ class _Scan:
             image = _mask_images(self.auts[lo:lo + step], keys)
             least &= (image >= keys).all(axis=0)
             fixed += (image == keys).sum(axis=0)
-        return list(compress(a_masks, least.tolist())), len(self.auts) // fixed[least]
+        return least, len(self.auts) // fixed[least]
 
     def report(self, mode: dict, results: Iterable, start: float,
                pairs: int = 0) -> VerificationReport:
@@ -471,11 +470,11 @@ class _Scan:
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
-    """The mask of each row's elements (a row may repeat one)."""
-    return [sum(1 << x for x in set(row)) for row in rows.tolist()]
-
-
-_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1   # [i, v]: bit i of v
+    """The mask of each row's elements (a row may repeat one); in int64
+    where every element is below 63."""
+    if rows.max(initial=0) < 63:
+        return np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.int64), axis=1).tolist()
+    return [sum({1 << x for x in row}) for row in rows.tolist()]
 
 
 def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -484,12 +483,16 @@ def _mask_images(auts: np.ndarray, masks: np.ndarray) -> np.ndarray:
     count, n = auts.shape
     moved = np.zeros((count, -(-n // 8) * 8), dtype=np.int64)
     moved[:, :n] = np.left_shift(1, auts, dtype=np.int64)
-    # tables[s, j, v]: sigma_s of the elements in byte j when it reads v
-    # (the moved bits are distinct, so their sum is their OR)
-    tables = moved.reshape(count, -1, 8) @ _BYTE_BITS
-    images = tables[:, 0].take(masks & 255, axis=1)
-    for j in range(1, tables.shape[1]):
-        images |= tables[:, j].take((masks >> 8 * j) & 255, axis=1)
+    moved = moved.reshape(count, -1, 8).transpose(1, 0, 2)
+    # tables[j, s, v]: sigma_s of the elements in byte j when it reads v, by
+    # subset doubling: v with top bit i is v - 2^i plus bit i
+    tables = np.zeros((len(moved), count, 256), dtype=np.int64)
+    for i in range(8):
+        np.bitwise_or(tables[..., :1 << i], moved[..., i:i + 1],
+                      out=tables[..., 1 << i:2 << i])
+    images = tables[0].take(masks & 255, axis=1)
+    for j in range(1, len(tables)):
+        images |= tables[j].take((masks >> 8 * j) & 255, axis=1)
     return images
 
 
@@ -532,51 +535,99 @@ def verify_exhaustive(
         if n > EXHAUSTIVE_HARD_CEILING:
             raise InputError(f"order {n} exceeds the hard exhaustive ceiling")
         scan = _Scan(g, theorem, n, n, orbits=True)
-        b_masks = range(1, 1 << n, 1 + scan.pivot_b)
-        a_masks, a_orbits = scan.reduce(range(1, 1 << n, 1 + scan.pivot_a), len(b_masks))
         b_sizes = np.bitwise_count(np.arange(1, 1 << n, 1 + scan.pivot_b,
                                              dtype=np.uint64)).astype(np.intp)
-        results = _grid_scan(scan, a_masks, a_orbits, b_masks, b_sizes, None)
+        keys = np.arange(1, 1 << n, 1 + scan.pivot_a, dtype=np.int64)
+        select, a_orbits = scan.reduce(keys, len(keys), len(b_sizes))
+        a_masks = keys[select]
+        # each batch's elements from the bits of its masks
+        results = _grid_scan(scan, lambda part: _padded(
+            ((a_masks[part, None] >> np.arange(n)) & 1).astype(np.uint8)),
+            a_orbits, b_sizes, None)
         mode = {"kind": "exhaustive"}
     else:
         top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
         max_a, max_b = (top if cap is None else min(top, cap)
                         for cap in (caps.max_a_size, caps.max_b_size))
         scan = _Scan(g, theorem, max_a, max_b, caps.sum_cap, orbits=True)
-        b_masks = _masks_by_size(n, 1, max_b, scan.pivot_b)
-        a_masks, a_orbits = scan.reduce(_masks_by_size(n, 1, max_a, scan.pivot_a),
-                                        len(b_masks))
-        results = _grid_scan(scan, a_masks, a_orbits, b_masks, *_elements(b_masks, n))
+        b_sizes, b_rows, _ = _sets_by_size(n, 1, max_b, scan.pivot_b)
+        a_sizes, a_rows, keys = _sets_by_size(n, 1, max_a, scan.pivot_a)
+        select, a_orbits = scan.reduce(keys, len(a_sizes), len(b_sizes))
+        results = _grid_scan(scan, _listed(a_sizes[select], a_rows[select]), a_orbits,
+                             b_sizes, b_rows)
         mode = caps.to_json_dict()
     return scan.report(mode, results, start)
 
 
-def _masks_by_size(n: int, min_size: int, max_size: int,
-                   pivot: bool = False) -> list[int]:
-    """All masks with min_size <= popcount <= max_size, in ascending order;
-    with ``pivot`` only those with bit 0 set.
+def _sets_by_size(n: int, min_size: int, max_size: int, pivot: bool = False):
+    """Every set of min_size to max_size of the elements 0..n-1 (with
+    ``pivot``, those that hold 0) in ascending mask order: their sizes, their
+    elements as rows of ``_slot_type(n)`` (ascending, padded to max_size by
+    repeating the first, as ``_padded`` pads) and, up to order 62, their
+    int64 masks, else None.
 
-    Refuses sizes that have more than 2^EXHAUSTIVE_HARD_CEILING masks, as
-    many as the largest exhaustive scan covers, whether or not it lists them
-    all.
+    Each (s + 1)-subset of pivot..n-1 extends an s-subset by a larger
+    element, in lexicographic order, and 0 leads each row under ``pivot``;
+    the rows are then sorted by mask, above order 62 by their elements from
+    the largest down, the shorter row first where one ends.  Sizes that have
+    more than 2^EXHAUSTIVE_HARD_CEILING masks, as many as the largest
+    exhaustive scan covers, are refused before anything is listed, whether
+    or not the scan lists them all.
     """
     count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     if count > 1 << EXHAUSTIVE_HARD_CEILING:
         raise InputError(
             f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
             f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
-    bits = [1 << x for x in range(pivot, n)]
-    return sorted(pivot + sum(combo)
-                  for size in range(min_size - pivot, max_size + 1 - pivot)
-                  for combo in combinations(bits, size))
+    slot, wide = _slot_type(n), n <= 62
+    # the s-subsets of pivot..n-1 that min_size - pivot - s larger elements
+    # can still complete (no level outgrows the listing), the least element
+    # each may be extended by, and their masks (bit 0 set under pivot)
+    subsets = np.zeros((1, 0), dtype=slot)
+    nxt, masks = np.full(1, pivot, dtype=np.intp), np.full(1, pivot, dtype=np.int64)
+    sizes, rows, keys = [], [], []
+    for s in range(max_size - pivot + 1):
+        if s:
+            counts = np.maximum(n - max(min_size - pivot - s, 0) - nxt, 0)
+            ends = np.cumsum(counts)
+            nxt = np.arange(ends[-1]) + np.repeat(nxt - ends + counts, counts)
+            subsets = np.concatenate((np.repeat(subsets, counts, axis=0),
+                                      nxt[:, None].astype(slot)), axis=1)
+            masks = np.repeat(masks, counts) | np.left_shift(1, nxt) if wide else None
+            nxt += 1
+        if s + pivot >= min_size:
+            head = np.zeros((len(subsets), s + pivot), dtype=slot)
+            head[:, pivot:] = subsets
+            rows.append(np.concatenate(
+                (head, np.repeat(head[:, :1], max_size - s - pivot, axis=1)), axis=1))
+            sizes.append(np.full(len(subsets), s + pivot))
+            keys.append(masks)
+    sizes, rows = np.concatenate(sizes), np.concatenate(rows)
+    if wide:
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+    else:
+        # column j: the (j + 1)-th largest element, -1 past a row's end
+        place = sizes[:, None] - 1 - np.arange(max_size)
+        keys = np.take_along_axis(rows, place.clip(0), axis=1).astype(np.int16)
+        order = np.lexsort(np.where(place >= 0, keys, -1).T[::-1])
+    return sizes[order], rows[order], keys[order] if wide else None
 
 
-def _grid_scan(scan: _Scan, a_masks: Sequence[int], a_orbits: np.ndarray,
-               b_masks: Sequence[int], b_sizes: np.ndarray, b_pad: np.ndarray | None):
-    """Batch results for every pair in ``a_masks`` x ``b_masks``, in order;
-    ``a_orbits`` weighs each A's tight pairs in an orbit scan.
+def _listed(sizes: np.ndarray, rows: np.ndarray) -> Callable:
+    """The A side of ``_grid_scan`` for listed sets: a slice's sizes and
+    rows, widened to intp (x * n overflows a narrow row)."""
+    return lambda part: (sizes[part], rows[part].astype(np.intp))
 
-    ``b_pad`` None means ``b_masks`` is every nonempty mask in order.
+
+def _grid_scan(scan: _Scan, a_rows: Callable, a_orbits: np.ndarray,
+               b_sizes: np.ndarray, b_rows: np.ndarray | None):
+    """Batch results for every pair of an A set and a B set, in order.
+
+    ``a_rows(part)`` gives the sizes and intp padded rows of the A sets in
+    slice ``part``; ``a_orbits`` weighs each A's tight pairs in an orbit
+    scan.  ``b_rows`` None means the B sets are every nonempty mask in order
+    (every odd one with ``pivot_b``).
     """
     n = scan.g.order
     # [sa]: the bound of |A| = sa with each B; listed sides keep the sizes few
@@ -587,24 +638,25 @@ def _grid_scan(scan: _Scan, a_masks: Sequence[int], a_orbits: np.ndarray,
     weights = weights.astype(np.int32 if weights.sum() < 1 << 31 else np.int64)
     # bytes per A: the product words over every B (two arrays of them while
     # gathering B's columns), the kernel's index array and its byte plane
-    words = scan.dtype.itemsize * scan.words * (len(b_masks) + 1)
-    row = max(words if b_pad is None else 2 * words, 8 * scan.max_a * n,
+    words = scan.dtype.itemsize * scan.words * (len(b_sizes) + 1)
+    row = max(words if b_rows is None else 2 * words, 8 * scan.max_a * n,
               n * scan.bits)
     step = max(1, _BATCH_BYTES // row)
-    batches = ((a_masks[lo:lo + step], a_orbits[lo:lo + step])
-               for lo in range(0, len(a_masks), step))
-    return map(partial(_grid_batch, scan, b_masks, b_pad, bounds, weights), batches)
+    batches = ((*a_rows(slice(lo, lo + step)), a_orbits[lo:lo + step])
+               for lo in range(0, len(a_orbits), step))
+    return map(partial(_grid_batch, scan, b_rows, bounds, weights), batches)
 
 
-def _grid_batch(scan, b_masks, b_pad, bounds, weights, batch):
-    a_masks, a_orbits = batch
-    a_sizes, a_pad = _elements(a_masks, scan.g.order)
-    a_bounds = scan.buffer("a_bounds", (len(a_masks), len(b_masks)), np.int16)
+def _grid_batch(scan, b_rows, bounds, weights, batch):
+    a_sizes, a_pad, a_orbits = batch
+    a_bounds = scan.buffer("a_bounds", (len(a_sizes), bounds.shape[1]), np.int16)
     count = (partial(_tight_by_size, scan, a_sizes, weights, a_orbits) if scan.orbits
              else np.count_nonzero)
-    return scan.score(_grid_sizes(scan, scan.masks(a_pad), b_pad),
+    return scan.score(_grid_sizes(scan, scan.masks(a_pad), b_rows),
                       bounds.take(a_sizes, axis=0, out=a_bounds, mode="clip"),
-                      lambda r, c: (a_masks[r], b_masks[c]), count)
+                      lambda r, c: (_row_masks(a_pad[r]),
+                                    (1 + c * (1 + scan.pivot_b)).tolist() if b_rows is None
+                                    else _row_masks(b_rows[c])), count)
 
 
 def _tight_by_size(scan: _Scan, a_sizes: np.ndarray, weights: np.ndarray,
@@ -746,7 +798,8 @@ def _fixed_pairs(rng: SplitMix64, n: int, count: int, sizes: tuple[int, int]):
         if good < count:
             rng.jump((good - count) * len(moduli))
             a_bits, b_bits = rng.subset_of_size(n, sa), rng.subset_of_size(n, sb)
-            yield 0, *_elements([a_bits], n), *_elements([b_bits], n)
+            yield (0, np.full(1, sa), np.array([list(iter_bits(a_bits))]),
+                   np.full(1, sb), np.array([list(iter_bits(b_bits))]))
             good += 1
         count -= good
 
@@ -785,8 +838,7 @@ def _sampled_batch(scan: _Scan, batch):
         tight, hits = scan.score(
             scan.popcount(scan.masks(a_pad[part], b_pad[part])[:, None]),
             scan.bound(a_sizes[part], b_sizes[part])[:, None],
-            lambda r, c: (*_row_masks(a_pad[lo + r:lo + r + 1]),
-                          *_row_masks(b_pad[lo + r:lo + r + 1])))
+            lambda r, c: (_row_masks(a_pad[lo + r]), _row_masks(b_pad[lo + r])))
         extremal += tight
         found.extend(hits)
     return extremal, found
@@ -824,10 +876,11 @@ def find_extremal(
             raise InputError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
                              f"the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal, limit=limit)
-    a_masks, b_masks = _masks_by_size(n, size_a, size_a), _masks_by_size(n, size_b, size_b)
+    a_sizes, a_rows, _ = _sets_by_size(n, size_a, size_a)
+    b_sizes, b_rows, _ = _sets_by_size(n, size_b, size_b)
     found = []
-    for _, pairs in _grid_scan(scan, a_masks, np.ones(len(a_masks), dtype=np.int64),
-                               b_masks, *_elements(b_masks, n)):
+    for _, pairs in _grid_scan(scan, _listed(a_sizes, a_rows), np.ones(len(a_sizes)),
+                               b_sizes, b_rows):
         found.extend(pairs)
         if limit is not None and len(found) >= limit:
             break

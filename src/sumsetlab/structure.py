@@ -259,31 +259,34 @@ def automorphisms(g: FiniteGroup, limit: int | None = None) -> np.ndarray | None
     and the rows kept are the bijections for which it holds at every x and
     generator s.  By induction on the length of a word w in the generators,
     such a row has sigma(x w) = sigma(x) sigma(w), and every element is a
-    word, so the rows kept are exactly the automorphisms.
+    word, so the rows kept are exactly the automorphisms.  g's memo keeps
+    the element orders and the automorphisms; a declined call stores none.
     """
     n = g.order
     gens = np.array(generating_set(g), dtype=np.intp)
-    orders = _element_orders(g)
+    orders = g.derived("element_orders", lambda: _element_orders(g))
     pools = [np.flatnonzero(orders == orders[s]) for s in gens]
     if limit is not None and math.prod(map(len, pools)) > limit:
         return None
-    candidates, kept = product(*pools), []
-    step = max(1, (1 << 20) // (n * max(1, len(gens))))   # rows of (c, n, k) work
-    while chunk := list(islice(candidates, step)):
-        images = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(gens))
-        sigma = np.empty((len(chunk), n), dtype=g.op.dtype)
-        sigma[:, g.identity] = g.identity
-        seen, frontier = closure(g, ()), np.array([g.identity])
-        while len(frontier):
-            targets = g.op[frontier[:, None], gens]
-            sigma[:, targets] = g.op[sigma[:, frontier, None], images[:, None, :]]
-            frontier = np.unique(targets[~seen[targets]])
-            seen[frontier] = True
-        bijective = (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
-        homomorphic = (sigma[:, g.op[:, gens]]
-                       == g.op[sigma[:, :, None], images[:, None, :]]).all(axis=(1, 2))
-        kept.append(sigma[bijective & homomorphic])
-    return np.concatenate(kept)
+    def search():
+        candidates, kept = product(*pools), []
+        step = max(1, (1 << 20) // (n * max(1, len(gens))))   # rows of (c, n, k) work
+        while chunk := list(islice(candidates, step)):
+            images = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(gens))
+            sigma = np.empty((len(chunk), n), dtype=g.op.dtype)
+            sigma[:, g.identity] = g.identity
+            seen, frontier = closure(g, ()), np.array([g.identity])
+            while len(frontier):
+                targets = g.op[frontier[:, None], gens]
+                sigma[:, targets] = g.op[sigma[:, frontier, None], images[:, None, :]]
+                frontier = np.unique(targets[~seen[targets]])
+                seen[frontier] = True
+            bijective = (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
+            homomorphic = (sigma[:, g.op[:, gens]]
+                           == g.op[sigma[:, :, None], images[:, None, :]]).all(axis=(1, 2))
+            kept.append(sigma[bijective & homomorphic])
+        return np.concatenate(kept)
+    return g.derived("automorphisms", search)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,8 @@ def choose_decomposition_subgroup(g: FiniteGroup) -> Subgroup:
     if not derived.is_trivial():
         # solvability of a nonabelian group forces derived to be proper
         return derived
-    generator = int(np.flatnonzero(_element_orders(g) == minimal_torsion(g))[0])
+    orders = g.derived("element_orders", lambda: _element_orders(g))
+    generator = int(np.flatnonzero(orders == minimal_torsion(g))[0])
     candidate = generated_subgroup(g, (generator,))
     if candidate.is_whole():
         return trivial_subgroup(g)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sumsetlab import engine
 from sumsetlab.corpus import CORPUS_SPECS
-from sumsetlab.engine import (Caps, SamplingPlan, _elements, _Scan,
+from sumsetlab.engine import (Caps, SamplingPlan, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, size_bound,
                               verify_exhaustive, verify_sampled)
@@ -211,6 +211,13 @@ BOUNDARY_SPECS = ["dihedral:8", "cyclic:17", "dihedral:16", "cyclic:33",
                   "dihedral:32", "cyclic:65", "heisenberg:5", "heisenberg:7"]
 
 
+def _rows(masks, n):
+    """Sizes and padded element rows of n-bit masks, as the engine pads
+    them."""
+    return engine._padded(np.array([[m >> x & 1 for x in range(n)] for m in masks],
+                                   dtype=np.uint8))
+
+
 def _mask_ints(words):
     """Word-packed masks (last axis: little-endian words) as python ints."""
     flat = words.reshape(-1, words.shape[-1])
@@ -228,8 +235,8 @@ def test_kernel_matches_the_naive_product_at_word_boundaries(spec, theorem):
     b_masks = [rng.subset_of_size(n, 1 + rng.below(n)) for _ in range(12)]
     a_masks[0] = b_masks[0] = 1 << (n - 1)
     scan = _Scan(g, theorem, n, n)
-    a_sizes, a_pad = _elements(a_masks, n)
-    b_sizes, b_pad = _elements(b_masks, n)
+    a_sizes, a_pad = _rows(a_masks, n)
+    b_sizes, b_pad = _rows(b_masks, n)
     assert list(a_sizes) == [m.bit_count() for m in a_masks]
     pair_masks = _mask_ints(scan.masks(a_pad, b_pad))
     columns = _mask_ints(scan.masks(a_pad))
@@ -262,6 +269,94 @@ def test_capped_mode_works_above_64_elements():
     assert report.violations == ()
     # |A| = 1 translates B, so every pair meets the bound exactly
     assert report.extremal_count == report.pairs_checked
+
+
+LISTER_RANGES = {1: [(1, 1)], 2: [(1, 1), (1, 2), (2, 2)],
+                 5: [(1, 5), (2, 3), (3, 5), (5, 5)], 13: [(1, 13), (4, 6), (11, 13)],
+                 27: [(1, 3), (2, 3), (25, 27)], 62: [(1, 2), (2, 3), (60, 62)],
+                 63: [(1, 2), (61, 63)], 64: [(1, 2), (62, 64)], 70: [(1, 2), (68, 70)]}
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+@pytest.mark.parametrize("n", sorted(LISTER_RANGES))
+def test_sets_are_listed_in_mask_order_and_padded_as_padded_pads(n, pivot):
+    # the oracle: itertools.combinations, 0 put first under pivot, sorted by
+    # mask; each row padded by engine._padded from its membership row
+    for min_size, max_size in LISTER_RANGES[n]:
+        sets = [(0, *c) if pivot else c for size in range(min_size, max_size + 1)
+                for c in combinations(range(pivot, n), size - pivot)]
+        sets.sort(key=lambda c: sum(1 << x for x in c))
+        masks = [sum(1 << x for x in c) for c in sets]
+        assert all(lo < hi for lo, hi in zip(masks, masks[1:]))
+        member = np.zeros((len(sets), n), dtype=np.uint8)
+        for row, c in zip(member, sets):
+            row[list(c)] = 1
+        want_sizes, want_rows = engine._padded(member)
+        sizes, rows, keys = engine._sets_by_size(n, min_size, max_size, pivot)
+        assert rows.dtype == engine._slot_type(n)
+        assert [tuple(sorted(set(row))) for row in rows.tolist()] == sets
+        assert sizes.tolist() == want_sizes.tolist() == [len(c) for c in sets]
+        assert rows.tolist() == want_rows.tolist()
+        assert (keys is None) == (n > 62)
+        assert keys is None or keys.tolist() == masks
+
+
+def _no_listing(*args, **kwargs):
+    raise AssertionError("a refused range reached the listing")
+
+
+@pytest.mark.parametrize("n, min_size, max_size", [(21, 1, 21), (27, 1, 27), (70, 4, 5),
+                                                   (70, 1, 70), (64, 30, 34)])
+def test_refused_ranges_raise_before_listing(monkeypatch, n, min_size, max_size):
+    # the count covers every set of the sizes, with pivot or not
+    monkeypatch.setattr(engine.np, "repeat", _no_listing)
+    for pivot in (False, True):
+        with pytest.raises(ValueError, match=r"exceed the limit 2\^20; lower the caps"):
+            engine._sets_by_size(n, min_size, max_size, pivot)
+
+
+def test_capped_witnesses_above_order_62_match_a_naive_listing(monkeypatch):
+    # Above order 62 a mask passes an int64, so a capped scan builds its
+    # witness masks from the listed rows in Python.  Pretend p(G) = |G| on
+    # Z/64: the pairs of cosets of {0, 32} fall below |A| + |B| - 1.  The
+    # oracle forms every product set of sizes 1 and 2 from g.op and counts
+    # its distinct elements.
+    g = build_group("cyclic:64")
+    n = g.order
+    monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    sets = [c for size in (1, 2) for c in combinations(range(n), size)]
+    rows = np.array([(c + c)[:2] for c in sets])
+    products = np.sort(g.op[rows[:, None, :, None], rows[None, :, None, :]]
+                       .reshape(len(sets), len(sets), 4), axis=2)
+    sizes = 1 + np.count_nonzero(np.diff(products, axis=2), axis=2)
+    lens = np.array([len(c) for c in sets])
+    masks = [sum(1 << x for x in c) for c in sets]
+    want = sorted((masks[i], masks[j], int(sizes[i, j])) for i, j in
+                  np.argwhere(sizes < np.minimum(n, np.add.outer(lens, lens) - 1)).tolist())
+    assert len(want) == 32 * 32
+    for report in small_and_default(lambda: verify_exhaustive(g, "cd", Caps(2, 2))):
+        assert [(v.a.bits, v.b.bits, v.product_size) for v in report.violations] == want
+        assert report.pairs_checked == len(sets) ** 2
+
+
+@pytest.mark.parametrize("size_a, size_b, limit", [(2, 1, 200), (1, 3, 50000)])
+def test_find_extremal_above_order_62_takes_the_first_pairs(size_a, size_b, limit):
+    # a side of one element makes every pair of Z/67 extremal, so the first
+    # pairs in (A, B) mask order are the answer: past the first A for these
+    # limits
+    g = build_group("cyclic:67")
+    n = g.order
+
+    def by_mask(size):
+        return sorted(sum(1 << x for x in c) for c in combinations(range(n), size))
+
+    want, b_masks = [], by_mask(size_b)
+    for a in by_mask(size_a):
+        want.extend((a, b) for b in b_masks[:limit - len(want)])
+        if len(want) == limit:
+            break
+    got = find_extremal(g, size_a, size_b, limit=limit)
+    assert [(a.bits, b.bits) for a, b in got] == want
 
 
 def test_sampled_reports_are_reproducible_and_budget_invariant():
@@ -491,7 +586,7 @@ def test_settled_fixed_size_plans_draw_nothing(monkeypatch, theorem):
     g = build_group("frobenius:7:3:2")
     plan = SamplingPlan(seed=9, count=500, fixed_sizes=(5, 5))
     want = scalar_sampled_report(g, theorem, plan)
-    for name in ("_padded", "_shuffled", "_elements"):
+    for name in ("_padded", "_shuffled"):
         monkeypatch.setattr(engine, name, _refuse)
     monkeypatch.setattr(_Scan, "masks", _refuse)
     monkeypatch.setattr(SplitMix64, "words", _refuse)
@@ -736,7 +831,8 @@ def force_automorphisms(monkeypatch):
     pretend that every scan lists 2^62 pairs."""
     reduce = engine._Scan.reduce
     monkeypatch.setattr(engine._Scan, "reduce",
-                        lambda scan, a_masks, b_sets: reduce(scan, a_masks, 1 << 62))
+                        lambda scan, keys, a_sets, b_sets: reduce(scan, keys, a_sets,
+                                                                  1 << 62))
 
 
 @pytest.mark.parametrize("spec, theorem", [("product:cyclic:2,cyclic:4", "eh"),
@@ -859,8 +955,8 @@ def test_cost_rule_folds_automorphisms_where_they_pay(monkeypatch, spec, theorem
     # Z/67 would pay for its 66 candidates, but its masks pass an int64
     reduce, used = engine._Scan.reduce, []
 
-    def spy(scan, a_masks, b_sets):
-        reps = reduce(scan, a_masks, b_sets)
+    def spy(scan, *args):
+        reps = reduce(scan, *args)
         used.append(len(scan.auts))
         return reps
 

@@ -343,3 +343,34 @@ def test_build_group_builds_a_fresh_group_every_time(empty_cache):
     assert not groups._cached
     with pytest.raises(GroupBuildError):
         cached_group("nonsense:1")
+
+
+def test_a_warm_session_searches_automorphisms_once(empty_cache, monkeypatch):
+    # the capped eh scan of Z/3 x Z/9 folds the automorphisms that fix 0;
+    # the element orders and the search are kept in the group's memo
+    scan = ("verify", "--group", "product:cyclic:3,cyclic:9", "--theorem", "eh",
+            "--mode", "capped", "--max-a", "3", "--max-b", "3", "--json")
+    built = _spy_on_memo(monkeypatch)
+    calls = _spy_on_calls(monkeypatch, "_element_orders")
+    first = run(*scan)
+    assert first[0] == 0
+    label = cached_group("product:cyclic:3,cyclic:9").label
+    assert calls == {"_element_orders": 1}
+    assert built[label, "automorphisms"] == 1
+    assert run(*scan) == first
+    assert calls == {"_element_orders": 1}
+    assert built[label, "automorphisms"] == 1
+
+
+def test_a_declined_search_stays_declined_once_the_memo_is_filled(empty_cache,
+                                                                  monkeypatch):
+    # heisenberg:3's generating set (3, 9) gives 26^2 candidates for its 432
+    # automorphisms; the limit is checked before the memo is read
+    g = cached_group("heisenberg:3")
+    built = _spy_on_memo(monkeypatch)
+    assert structure.automorphisms(g, limit=26 ** 2 - 1) is None
+    assert (g.label, "automorphisms") not in built
+    assert len(structure.automorphisms(g)) == 432
+    assert structure.automorphisms(g, limit=26 ** 2 - 1) is None
+    assert structure.automorphisms(g, limit=26 ** 2) is structure.automorphisms(g)
+    assert built[g.label, "automorphisms"] == 1
