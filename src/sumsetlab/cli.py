@@ -210,7 +210,8 @@ def _decompose_text(payload: dict) -> str:
 )
 def extremal(g, size_a, size_b, limit, as_json, out_path):
     """List pairs whose product size meets the bound exactly."""
-    pairs = find_extremal(g, size_a, size_b, limit=limit)
+    a_rows, b_rows = find_extremal(g, size_a, size_b, limit=limit)
+    pairs = [{"a": a, "b": b} for a, b in zip(a_rows.tolist(), b_rows.tolist())]
     payload = {
         "schema": "sumsetlab.extremal/1",
         "group": g.label,
@@ -219,9 +220,7 @@ def extremal(g, size_a, size_b, limit, as_json, out_path):
         "size_b": size_b,
         "bound": size_bound(g, size_a, size_b),
         "count": len(pairs),
-        "pairs": [
-            {"a": list(a.elements()), "b": list(b.elements())} for a, b in pairs
-        ],
+        "pairs": pairs,
     }
     _emit(dumps_stable(payload) if as_json else _extremal_text(payload), out_path)
 

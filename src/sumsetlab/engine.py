@@ -361,20 +361,19 @@ class _Scan:
         words = np.packbits(plane[:count], axis=1, bitorder="little").view(self.dtype)
         return words.reshape(len(a_pad), n, self.words) if b_pad is None else words
 
-    def score(self, sizes: np.ndarray, bounds: np.ndarray, masks_of: Callable,
+    def score(self, sizes: np.ndarray, bounds: np.ndarray, rows_of: Callable,
               count: Callable = np.count_nonzero):
         """The extremal count (``count`` of the pairs that meet the bound)
-        and the collected (a_bits, b_bits, size, bound) of one batch, in
-        row-major order, which is ascending (A, B) mask order;
-        ``masks_of(r, c)`` gives the lists of masks at rows r, columns c."""
+        and the pairs collected from one batch: none, or one tuple of arrays
+        (A rows, B rows, sizes, bounds) in row-major, so ascending (A, B)
+        mask, order; ``rows_of(r, c)`` gives the element rows at r, c."""
         hits = np.equal(sizes, bounds, out=self.buffer("hits", sizes.shape, bool))
         extremal = count(hits)
         hits = self.collect(sizes, bounds, out=hits)
         if not hits.any():
             return extremal, []
         r, c = (index[:self.limit] for index in np.nonzero(hits))
-        return extremal, list(zip(*masks_of(r, c), sizes[r, c].tolist(),
-                                  bounds[r, c].tolist()))
+        return extremal, [(*rows_of(r, c), sizes[r, c], bounds[r, c])]
 
     def settle(self, a_sizes, b_sizes):
         """Which pairs of these sizes are decided by the sizes alone, and how
@@ -414,12 +413,14 @@ class _Scan:
 
     def report(self, mode: dict, results: Iterable, start: float,
                pairs: int = 0) -> VerificationReport:
-        """Merge batch results, in order, into the run's report; an orbit
-        scan counts its pairs from the size table."""
+        """Merge batch results, in order, into the run's report, with masks
+        of the collected rows; an orbit scan counts pairs from the size table."""
         extremal, found = 0, []
         for batch_extremal, batch_found in results:
             extremal += batch_extremal
-            found.extend(batch_found)
+            for a_rows, b_rows, sizes, bounds in batch_found:
+                found.extend(zip(_row_masks(a_rows), _row_masks(b_rows), sizes.tolist(),
+                                 bounds.tolist()))
         if self.orbits:
             pairs, extremal, found = self.unreduce(extremal, found)
         violations = tuple(_make_check(self.g, self.theorem, a_bits, b_bits, size,
@@ -540,10 +541,8 @@ def verify_exhaustive(
         keys = np.arange(1, 1 << n, 1 + scan.pivot_a, dtype=np.int64)
         select, a_orbits = scan.reduce(keys, len(keys), len(b_sizes))
         a_masks = keys[select]
-        # each batch's elements from the bits of its masks
-        results = _grid_scan(scan, lambda part: _padded(
-            ((a_masks[part, None] >> np.arange(n)) & 1).astype(np.uint8)),
-            a_orbits, b_sizes, None)
+        results = _grid_scan(scan, lambda part: _unpacked(a_masks[part], n),
+                             a_orbits, b_sizes, None)
         mode = {"kind": "exhaustive"}
     else:
         top = n if caps.sum_cap is None else min(n, caps.sum_cap - 1)
@@ -614,6 +613,11 @@ def _sets_by_size(n: int, min_size: int, max_size: int, pivot: bool = False):
     return sizes[order], rows[order], keys[order] if wide else None
 
 
+def _unpacked(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_padded`` of the sets with these int64 masks."""
+    return _padded(((masks[:, None] >> np.arange(n)) & 1).astype(np.uint8))
+
+
 def _listed(sizes: np.ndarray, rows: np.ndarray) -> Callable:
     """The A side of ``_grid_scan`` for listed sets: a slice's sizes and
     rows, widened to intp (x * n overflows a narrow row)."""
@@ -654,9 +658,9 @@ def _grid_batch(scan, b_rows, bounds, weights, batch):
              else np.count_nonzero)
     return scan.score(_grid_sizes(scan, scan.masks(a_pad), b_rows),
                       bounds.take(a_sizes, axis=0, out=a_bounds, mode="clip"),
-                      lambda r, c: (_row_masks(a_pad[r]),
-                                    (1 + c * (1 + scan.pivot_b)).tolist() if b_rows is None
-                                    else _row_masks(b_rows[c])), count)
+                      lambda r, c: (a_pad[r], b_rows[c] if b_rows is not None else
+                                    _unpacked(1 + c * (1 + scan.pivot_b), scan.g.order)[1]),
+                      count)
 
 
 def _tight_by_size(scan: _Scan, a_sizes: np.ndarray, weights: np.ndarray,
@@ -838,7 +842,7 @@ def _sampled_batch(scan: _Scan, batch):
         tight, hits = scan.score(
             scan.popcount(scan.masks(a_pad[part], b_pad[part])[:, None]),
             scan.bound(a_sizes[part], b_sizes[part])[:, None],
-            lambda r, c: (_row_masks(a_pad[lo + r]), _row_masks(b_pad[lo + r])))
+            lambda r, c: (a_pad[lo + r], b_pad[lo + r]))
         extremal += tight
         found.extend(hits)
     return extremal, found
@@ -854,8 +858,9 @@ def find_extremal(
     size_b: int,
     *,
     limit: int | None = None,
-) -> list[tuple[SubsetMask, SubsetMask]]:
-    """All pairs with the given sizes whose product meets the bound exactly.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs with the given sizes whose product meets the bound exactly,
+    as intp arrays of A rows and of B rows, each a set's sorted elements.
 
     Pairs come out in ascending mask order (A outer, B inner); ``limit``
     truncates to the first N.  Raises if the search space exceeds
@@ -878,11 +883,11 @@ def find_extremal(
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal, limit=limit)
     a_sizes, a_rows, _ = _sets_by_size(n, size_a, size_a)
     b_sizes, b_rows, _ = _sets_by_size(n, size_b, size_b)
-    found = []
+    found = [(a_rows[:0], b_rows[:0], None, None)]     # the result if no pair is tight
     for _, pairs in _grid_scan(scan, _listed(a_sizes, a_rows), np.ones(len(a_sizes)),
                                b_sizes, b_rows):
         found.extend(pairs)
-        if limit is not None and len(found) >= limit:
+        if limit is not None and sum(len(a) for a, _, _, _ in found) >= limit:
             break
-    return [(SubsetMask(a_bits, n), SubsetMask(b_bits, n))
-            for a_bits, b_bits, _, _ in found[:limit]]
+    a_found, b_found, _, _ = zip(*found)
+    return tuple(np.concatenate(rows, dtype=np.intp)[:limit] for rows in (a_found, b_found))

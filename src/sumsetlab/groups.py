@@ -503,21 +503,22 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
     array over 0..n-1.
 
     ``members``, if given, must be the closure of some of the elements; it
-    is grown, not rebuilt.  Each element not yet in it is first closed by
-    its ``_powers``, in log2(m) + 1 rounds for order m, so a long cyclic
-    chain costs no round per power.  Then the whole set is the frontier,
-    and each round multiplies the frontier on the right by every element,
-    so k elements cost O(n * k) past the powers.  Each round marks its new
-    products in a scratch array, so the frontier holds each element once
-    without a sort.  In a group the set grown is the subgroup: finite order
-    makes x^-1 a positive power of x.  On any table with an identity whose
-    given elements all pass Light's test ((xs)y = x(sy) for all x, y), it
-    is the smallest op-closed set that holds them.  Every element added is
-    a product of two elements of that op-closed hull, so the set lies in
-    the hull; and it holds the identity and is closed under right
-    multiplication by each given element, which pass, so it is op-closed:
-    passing elements are closed under products, and w(vt) = (wv)t for a
-    passing v.
+    is grown, not rebuilt.  Each element not yet in it (a new letter) is
+    first closed by its ``_powers``, in log2(m) + 1 rounds for order m, so a
+    long cyclic chain costs no round per power.  Then rounds multiply the
+    old members by the new letters, and the new powers and every later
+    round's new products by every element: each product once, O(n * k) for
+    k elements past the powers.  A scratch array marks each round's new
+    products, so the frontier holds each element once without a sort.  In a
+    group the set grown is the subgroup: finite order makes x^-1 a positive
+    power of x.  On any table with an identity whose given elements all
+    pass Light's test ((xs)y = x(sy) for all x, y), it is the smallest
+    op-closed set that holds them.  Every element added is a product of two
+    elements of that op-closed hull, so the set lies in the hull; it holds
+    the identity and is closed under right multiplication by each given
+    element, which pass (the old members, the hull of some, are op-closed),
+    so it is op-closed: passing elements are closed under products, and
+    w(vt) = (wv)t for a passing v.
     """
     gens = np.asarray(elements, dtype=np.intp)
     if members is None:
@@ -528,16 +529,17 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
     letters = gens[~member[gens]]
     if not len(letters):
         return member
+    old = member.copy()
     for x in letters:
         member |= _powers(g, int(x))
-    frontier, fresh = np.flatnonzero(member), np.zeros(g.order, dtype=bool)
+    fresh, frontier = np.zeros(g.order, dtype=bool), np.flatnonzero(member > old)
+    fresh[g.op[np.flatnonzero(old)[:, None], letters]] = True
     while True:
-        products = g.op[frontier[:, None], gens]
-        products = products[~member[products]]
-        if not len(products):
-            return member
-        fresh[products] = True
+        fresh[g.op[frontier[:, None], gens]] = True
+        np.greater(fresh, member, out=fresh)
         frontier = fresh.nonzero()[0]
+        if not len(frontier):
+            return member
         fresh[frontier] = False
         member[frontier] = True
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,53 @@ def test_extremal_command_counts_pairs():
     assert payload["bound"] == 4
     assert payload["count"] == 147
     assert {"a": [0, 1], "b": [0, 1, 2]} in payload["pairs"]
+
+
+def _naive_extremal_payload(spec, size_a, size_b, limit=None):
+    """The extremal report by brute force: every pair of sets of the sizes in
+    ascending (A, B) mask order, each product taken as op[A][:, B], the bound
+    from the least order of a non-identity element."""
+    g = build_group(spec)
+    op, n = g.op, g.order
+
+    def order(x):
+        y, m = x, 1
+        while y != g.identity:
+            y, m = op[y, x], m + 1
+        return m
+
+    p = min((order(x) for x in range(n) if x != g.identity), default=math.inf)
+    bound = int(min(p, size_a + size_b - 1))
+
+    def by_mask(size):
+        return sorted(map(list, combinations(range(n), size)),
+                      key=lambda c: sum(1 << x for x in c))
+
+    b_sets, pairs = by_mask(size_b), []
+    for a in by_mask(size_a):
+        rows = op[a]
+        pairs.extend({"a": a, "b": b} for b in b_sets if len(set(rows[:, b].flat)) == bound)
+        if limit is not None and len(pairs) >= limit:
+            del pairs[limit:]
+            break
+    return {"schema": "sumsetlab.extremal/1", "group": g.label, "group_order": n,
+            "size_a": size_a, "size_b": size_b, "bound": bound, "count": len(pairs),
+            "pairs": pairs}
+
+
+@pytest.mark.parametrize("spec, size_a, size_b, limit", [
+    ("cyclic:7", 2, 3, None), ("cyclic:7", 3, 3, None), ("dihedral:4", 2, 2, None),
+    ("dihedral:4", 3, 3, None),                     # no pair meets the bound 2
+    ("heisenberg:3", 2, 2, None), ("heisenberg:3", 3, 1, 1000),
+    ("cyclic:67", 2, 1, 300), ("cyclic:63", 2, 2, 2000),   # above order 62
+])
+def test_extremal_json_matches_a_brute_force_report(spec, size_a, size_b, limit):
+    args = ["extremal", "--group", spec, "--size-a", str(size_a), "--size-b", str(size_b)]
+    result = run_cli(*args, *(["--limit", str(limit)] if limit else []), "--json")
+    assert result.exit_code == 0
+    want = _naive_extremal_payload(spec, size_a, size_b, limit)
+    assert result.output == json.dumps(want, indent=2) + "\n"
+    assert (want["count"] == 0) == (spec == "dihedral:4" and size_a == 3)
 
 
 @pytest.mark.parametrize("sizes, side", [(("7", "30"), "|A| = 7"),

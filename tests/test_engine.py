@@ -37,6 +37,19 @@ def small_and_default(run):
     return small, run()
 
 
+def extremal_masks(g, size_a, size_b, limit=None):
+    """``find_extremal``'s pairs as (A mask, B mask), after checking that it
+    returns one row of each side per pair, each row the set's distinct
+    elements in ascending order."""
+    a_rows, b_rows = find_extremal(g, size_a, size_b, limit=limit)
+    assert a_rows.shape == (len(b_rows), size_a) and b_rows.shape == (len(a_rows), size_b)
+    pairs = []
+    for a, b in zip(a_rows.tolist(), b_rows.tolist()):
+        assert a == sorted(set(a)) and b == sorted(set(b))
+        pairs.append((sum(1 << x for x in a), sum(1 << x for x in b)))
+    return pairs
+
+
 def naive_product(g, a, b, restricted=False):
     """Oracle: plain double loop into a python set."""
     return {
@@ -355,8 +368,7 @@ def test_find_extremal_above_order_62_takes_the_first_pairs(size_a, size_b, limi
         want.extend((a, b) for b in b_masks[:limit - len(want)])
         if len(want) == limit:
             break
-    got = find_extremal(g, size_a, size_b, limit=limit)
-    assert [(a.bits, b.bits) for a, b in got] == want
+    assert extremal_masks(g, size_a, size_b, limit=limit) == want
 
 
 def test_sampled_reports_are_reproducible_and_budget_invariant():
@@ -664,9 +676,8 @@ def test_exhaustive_report_does_not_depend_on_the_batch_budget():
 
 def test_find_extremal_z7():
     z7 = build_group("cyclic:7")
-    pairs = find_extremal(z7, 2, 3)
-    as_tuples = {(a.elements(), b.elements()) for a, b in pairs}
-    assert ((0, 1), (0, 1, 2)) in as_tuples
+    pairs = extremal_masks(z7, 2, 3)
+    assert (0b11, 0b111) in pairs
     # oracle: brute-force count over all 21 * 35 pairs
     count = 0
     from itertools import combinations
@@ -679,10 +690,9 @@ def test_find_extremal_z7():
 
 def test_find_extremal_singletons_and_limit():
     z5 = build_group("cyclic:5")
-    assert len(find_extremal(z5, 1, 1)) == 25
-    assert len(find_extremal(z5, 1, 1, limit=7)) == 7
-    pairs = find_extremal(z5, 3, 3)
-    assert ((0, 1, 2), (0, 1, 2)) in {(a.elements(), b.elements()) for a, b in pairs}
+    assert len(extremal_masks(z5, 1, 1)) == 25
+    assert len(extremal_masks(z5, 1, 1, limit=7)) == 7
+    assert (0b111, 0b111) in extremal_masks(z5, 3, 3)
 
 
 @pytest.mark.parametrize("spec, size_a, size_b", [("cyclic:11", 6, 6), ("dihedral:5", 3, 3),
@@ -692,19 +702,42 @@ def test_find_extremal_limit_takes_the_first_pairs(monkeypatch, spec, size_a, si
     # which a limited search turns at most the limit into pairs.  dihedral:5
     # has no (3, 3) pair at the bound 2, and every (1, 2) pair meets it.
     g = build_group(spec)
-    every = find_extremal(g, size_a, size_b)
+    every = extremal_masks(g, size_a, size_b)
     score, collected = _Scan.score, []
 
     def spy(scan, *args, **kwargs):
         extremal, found = score(scan, *args, **kwargs)
-        collected.append(len(found))
+        collected.append(sum(len(a_rows) for a_rows, _, _, _ in found))
         return extremal, found
 
     monkeypatch.setattr(_Scan, "score", spy)
     for k in (1, 7, 1000):
         collected.clear()
-        assert find_extremal(g, size_a, size_b, limit=k) == every[:k]
+        assert extremal_masks(g, size_a, size_b, limit=k) == every[:k]
         assert max(collected) <= k
+
+
+def test_find_extremal_lists_rows_through_the_scan_without_masks(monkeypatch):
+    # the hits reach the caller as the listed element rows: no SubsetMask,
+    # no int mask of a pair, and every batch scored by _Scan.score
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mask was built")
+
+    for name in ("SubsetMask", "_row_masks", "iter_bits"):
+        monkeypatch.setattr(engine, name, refuse)
+    score, scored = _Scan.score, []
+
+    def spy(scan, *args, **kwargs):
+        scored.append(scan)
+        return score(scan, *args, **kwargs)
+
+    monkeypatch.setattr(_Scan, "score", spy)
+    a_rows, b_rows = find_extremal(build_group("cyclic:67"), 2, 1, limit=500)
+    assert a_rows.dtype == b_rows.dtype == np.intp
+    assert a_rows.shape == (500, 2) and b_rows.shape == (500, 1)
+    assert scored
+    a_rows, b_rows = find_extremal(build_group("dihedral:5"), 3, 3)
+    assert a_rows.shape == b_rows.shape == (0, 3)
 
 
 def test_find_extremal_guards():
@@ -978,9 +1011,8 @@ def vosper_extremal(p, a, b):
 def test_extremal_search_matches_vosper_beyond_exhaustive_reach(p):
     g = build_group(f"cyclic:{p}")
     for a, b in [(1, 4), (2, 3), (3, 4), (4, 2), (2, p - 2), (3, p - 2)]:
-        pairs = find_extremal(g, a, b)
-        assert len(pairs) == vosper_extremal(p, a, b)
-        keys = [(x.bits, y.bits) for x, y in pairs]
+        keys = extremal_masks(g, a, b)
+        assert len(keys) == vosper_extremal(p, a, b)
         assert keys == sorted(keys)
 
 
@@ -1028,7 +1060,7 @@ def test_extremal_pairs_exist_exactly_where_kappa_meets_the_bound(spec):
         for s in range(1, n + 1):
             if math.comb(n, r) * math.comb(n, s) <= 3 * 10**4:
                 tight = kappa(n, r, s) == size_bound(g, r, s)
-                assert bool(find_extremal(g, r, s, limit=1)) == tight, (r, s)
+                assert bool(extremal_masks(g, r, s, limit=1)) == tight, (r, s)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

@@ -693,6 +693,35 @@ def test_a_new_element_closes_by_its_powers_before_the_frontier_rounds():
     assert 0 < len(gathers) < 100
 
 
+@pytest.mark.parametrize("spec", ["dihedral:2048", "product:heisenberg:5,cyclic:5",
+                                  "heisenberg:13", "frobenius:31:5:2"])
+def test_the_frontier_rounds_take_each_product_once(spec):
+    # the chain of closures in lowest_first_generators multiplies each
+    # member by each generator at most once: the old members of a call meet
+    # only its new letters.  On dihedral:2048 the rotations were multiplied
+    # by element 1 a second time when the reflection joined.
+    products = []
+
+    class CountingTable(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            if not isinstance(out, np.ndarray):
+                return out
+            if out.ndim == 2:       # a frontier round; _powers gathers one column
+                products.append(out.size)
+            return out.view(np.ndarray)
+
+    g = build_group(spec)
+    counted = groups.FiniteGroup(g.order, g.op.view(CountingTable), g.identity,
+                                 g.inv, g.label)
+    gens = lowest_first_generators(counted)
+    assert tuple(gens) == _m_round_lowest_first(g)
+    assert 0 < sum(products) <= g.order * len(gens)
+    for k in range(1, len(gens) + 1):
+        assert np.array_equal(closure(g, gens[:k], closure(g, gens[:k - 1])),
+                              _m_round_closure(g, gens[:k]))
+
+
 # ---------------------------------------------------------------------------
 # table files: the numpy parse against today's token-by-token parse
 
