@@ -52,7 +52,6 @@ batched.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -212,11 +211,7 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a verification run.
-
-    ``wall_time`` is informational only and deliberately excluded from the
-    JSON payload so that identical runs serialize to identical bytes.
-    """
+    """Outcome of a verification run."""
 
     group: str
     group_order: int
@@ -226,12 +221,9 @@ class VerificationReport:
     pairs_checked: int
     violations: tuple[BoundCheck, ...]
     extremal_count: int
-    wall_time: float
 
     def to_json_dict(self) -> dict:
-        payload = record_json(self, "sumsetlab.verification/1")
-        del payload["wall_time"]
-        return payload
+        return record_json(self, "sumsetlab.verification/1")
 
 
 def _make_check(g, theorem, a_bits, b_bits, size, p, bound) -> BoundCheck:
@@ -411,8 +403,7 @@ class _Scan:
             fixed += (image == keys).sum(axis=0)
         return least, len(self.auts) // fixed[least]
 
-    def report(self, mode: dict, results: Iterable, start: float,
-               pairs: int = 0) -> VerificationReport:
+    def report(self, mode: dict, results: Iterable, pairs: int = 0) -> VerificationReport:
         """Merge batch results, in order, into the run's report, with masks
         of the collected rows; an orbit scan counts pairs from the size table."""
         extremal, found = 0, []
@@ -429,8 +420,7 @@ class _Scan:
         return VerificationReport(
             group=self.g.label, group_order=self.g.order, theorem=self.theorem,
             mode=mode, p_g=self.p, pairs_checked=pairs, violations=violations,
-            extremal_count=int(extremal), wall_time=time.perf_counter() - start,
-        )
+            extremal_count=int(extremal))
 
     def unreduce(self, hits: np.ndarray, found: list) -> tuple[int, int, list]:
         """The pair count, extremal count and violations of the full scan,
@@ -525,7 +515,6 @@ def verify_exhaustive(
     reaches the engine is validated or built from a factor system.
     """
     theorem = _check_theorem(theorem)
-    start = time.perf_counter()
     n = g.order
     if caps is None:
         if n > exhaustive_limit:
@@ -555,7 +544,7 @@ def verify_exhaustive(
         results = _grid_scan(scan, _listed(a_sizes[select], a_rows[select]), a_orbits,
                              b_sizes, b_rows)
         mode = caps.to_json_dict()
-    return scan.report(mode, results, start)
+    return scan.report(mode, results)
 
 
 def _sets_by_size(n: int, min_size: int, max_size: int, pivot: bool = False):
@@ -720,7 +709,6 @@ def verify_sampled(
     theorem = _check_theorem(theorem)
     if plan is None:
         raise InputError("sampled verification requires a SamplingPlan")
-    start = time.perf_counter()
     n = g.order
     if plan.fixed_sizes is not None:
         sa, sb = plan.fixed_sizes
@@ -733,7 +721,7 @@ def verify_sampled(
     results = ([(extremal * plan.count, [])] if settled else
                map(partial(_sampled_batch, scan),
                    _sampled_batches(scan, SplitMix64(plan.seed), plan)))
-    return scan.report(plan.to_json_dict(), results, start, plan.count)
+    return scan.report(plan.to_json_dict(), results, plan.count)
 
 
 def _sampled_batches(scan: _Scan, rng: SplitMix64, plan: SamplingPlan):

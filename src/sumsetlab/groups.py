@@ -506,7 +506,8 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
     is grown, not rebuilt.  Each element not yet in it (a new letter) is
     first closed by its ``_powers``, in log2(m) + 1 rounds for order m, so a
     long cyclic chain costs no round per power.  Then rounds multiply the
-    old members by the new letters, and the new powers and every later
+    old members by the new letters, each letter's new powers by every other
+    element (a power times its own letter is a power), and every later
     round's new products by every element: each product once, O(n * k) for
     k elements past the powers.  A scratch array marks each round's new
     products, so the frontier holds each element once without a sort.  In a
@@ -516,8 +517,9 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
     op-closed set that holds them.  Every element added is a product of two
     elements of that op-closed hull, so the set lies in the hull; it holds
     the identity and is closed under right multiplication by each given
-    element, which pass (the old members, the hull of some, are op-closed),
-    so it is op-closed: passing elements are closed under products, and
+    element, which pass (the old members, the hull of some, are op-closed,
+    and the powers of a passing x are closed under x: see ``_powers``), so
+    it is op-closed: passing elements are closed under products, and
     w(vt) = (wv)t for a passing v.
     """
     gens = np.asarray(elements, dtype=np.intp)
@@ -529,19 +531,20 @@ def closure(g: FiniteGroup, elements, members: np.ndarray | None = None) -> np.n
     letters = gens[~member[gens]]
     if not len(letters):
         return member
-    old = member.copy()
+    fresh = np.zeros(g.order, dtype=bool)
+    fresh[g.op[np.flatnonzero(member)[:, None], letters]] = True
     for x in letters:
-        member |= _powers(g, int(x))
-    fresh, frontier = np.zeros(g.order, dtype=bool), np.flatnonzero(member > old)
-    fresh[g.op[np.flatnonzero(old)[:, None], letters]] = True
+        powers = _powers(g, int(x))
+        fresh[g.op[np.flatnonzero(powers > member)[:, None], gens[gens != x]]] = True
+        member |= powers
     while True:
-        fresh[g.op[frontier[:, None], gens]] = True
         np.greater(fresh, member, out=fresh)
         frontier = fresh.nonzero()[0]
         if not len(frontier):
             return member
         fresh[frontier] = False
         member[frontier] = True
+        fresh[g.op[frontier[:, None], gens]] = True
 
 
 def grow_generators(g: FiniteGroup, candidates: np.ndarray, gens: list[int],
@@ -587,7 +590,9 @@ def _powers(g: FiniteGroup, x: int) -> np.ndarray:
     """Membership of the identity and the powers of x, by doubling: those
     below x^(2m) are those below x^m and their products with x^m, so order m
     takes log2(m) + 1 rounds.  Each round adds x^m, so it ends on any table
-    with an identity."""
+    with an identity.  For x passing Light's test, x^m acts on the right as
+    m steps of x, so r rounds give x^j for j < 2^r, which ends holding
+    x^(2^r): closed under right multiplication by x."""
     member = closure(g, ())
     while not member[x]:
         member[g.op[np.flatnonzero(member), x]] = True

@@ -1,6 +1,10 @@
+import contextlib
+import errno
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,7 +22,8 @@ import sumsetlab.groups as groups
 import sumsetlab.replay as replay
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
-from sumsetlab.groups import SubsetMask, build_group, parse_group_spec
+from sumsetlab.groups import SubsetMask, build_group, cached_group, parse_group_spec
+from sumsetlab.structure import minimal_torsion
 
 from conftest import run_cli
 
@@ -429,7 +434,7 @@ def test_violations_drive_exit_code_1(monkeypatch):
     fake_report = VerificationReport(
         group="cyclic:5", group_order=5, theorem="cd",
         mode={"kind": "exhaustive"}, p_g=5, pairs_checked=1,
-        violations=(fake_check,), extremal_count=0, wall_time=0.0,
+        violations=(fake_check,), extremal_count=0,
     )
     monkeypatch.setattr(cli, "verify_exhaustive", lambda *a, **k: fake_report)
     result = run_cli("verify", "--group", "cyclic:5", "--json")
@@ -638,3 +643,133 @@ def test_every_command_exits_0_1_or_2_for_any_arguments(command, spec, kernel, p
         assert "error: " in result.stderr and result.stderr.endswith("\n")
     elif "--json" in extra:
         json.loads(result.stdout)
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"^wall time .*$", "wall time", text, flags=re.MULTILINE)
+
+
+@st.composite
+def _valid_commands(draw):
+    """A command line that runs to exit 0: every option in its valid range."""
+    command = draw(st.sampled_from(["verify", "decompose", "extremal", "trace", "validate"]))
+    spec = draw(st.sampled_from([s for s, n in sorted(SMALL_SPECS.items())
+                                 if n and (n > 1 or command != "decompose")]))
+    n, argv = SMALL_SPECS[spec], [command, "--group", spec]
+    sizes = st.integers(1, min(n, 3))
+    if command == "verify":
+        argv += ["--theorem", draw(st.sampled_from(["cd", "eh"]))]
+        mode = draw(st.sampled_from(["exhaustive", "capped", "sampled"] if n <= 8
+                                    else ["capped", "sampled"]))
+        if mode == "capped":
+            argv += ["--mode", mode, "--max-a", str(draw(sizes)), "--max-b", str(draw(sizes))]
+        elif mode == "sampled":
+            argv += ["--mode", mode, "--seed", str(draw(st.integers(0, 2 ** 64 - 1))),
+                     "--count", str(draw(st.integers(1, 300)))]
+            if draw(st.booleans()):
+                argv += ["--fixed-sizes", f"{draw(sizes)},{draw(sizes)}"]
+    elif command == "decompose":
+        argv += ["--rep-policy", draw(st.sampled_from(["lowest_index", "seeded_random:3",
+                                                       "seeded_random:8"]))]
+    elif command == "extremal":
+        argv += ["--size-a", str(draw(sizes)), "--size-b", str(draw(sizes))]
+        argv += draw(st.sampled_from([[], ["--limit", "1"], ["--limit", "12"]]))
+    elif command == "trace":
+        p = int(min(minimal_torsion(cached_group(spec)), n))
+        sa = draw(st.integers(1, min(n, 3, p)))
+        sb = draw(st.integers(1, min(n, 3, p + 1 - sa)))
+        for flag, size in (("--set-a", sa), ("--set-b", sb)):
+            elements = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size,
+                                     unique=True))
+            argv += [flag, ",".join(map(str, elements))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_valid_commands())
+def test_text_reports_are_rendered_from_the_json_payload(argv):
+    # each command's text renderer reads only what the JSON report holds;
+    # the wall time, measured around the command, is the one line it adds
+    text, report = run_cli(*argv), run_cli(*argv, "--json")
+    event(argv[0])
+    assert text.exit_code == report.exit_code == 0, (text, report)
+    render = cli._COMMANDS.choices[argv[0]].get_default("text")
+    assert _masked(text.stdout) == _masked(render(json.loads(report.stdout), 0.0))
+    assert ("wall time" in text.stdout) == (argv[0] == "verify")
+
+
+class _FullSink(io.StringIO):
+    """A text sink with room for ``room`` characters that fails once, as a
+    full disk does, when it holds more: at ``write``, or at ``flush`` or
+    ``close`` as a buffered stream does."""
+
+    def __init__(self, room: int, at: str):
+        super().__init__()
+        self.room, self.at = room, at
+
+    def write(self, text: str) -> int:
+        taken = super().write(text)
+        if self.at == "write":
+            self.check()
+        return taken
+
+    def flush(self):
+        self.check()
+
+    def close(self):
+        self.check()
+
+    def check(self):
+        if self.tell() > self.room:
+            self.room = math.inf
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("room", [0, 1, 100])
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("as_json", [True, False])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_failed_write_exits_2_on_one_line(monkeypatch, tmp_path, room, at, as_json,
+                                            to_file):
+    # stdout used to exit 3 where --out exited 2
+    sink = _FullSink(room, at)
+    argv = ["verify", "--group", "cyclic:7"] + ["--json"] * as_json
+    err = io.StringIO()
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: sink, raising=False)
+        argv += ["--out", str(tmp_path / "report")]
+        name = tmp_path / "report"
+    else:
+        monkeypatch.setattr(sys, "stdout", sink)
+        name = "stdout"
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit:
+        cli.main(argv)
+    assert exit.value.code == 2
+    assert err.getvalue() == f"error: cannot write {name}: No space left on device\n"
+
+
+def test_a_closed_stdout_exits_2(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit:
+        cli.main(["validate", "--group", "cyclic:5"])
+    assert (exit.value.code, err.getvalue()) == (2, "error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "cyclic:5", "--json"],     # fails at flush
+    ["verify", "--group", "cyclic:5"],
+    ["extremal", "--group", "cyclic:7", "--size-a", "3", "--size-b", "3", "--json"],  # 17 KB
+])
+def test_a_full_stdout_exits_2_on_one_line_in_a_real_process(argv):
+    # With stdout block-buffered, the bytes a failed write leaves in its
+    # buffer must not fail again when the interpreter exits, which would
+    # print a second error and exit 120.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "sumsetlab.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n")

@@ -654,6 +654,14 @@ def _m_round_lowest_first(g):
     return tuple(gens)
 
 
+def test_new_letters_close_together(corpus_member):
+    # two letters new at once: the powers of each meet the other one
+    g = corpus_member
+    for x in range(1, g.order):
+        for y in range(x + 1, g.order):
+            assert np.array_equal(closure(g, [x, y]), _m_round_closure(g, [x, y])), (x, y)
+
+
 def test_powers_by_doubling_give_the_cyclic_subgroup(corpus_member):
     g = corpus_member
     for x in range(g.order):
@@ -693,6 +701,22 @@ def test_a_new_element_closes_by_its_powers_before_the_frontier_rounds():
     assert 0 < len(gathers) < 100
 
 
+def _counting(g, products):
+    """g on a view of its table that appends the size of each 2-D gather
+    (a frontier round; ``_powers`` gathers one column) to ``products``."""
+    class CountingTable(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            if not isinstance(out, np.ndarray):
+                return out
+            if out.ndim == 2:
+                products.append(out.size)
+            return out.view(np.ndarray)
+
+    return groups.FiniteGroup(g.order, g.op.view(CountingTable), g.identity, g.inv,
+                              g.label)
+
+
 @pytest.mark.parametrize("spec", ["dihedral:2048", "product:heisenberg:5,cyclic:5",
                                   "heisenberg:13", "frobenius:31:5:2"])
 def test_the_frontier_rounds_take_each_product_once(spec):
@@ -701,25 +725,26 @@ def test_the_frontier_rounds_take_each_product_once(spec):
     # only its new letters.  On dihedral:2048 the rotations were multiplied
     # by element 1 a second time when the reflection joined.
     products = []
-
-    class CountingTable(np.ndarray):
-        def __getitem__(self, key):
-            out = super().__getitem__(key)
-            if not isinstance(out, np.ndarray):
-                return out
-            if out.ndim == 2:       # a frontier round; _powers gathers one column
-                products.append(out.size)
-            return out.view(np.ndarray)
-
     g = build_group(spec)
-    counted = groups.FiniteGroup(g.order, g.op.view(CountingTable), g.identity,
-                                 g.inv, g.label)
-    gens = lowest_first_generators(counted)
+    gens = lowest_first_generators(_counting(g, products))
     assert tuple(gens) == _m_round_lowest_first(g)
     assert 0 < sum(products) <= g.order * len(gens)
     for k in range(1, len(gens) + 1):
         assert np.array_equal(closure(g, gens[:k], closure(g, gens[:k - 1])),
                               _m_round_closure(g, gens[:k]))
+
+
+@pytest.mark.parametrize("spec, x", [("dihedral:2048", 1), ("dihedral:2048", 2048),
+                                     ("cyclic:4096", 3), ("heisenberg:13", 1),
+                                     ("frobenius:31:5:2", 40), ("cyclic:1", 0)])
+def test_one_element_closes_by_its_powers_alone(spec, x):
+    # from the identity the only product past the powers is the identity
+    # times x: a power of x times x is a power of x again.  The first round
+    # used to multiply every new power by x, 2047 products on dihedral:2048.
+    products = []
+    g = build_group(spec)
+    assert np.array_equal(closure(_counting(g, products), [x]), _m_round_closure(g, [x]))
+    assert sum(products) == (x != g.identity)
 
 
 # ---------------------------------------------------------------------------

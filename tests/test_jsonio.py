@@ -90,6 +90,7 @@ def test_dumps_stable_matches_json_dumps_on_like_shaped_runs(run):
     [{"": None}], [{"": [1]}, {"": None}], [{}, {}], [{"a": 1}, {"a": 2}],
     [{"a": [1], "b": [2, 3]}, {"b": [2, 3], "a": [1]}], [{"%": [1, 2]}, {"%": [3, 4]}],
     [{"a": [], "b": [1]}, {"a": [], "b": [2]}], [{"a": "xy", "b": [1]}, {"a": "zw", "b": [2]}],
+    [{"a": [1], "b": [2]}, {"b": [3], "a": [4]}], [[1, 2], [3]],
     [[1, 2]] * (_BLOCK + 1), [{"k": [1], "j": (2, 3)}] * (2 * _BLOCK + 1), [[]] * 3,
     [[1, 2], (3, 4)], [1, 2.5, None, "x"], {"k": [[2**70, -3], [0, 1]]},
     [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324],

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,35 +17,78 @@ from sumsetlab.replay import (ReplayInvariantError, ReplayPreconditionError,
 from sumsetlab.rng import SplitMix64
 from sumsetlab.structure import minimal_torsion
 
+from conftest import run_cli
+
 
 def mask(width, *elements):
     return SubsetMask.from_elements(width, elements)
 
 
 def naive_product_size(g, a, b):
-    return len({g.op[x, y] for x in a.elements() for y in b.elements()})
+    return product_size(g, a.elements(), b.elements())
+
+
+def product_size(g, a, b):
+    """|A * B| by the definition, for element lists A and B."""
+    return len({int(g.op[x, y]) for x in a for y in b})
+
+
+def naive_torsion(g):
+    """The least order of a non-identity element, None for the trivial group."""
+    def order(x):
+        y, m = x, 1
+        while y != g.identity:
+            y, m = g.op[y, x], m + 1
+        return m
+    return min((order(x) for x in range(g.order) if x != g.identity), default=None)
+
+
+def same(payload, expected):
+    """Equal dicts with their keys in the same order, as their bytes would be."""
+    assert list(payload.items()) == list(expected.items())
+
+
+def printed(trace):
+    """The payload that ``trace --json`` prints for this trace."""
+    return json.loads(dumps_stable(trace.to_json_dict()))
+
+
+BASE_KEYS = ["schema", "group", "group_order", "a", "b", "swapped", "p_g", "target", "kind"]
 
 
 def audit_trace(g, trace):
-    """Re-derive every recorded quantity from ``g.op``, ``g.inv`` and the
-    naive definitions, never from the replay's own tables, and audit each
-    subtrace on the kernel's table in the same way.
+    """Re-derive every field of a trace payload, as ``trace --json`` prints
+    it, from ``g.op``, ``g.inv`` and the naive definitions, never from the
+    replay's own tables, and audit each subtrace on the kernel's table in
+    the same way.
 
     Blocks are the cosets of the kernel numbered by their least element,
     which is also their representative (the replay's lowest_index policy),
     and x has kernel coordinate x * rep(x)^-1.
     """
-    assert trace.target == len(trace.a) + len(trace.b) - 1
-    if trace.kind == "base":
-        assert g.is_abelian()
-        size = naive_product_size(g, trace.a, trace.b)
-        assert trace.base.product_size == size
-        assert size >= trace.target
+    a, b, target = trace["a"], trace["b"], len(trace["a"]) + len(trace["b"]) - 1
+    assert trace["schema"] == "sumsetlab.proof-trace/1"
+    assert (trace["group"], trace["group_order"]) == (g.label, g.order)
+    for side in (a, b):
+        assert side and side == sorted(set(side)) and 0 <= side[0] <= side[-1] < g.order
+    assert type(trace["swapped"]) is bool
+    assert (trace["p_g"], trace["target"]) == (naive_torsion(g), target)
+    assert trace["p_g"] is None or target <= trace["p_g"]
+    size = product_size(g, a, b)
+    if trace["kind"] == "base":
+        assert list(trace) == BASE_KEYS + ["base"]
+        assert (g.op == g.op.T).all()
+        same(trace["base"], {"product_size": size, "target": target, "holds": True})
+        assert size >= target
         return
+    assert list(trace) == BASE_KEYS + [
+        "kernel", "alpha", "beta", "a_sizes", "b_sizes", "block_checks", "quotient_check",
+        "disjointness_check", "final_chain"]
+    assert trace["kind"] == "inductive"
     op, inv, n = g.op, g.inv, g.order
-    kernel = np.array(trace.kernel)
+    kernel = np.array(trace["kernel"])
     # a proper normal subgroup, in ascending order, with an abelian quotient
-    assert kernel.tolist() == sorted(set(trace.kernel)) and 1 < len(kernel) < n
+    assert kernel.tolist() == sorted(set(trace["kernel"])) and 1 < len(kernel) < n
     position = np.full(n, -1)
     position[kernel] = np.arange(len(kernel))
     assert position[g.identity] >= 0
@@ -53,56 +97,52 @@ def audit_trace(g, trace):
     assert (position[op[op, inv[op.T]]] >= 0).all()                   # (xy)(yx)^-1
 
     reps, block = np.unique(op[kernel].min(axis=0), return_inverse=True)
-    a, b = trace.a.elements(), trace.b.elements()
     a_count = Counter(int(block[x]) for x in a)
     b_count = Counter(int(block[y]) for y in b)
     a_blocks = sorted(a_count, key=lambda h: (-a_count[h], h))
     b_blocks = sorted(b_count, key=lambda h: (-b_count[h], h))
-    assert trace.a_sizes == tuple(a_count[h] for h in a_blocks)
-    assert trace.b_sizes == tuple(b_count[h] for h in b_blocks)
-    assert (trace.alpha, trace.beta) == (len(a_blocks), len(b_blocks))
-    assert trace.alpha <= trace.beta
+    alpha, beta = len(a_blocks), len(b_blocks)
+    assert trace["a_sizes"] == [a_count[h] for h in a_blocks]
+    assert trace["b_sizes"] == [b_count[h] for h in b_blocks]
+    assert (trace["alpha"], trace["beta"]) == (alpha, beta)
+    assert alpha <= beta
 
     def kernel_coordinate(x):
         return int(op[x, inv[reps[block[x]]]])
 
-    def kernel_mask(elements):
-        return SubsetMask.from_elements(len(kernel), (position[x] for x in elements))
-
     kernel_group = table_group(position[op[np.ix_(kernel, kernel)]],
-                               f"{g.label}|kernel", int(position[g.identity]))
+                               f"{g.label}|sub<{len(kernel)}>", int(position[g.identity]))
     h1 = a_blocks[0]
     a1 = {kernel_coordinate(x) for x in a if block[x] == h1}
-    assert len(trace.block_checks) == trace.beta
-    for check, hj in zip(trace.block_checks, b_blocks):
-        assert (check.a_block, check.b_block) == (h1, hj)
-        assert (check.a1_size, check.b_size) == (len(a1), b_count[hj])
+    assert len(trace["block_checks"]) == beta
+    for check, hj in zip(trace["block_checks"], b_blocks):
         # B_j moved into the kernel: the kernel coordinates of rep(h1) * B_j
         translated = {kernel_coordinate(op[reps[h1], y]) for y in b if block[y] == hj}
         assert len(translated) == b_count[hj]
-        assert check.translated_b == tuple(sorted(translated))
-        assert check.product_size == len({int(op[x, y]) for x in a1 for y in translated})
-        assert check.lower_bound == len(a1) + b_count[hj] - 1 <= check.product_size
-        sub = check.subtrace
-        certified = (sub.b, sub.a) if sub.swapped else (sub.a, sub.b)
-        assert certified == (kernel_mask(a1), kernel_mask(translated))
+        block_size = product_size(g, a1, translated)
+        sub = check["subtrace"]
+        same(check, {"a_block": h1, "b_block": hj, "a1_size": len(a1), "b_size": b_count[hj],
+                     "translated_b": sorted(translated), "product_size": block_size,
+                     "lower_bound": len(a1) + b_count[hj] - 1, "holds": True,
+                     "subtrace": sub})
+        assert check["lower_bound"] <= block_size
+        certified = (sub["b"], sub["a"]) if sub["swapped"] else (sub["a"], sub["b"])
+        assert certified == (sorted(position[x] for x in a1),
+                             sorted(position[y] for y in translated))
         audit_trace(kernel_group, sub)
 
     quotient_size = len({int(block[op[x, y]]) for x in a for y in b})
-    assert trace.quotient_check.product_size == quotient_size
-    assert trace.quotient_check.lower_bound == trace.alpha + trace.beta - 1 <= quotient_size
-    seconds = tuple(int(block[op[reps[h1], reps[hj]]]) for hj in b_blocks)
-    assert trace.disjointness_check.second_coordinates == seconds
-    assert len(set(seconds)) == trace.beta
-    chain = trace.final_chain
-    a1_size = len(a1)
-    direct = naive_product_size(g, trace.a, trace.b)
-    assert chain.product_size == direct
-    assert chain.sum_bound == sum(a1_size + bj - 1 for bj in trace.b_sizes) + trace.alpha - 1
-    assert chain.closed_form == (trace.beta * a1_size + len(trace.b) - trace.beta
-                                 + trace.alpha - 1)
-    assert chain.sum_bound == chain.closed_form
-    assert direct >= chain.sum_bound >= chain.target
+    same(trace["quotient_check"], {"product_size": quotient_size,
+                                   "lower_bound": alpha + beta - 1, "holds": True})
+    assert alpha + beta - 1 <= quotient_size
+    seconds = [int(block[op[reps[h1], reps[hj]]]) for hj in b_blocks]
+    same(trace["disjointness_check"], {"second_coordinates": seconds, "distinct": True})
+    assert len(set(seconds)) == beta
+    sum_bound = sum(len(a1) + bj - 1 for bj in trace["b_sizes"]) + alpha - 1
+    closed_form = beta * len(a1) + len(b) - beta + alpha - 1
+    same(trace["final_chain"], {"product_size": size, "sum_bound": sum_bound,
+                                "closed_form": closed_form, "target": target, "holds": True})
+    assert size >= sum_bound == closed_form >= target
 
 
 def test_heisenberg_replay_matches_hand_computation():
@@ -115,7 +155,7 @@ def test_heisenberg_replay_matches_hand_computation():
     assert trace.final_chain.product_size == 4
     assert trace.final_chain.sum_bound == 4
     assert trace.final_chain.target == 3
-    audit_trace(g, trace)
+    audit_trace(g, printed(trace))
     for check in trace.block_checks:
         assert check.subtrace.kind == "base"
 
@@ -128,7 +168,7 @@ def test_abelian_replay_is_a_base_case_matching_cd_bound():
     check = cd_bound(g, a, b)
     assert trace.base.product_size == check.product_size
     assert trace.base.holds == check.holds
-    audit_trace(g, trace)
+    audit_trace(g, printed(trace))
 
 
 def test_frobenius_singleton_replay_is_degenerate():
@@ -140,7 +180,7 @@ def test_frobenius_singleton_replay_is_degenerate():
     assert trace.quotient_check.lower_bound == 1
     assert trace.final_chain.product_size == 1
     assert trace.final_chain.target == 1
-    audit_trace(g, trace)
+    audit_trace(g, printed(trace))
 
 
 def test_replay_swaps_when_first_set_spreads_over_more_blocks():
@@ -151,7 +191,7 @@ def test_replay_swaps_when_first_set_spreads_over_more_blocks():
     assert trace.swapped
     assert trace.a.bits == b.bits and trace.b.bits == a.bits
     assert trace.alpha <= trace.beta
-    audit_trace(g, trace)
+    audit_trace(g, printed(trace))
 
 
 @pytest.mark.xfail(
@@ -200,7 +240,7 @@ def test_quaternion_singletons_replay_inductively():
     trace = replay_solvable_proof(g, mask(8, 2), mask(8, 4))
     assert trace.kind == "inductive"
     assert trace.final_chain.product_size >= 1
-    audit_trace(g, trace)
+    audit_trace(g, printed(trace))
 
 
 def test_replay_trace_serializes_with_nested_subtraces():
@@ -227,7 +267,7 @@ def test_seeded_replays_audit_cleanly():
             a = SubsetMask(rng.subset_of_size(g.order, sa), g.order)
             b = SubsetMask(rng.subset_of_size(g.order, sb), g.order)
             trace = replay_solvable_proof(g, a, b)
-            audit_trace(g, trace)
+            audit_trace(g, printed(trace))
 
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -244,11 +284,12 @@ def test_every_trace_of_the_trace_workload_audits_cleanly(monkeypatch):
     cmds = workloads.commands("trace", 0, Path("unused"), 1, tables)
     assert {cmd.kind for cmd in cmds} == {"trace"} and len(cmds) == 466
     for cmd in cmds:
-        g = cached_group(cmd.expect["group"])
-        a, b = (SubsetMask.from_elements(g.order, cmd.expect[side]) for side in "ab")
-        trace = replay_solvable_proof(g, a, b)
-        assert (trace.a, trace.b) == ((b, a) if trace.swapped else (a, b))
-        audit_trace(g, trace)
+        result = run_cli(*cmd.argv)
+        assert result.exit_code == 0, result
+        trace = json.loads(result.stdout)
+        a, b = cmd.expect["a"], cmd.expect["b"]
+        assert (trace["a"], trace["b"]) == ((b, a) if trace["swapped"] else (a, b))
+        audit_trace(cached_group(cmd.expect["group"]), trace)
 
 
 def test_invariant_failure_message_names_a_library_bug():
@@ -281,7 +322,7 @@ def test_symmetric_4_replays_recurse_below_the_pinned_mix(permutation_groups):
         a = SubsetMask(rng.subset_of_size(g.order, sa), g.order)
         b = SubsetMask(rng.subset_of_size(g.order, sb), g.order)
         trace = replay_solvable_proof(g, a, b)
-        audit_trace(g, trace)
+        audit_trace(g, printed(trace))
         for depth, node in _nodes(trace):
             assert len(node.a) and len(node.b)
             assert node.a.width == node.b.width == node.group_order
