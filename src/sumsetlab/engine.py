@@ -21,12 +21,11 @@ A_k * B_k directly.  One scoring step compares popcounts with the bound of
 each pair's sizes (|A|, |B|).
 
 Capped scans and the extremal search list their sides with one numpy lister
-(``_sets_by_size``): each row of k elements extends a row of k - 1 by a
-larger element, and the rows, kept in the narrowest integer type that holds
-the group order, are sorted by mask.  An exhaustive scan's sets are its
-masks, unpacked to elements a batch at a time.  A group's element orders and
-automorphisms are found once and kept in its memo, so every later scan of
-the session reuses them.
+(``_sets_by_size``): size by size, each in ascending mask order, as rows of
+the narrowest integer type that holds the group order.  An exhaustive scan's
+sets are its masks, unpacked to elements a batch at a time.  A group's
+element orders and automorphisms are found once and kept in its memo, so
+every later scan of the session reuses them.
 
 Verification covers ordered pairs (A, B) of nonempty subsets; products
 need not commute.  Exhaustive and capped scans score one pair per orbit.
@@ -38,15 +37,18 @@ the least mask in each orbit of the automorphisms that fix 0 is listed, at
 orders up to 62 where the cost rule of ``_Scan.reduce`` allows.  Sampled
 scans and the extremal search list every pair.  Counts are weighted back
 exactly and each violation is expanded into its orbit, so reports are those
-of the full scan.  Pairs are visited in ascending mask order (A outer, B
-inner); sampled pairs are drawn in sequence from a SplitMix64 stream,
-computed in numpy blocks that hold the words the scalar draws would take.
-A sampled pair that its sizes settle is counted without the kernel: a product
-has at least max(|A|, |B|) elements, one less when restricted, and a cd pair
-with |A| + |B| > |G| has A * B = G (``_Scan.settle``).  Batches are cut by a
-fixed memory budget and run in order on the calling thread, and their results
-are merged in that order, so a report does not depend on how the pairs were
-batched.
+of the full scan.  Pairs are visited A outer, B inner, in listed order: a
+capped scan takes the sizes in turn, but its counts are sums and its
+witnesses sorted, so its report does not depend on that order; the extremal
+search lists one size a side, so it meets pairs in ascending mask order.
+Sampled pairs are drawn in sequence from a SplitMix64 stream, computed in
+numpy blocks that hold the words the scalar draws would take.  A sampled
+pair that its sizes settle is counted without the kernel: a product has at
+least max(|A|, |B|) elements, one less when restricted, and a cd pair with
+|A| + |B| > |G| has A * B = G (``_Scan.settle``).  Batches are cut by a
+fixed memory budget and run in order on the calling thread, and their
+results are merged in that order, so a report does not depend on how the
+pairs were batched.
 """
 
 from __future__ import annotations
@@ -357,8 +359,9 @@ class _Scan:
               count: Callable = np.count_nonzero):
         """The extremal count (``count`` of the pairs that meet the bound)
         and the pairs collected from one batch: none, or one tuple of arrays
-        (A rows, B rows, sizes, bounds) in row-major, so ascending (A, B)
-        mask, order; ``rows_of(r, c)`` gives the element rows at r, c."""
+        (A rows, B rows, sizes, bounds) in row-major order, which is
+        ascending (A, B) mask order where each side is one size, as in the
+        extremal search; ``rows_of(r, c)`` gives the element rows at r, c."""
         hits = np.equal(sizes, bounds, out=self.buffer("hits", sizes.shape, bool))
         extremal = count(hits)
         hits = self.collect(sizes, bounds, out=hits)
@@ -381,8 +384,8 @@ class _Scan:
         return full | (least > bounds), int(np.count_nonzero(full & (bounds == n)))
 
     def reduce(self, keys: np.ndarray | None, a_sets: int, b_sets: int):
-        """Which of the ``a_sets`` A sets, with ascending int64 masks ``keys``
-        (None above order 62), are least in their orbit under ``auts``, as a
+        """Which of the ``a_sets`` A sets, with int64 masks ``keys`` (None
+        above order 62), are least in their orbit under ``auts``, as a
         row selection, and their orbit sizes: |auts| over the sigma that fix
         the set.  ``auts`` is the automorphisms that fix element 0 when masks
         fit an int64 and the search, candidates * n, and the orbit pass, at
@@ -549,57 +552,46 @@ def verify_exhaustive(
 
 def _sets_by_size(n: int, min_size: int, max_size: int, pivot: bool = False):
     """Every set of min_size to max_size of the elements 0..n-1 (with
-    ``pivot``, those that hold 0) in ascending mask order: their sizes, their
-    elements as rows of ``_slot_type(n)`` (ascending, padded to max_size by
-    repeating the first, as ``_padded`` pads) and, up to order 62, their
-    int64 masks, else None.
+    ``pivot``, those that hold 0), size by size and each size in ascending
+    mask order: their sizes, their elements as rows of ``_slot_type(n)``
+    (ascending, padded to max_size by repeating the first, as ``_padded``
+    pads) and, up to order 62, their int64 masks, else None.
 
-    Each (s + 1)-subset of pivot..n-1 extends an s-subset by a larger
-    element, in lexicographic order, and 0 leads each row under ``pivot``;
-    the rows are then sorted by mask, above order 62 by their elements from
-    the largest down, the shorter row first where one ends.  Sizes that have
-    more than 2^EXHAUSTIVE_HARD_CEILING masks, as many as the largest
-    exhaustive scan covers, are refused before anything is listed, whether
-    or not the scan lists them all.
+    Ascending mask order within a size is colex order, so the sets whose
+    largest element is t are t added to a prefix of the size below, its sets
+    below t; nothing is sorted.  Sizes that have more than
+    2^EXHAUSTIVE_HARD_CEILING masks, as many as the largest exhaustive scan
+    covers, are refused before anything is listed, whether or not the scan
+    lists them all.
     """
     count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     if count > 1 << EXHAUSTIVE_HARD_CEILING:
         raise InputError(
             f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
             f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
-    slot, wide = _slot_type(n), n <= 62
-    # the s-subsets of pivot..n-1 that min_size - pivot - s larger elements
-    # can still complete (no level outgrows the listing), the least element
-    # each may be extended by, and their masks (bit 0 set under pivot)
-    subsets = np.zeros((1, 0), dtype=slot)
-    nxt, masks = np.full(1, pivot, dtype=np.intp), np.full(1, pivot, dtype=np.int64)
+    slot = _slot_type(n)
+    # the level: the sets of one size as rows (0 first under pivot), their
+    # largest elements and masks, kept to the prefix that min_size - size
+    # larger elements can still complete; the next size adds each t in tops
+    # to the level's first ends[t - pivot] sets, those below t
+    level, last = np.zeros((1, int(pivot)), dtype=slot), np.full(1, pivot - 1)
+    masks = np.full(1, pivot, dtype=np.int64) if n <= 62 else None
     sizes, rows, keys = [], [], []
-    for s in range(max_size - pivot + 1):
-        if s:
-            counts = np.maximum(n - max(min_size - pivot - s, 0) - nxt, 0)
-            ends = np.cumsum(counts)
-            nxt = np.arange(ends[-1]) + np.repeat(nxt - ends + counts, counts)
-            subsets = np.concatenate((np.repeat(subsets, counts, axis=0),
-                                      nxt[:, None].astype(slot)), axis=1)
-            masks = np.repeat(masks, counts) | np.left_shift(1, nxt) if wide else None
-            nxt += 1
-        if s + pivot >= min_size:
-            head = np.zeros((len(subsets), s + pivot), dtype=slot)
-            head[:, pivot:] = subsets
+    for size in range(pivot, max_size + 1):
+        if size > pivot:
+            tops = np.arange(pivot, n - max(min_size - size, 0))
+            ends = np.searchsorted(last, tops)
+            pick = np.arange(ends.sum()) - np.repeat(np.cumsum(ends) - ends, ends)
+            last = np.repeat(tops, ends)
+            level = np.concatenate((level[pick], last[:, None].astype(slot)), axis=1)
+            masks = None if masks is None else masks[pick] | np.left_shift(1, last)
+        if size >= min_size:
+            sizes.append(np.full(len(level), size))
             rows.append(np.concatenate(
-                (head, np.repeat(head[:, :1], max_size - s - pivot, axis=1)), axis=1))
-            sizes.append(np.full(len(subsets), s + pivot))
+                (level, np.repeat(level[:, :1], max_size - size, axis=1)), axis=1))
             keys.append(masks)
-    sizes, rows = np.concatenate(sizes), np.concatenate(rows)
-    if wide:
-        keys = np.concatenate(keys)
-        order = np.argsort(keys)
-    else:
-        # column j: the (j + 1)-th largest element, -1 past a row's end
-        place = sizes[:, None] - 1 - np.arange(max_size)
-        keys = np.take_along_axis(rows, place.clip(0), axis=1).astype(np.int16)
-        order = np.lexsort(np.where(place >= 0, keys, -1).T[::-1])
-    return sizes[order], rows[order], keys[order] if wide else None
+    return (np.concatenate(sizes), np.concatenate(rows),
+            None if masks is None else np.concatenate(keys))
 
 
 def _unpacked(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 check see arbitrary tables, a relabelling that moves the identity off
 element 0, an inventory of normal subgroups, and the scalar and whole-table
 forms of the factor-system product law, which check
-``factor_system.pair_products``."""
+``factor_system.pair_products``, and a sound check of a ``decompose``
+payload read against the group's table."""
 
 import numpy as np
 
@@ -109,6 +110,46 @@ def verify_isomorphism(fs: FactorSystem) -> tuple[bool, tuple[int, int] | None]:
             g1, g2 = np.argwhere(~ok)[0]
             return False, (int(g1) + lo, int(g2))
     return True, None
+
+
+def check_factor_system(g: FiniteGroup, payload: dict) -> list[str]:
+    """The parts of a ``decompose`` payload that do not describe g, in the
+    order checked; an empty list when its product rule is an isomorphism.
+
+    Read against g.op and g.inv: the kernel K is a subgroup (K * K in K,
+    |K|^2 reads); each x is k * rep(h) for its pair (k, h) with k in K, so
+    the pairing, from |K| * |Q| = n pairs onto G, is a bijection (n); the
+    blocks are the pairing's; each conjugation entry is r_h k r_h^-1 and
+    lies in K (|K| |Q|); each carry entry is r1 r2 r12^-1, r12 the
+    representative of r1 r2's block (|Q|^2).  Then k1 r1 * k2 r2 =
+    k1 (r1 k2 r1^-1)(r1 r2 r12^-1) * r12 is the printed product rule.  A
+    payload of the wrong shape or with values out of range fails "shape".
+    """
+    n, op, inv = g.order, g.op.astype(np.int64), g.inv.astype(np.int64)
+    kernel, reps, pairs, conj, carry = (
+        np.array(payload[key], dtype=np.int64)
+        for key in ("kernel", "representatives", "pairs", "conjugation", "carry"))
+    m, q = len(kernel), len(reps)
+    if not (payload["group_order"] == n == m * q and pairs.shape == (n, 2)
+            and conj.shape == (q, m) and carry.shape == (q, q)
+            and all(((t >= 0) & (t < n)).all() for t in (kernel, reps, pairs[:, 0], conj, carry))
+            and ((pairs[:, 1] >= 0) & (pairs[:, 1] < q)).all()):
+        return ["shape"]
+    member = np.zeros(n, dtype=bool)
+    member[kernel] = True
+    blocks = [np.flatnonzero(pairs[:, 1] == h).tolist() for h in range(q)]
+    prod = op[np.ix_(reps, reps)]
+    r12 = reps[pairs[prod, 1]]
+    checks = {
+        "kernel": member.sum() == m and member[op[np.ix_(kernel, kernel)]].all(),
+        "pairs": (member[pairs[:, 0]].all()
+                  and (op[pairs[:, 0], reps[pairs[:, 1]]] == np.arange(n)).all()),
+        "blocks": [sorted(b) for b in payload["blocks"]] == blocks,
+        "conjugation": ((conj == op[op[reps][:, kernel], inv[reps][:, None]]).all()
+                        and member[conj].all()),
+        "carry": (carry == op[prod, inv[r12]]).all(),
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 def extension_from_factor_system(fs: FactorSystem) -> FiniteGroup:

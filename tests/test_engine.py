@@ -294,13 +294,15 @@ LISTER_RANGES = {1: [(1, 1)], 2: [(1, 1), (1, 2), (2, 2)],
 @pytest.mark.parametrize("n", sorted(LISTER_RANGES))
 def test_sets_are_listed_in_mask_order_and_padded_as_padded_pads(n, pivot):
     # the oracle: itertools.combinations, 0 put first under pivot, sorted by
-    # mask; each row padded by engine._padded from its membership row
+    # size, then by mask; each row padded by engine._padded from its
+    # membership row
     for min_size, max_size in LISTER_RANGES[n]:
         sets = [(0, *c) if pivot else c for size in range(min_size, max_size + 1)
                 for c in combinations(range(pivot, n), size - pivot)]
-        sets.sort(key=lambda c: sum(1 << x for x in c))
+        sets.sort(key=lambda c: (len(c), sum(1 << x for x in c)))
         masks = [sum(1 << x for x in c) for c in sets]
-        assert all(lo < hi for lo, hi in zip(masks, masks[1:]))
+        assert all(lo < hi for lo, hi, c, d in zip(masks, masks[1:], sets, sets[1:])
+                   if len(c) == len(d))
         member = np.zeros((len(sets), n), dtype=np.uint8)
         for row, c in zip(member, sets):
             row[list(c)] = 1
@@ -326,6 +328,52 @@ def test_refused_ranges_raise_before_listing(monkeypatch, n, min_size, max_size)
     for pivot in (False, True):
         with pytest.raises(ValueError, match=r"exceed the limit 2\^20; lower the caps"):
             engine._sets_by_size(n, min_size, max_size, pivot)
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+def test_levels_keep_only_the_sets_that_can_still_be_completed(monkeypatch, pivot):
+    # every level of the listing is cut to the sets that enough larger
+    # elements can still complete; uncut, the level of 12 of 24 elements
+    # would hold C(24, 12) = 2704156 rows on the way to the 20-sets
+    want, lengths, repeat = math.comb(24 - pivot, 20 - pivot), [], np.repeat
+
+    def spy(*args, **kwargs):
+        out = repeat(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(engine.np, "repeat", spy)
+    sizes, rows, keys = engine._sets_by_size(24, 20, 20, pivot)
+    assert len(sizes) == len(rows) == len(keys) == want
+    assert 0 < max(lengths) <= want
+
+
+ORDER_FREE_CASES = [("heisenberg:3", "cd", Caps(3, 3)),
+                    ("product:cyclic:3,cyclic:9", "eh", Caps(3, 3)),
+                    ("dihedral:5", "eh", Caps(4, 3, 6)), ("cyclic:9", "cd", Caps(3, 4)),
+                    ("cyclic:64", "cd", Caps(2, 2)), ("frobenius:7:3:2", "cd", Caps(2, 3))]
+
+
+@pytest.mark.parametrize("torsion_is_order", [False, True])
+@pytest.mark.parametrize("spec, theorem, caps", ORDER_FREE_CASES)
+def test_capped_reports_do_not_depend_on_listing_order(monkeypatch, spec, theorem, caps,
+                                                       torsion_is_order):
+    # a capped scan takes the listed sizes in turn: its counts are integer
+    # sums and its witnesses are sorted, so listing the sets in any order
+    # gives the same report.  Pretending p(G) = |G| makes violations to sort.
+    g = build_group(spec)
+    if torsion_is_order:
+        monkeypatch.setattr(engine, "minimal_torsion", lambda group: group.order)
+    want = verify_exhaustive(g, theorem, caps).to_json_dict()
+    lister = engine._sets_by_size
+
+    def shuffled(*args):
+        sizes, rows, keys = lister(*args)
+        perm = np.random.default_rng(7).permutation(len(sizes))
+        return sizes[perm], rows[perm], None if keys is None else keys[perm]
+
+    monkeypatch.setattr(engine, "_sets_by_size", shuffled)
+    assert verify_exhaustive(g, theorem, caps).to_json_dict() == want
 
 
 def test_capped_witnesses_above_order_62_match_a_naive_listing(monkeypatch):

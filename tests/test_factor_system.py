@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (extension_from_factor_system, normal_subgroup_inventory, star,
-                       verify_isomorphism)
+from conftest import run_cli
+from reference import (check_factor_system, extension_from_factor_system,
+                       normal_subgroup_inventory, star, verify_isomorphism)
+from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
                                      decompose_subset, factor_system_json,
                                      pair_products)
-from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group,
+from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group, cached_group,
                               table_group, validate_group)
 from sumsetlab.structure import (derived_series, generated_subgroup, quotient,
                                  trivial_subgroup, whole_subgroup)
@@ -430,3 +433,63 @@ def test_block_0_is_the_kernel_when_the_identity_is_not_element_0(policy):
     assert fs.reps[0] == 22
     assert k.element_list[fs.carry[0, 0]] == 22
     assert verify_isomorphism(fs) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# the sound check of a decompose payload
+
+
+def _changed_carry(payload):
+    """The payload with carry[1][1] moved to the next kernel element."""
+    kernel = payload["kernel"]
+    carry = [row[:] for row in payload["carry"]]
+    carry[1][1] = kernel[(kernel.index(carry[1][1]) + 1) % len(kernel)]
+    return {**payload, "carry": carry}
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:7", "heisenberg:11", "heisenberg:13",
+                                  "frobenius:31:5:2", "product:heisenberg:3,cyclic:5"])
+def test_decompose_payloads_pass_the_sound_check(spec):
+    result = run_cli("decompose", "--group", spec, "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    g = build_group(spec)
+    assert check_factor_system(g, payload) == []
+    assert check_factor_system(g, _changed_carry(payload)) == ["carry"]
+
+
+def test_the_sound_check_agrees_with_verify_isomorphism_on_the_corpus():
+    # every normal subgroup of the inventory under the three policies; the
+    # explicit one takes the largest element of each block but the kernel
+    checked = 0
+    for spec in CORPUS_SPECS:
+        g = cached_group(spec)
+        for kernel in normal_subgroup_inventory(g):
+            blocks = quotient(g, kernel).blocks
+            explicit = ",".join(map(str, [g.identity] + [b[-1] for b in blocks[1:]]))
+            for policy in ("lowest_index", "seeded_random:3", f"explicit:{explicit}"):
+                fs = build_factor_system(g, kernel, policy)
+                payload = factor_system_json(fs)
+                assert verify_isomorphism(fs)[0] and check_factor_system(g, payload) == []
+                if len(blocks) > 1 and kernel.order > 1:
+                    carry = fs.carry.copy()
+                    carry[1, 1] = (carry[1, 1] + 1) % kernel.order
+                    broken = FactorSystem(parent=g, kernel=fs.kernel, quot=fs.quot,
+                                          reps=fs.reps, conj=fs.conj, carry=carry,
+                                          pair_pos=fs.pair_pos, pair_block=fs.pair_block,
+                                          policy=fs.policy)
+                    assert factor_system_json(broken) == _changed_carry(payload)
+                    assert not verify_isomorphism(broken)[0]
+                    assert check_factor_system(g, _changed_carry(payload)) == ["carry"]
+                    checked += 1
+    assert checked > 20
+
+
+def test_the_sound_check_rejects_a_kernel_that_is_not_a_subgroup():
+    # {0, 1} and its translate by 2 tile Z/4, and every other part of this
+    # payload reads right off the table, but 1 + 1 leaves the kernel, so the
+    # product rule sends the pairs of 1 and 1 to (2, 0), which pairs nothing
+    payload = {"group_order": 4, "kernel": [0, 1], "representatives": [0, 2],
+               "blocks": [[0, 1], [2, 3]], "pairs": [[0, 0], [1, 0], [0, 1], [1, 1]],
+               "conjugation": [[0, 1], [0, 1]], "carry": [[0, 0], [0, 0]]}
+    assert check_factor_system(build_group("cyclic:4"), payload) == ["kernel"]
