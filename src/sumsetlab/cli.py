@@ -1,5 +1,7 @@
-"""Command-line front end: one ``argparse`` parser, built at import from the
-``@_command`` declarations below, that accepts no abbreviated flag.
+"""Command-line front end: one ``argparse`` parser per command, built at
+import from the ``@_command`` declarations below, that accepts no abbreviated
+flag.  An argv that starts with a command name meets only that command's
+parser; the top-level one handles help and unknown commands only.
 
 Each command is ``fn(g, **options) -> (payload, exit code)`` and does no
 I/O.  ``main`` alone builds the group, times the command, renders the payload
@@ -46,8 +48,15 @@ def main(args=None, prog_name=None):
     """Run the command that ``args`` (default ``sys.argv[1:]``) names, write
     its report and exit with its code; it ends in SystemExit.  Usage lines
     name ``sumsetlab`` whatever ``prog_name`` is."""
+    args = sys.argv[1:] if args is None else list(args)
     try:
-        options = vars(_PARSER.parse_args(args))
+        if args and args[0] in _COMMANDS.choices:
+            namespace, extra = _COMMANDS.choices[args[0]].parse_known_args(args[1:])
+            if extra:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            namespace = _PARSER.parse_args(args)
+        options = vars(namespace)
         g = cached_group(options.pop("spec"))
         run, text = options.pop("run"), options.pop("text")
         as_json, out_path = options.pop("as_json"), options.pop("out_path")

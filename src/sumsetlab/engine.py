@@ -10,15 +10,15 @@ sizes meet it, as |A| != |B| gives min(p, |A| + |B| - 2) (Alon, Nathanson and
 Ruzsa 1996) and arithmetic progressions A = B give 2|A| - 3 (Dias da Silva and
 Hamidoune 1994).
 
-``product_set`` and ``restricted_product_set`` follow the definition, as one
-gather over the Cayley table.  Every scan (exhaustive, capped, sampled,
-extremal search) runs one batched kernel: for a batch of sets A_k it builds
-the column masks of A_k * y, word-packed in the narrowest word that holds the
-group order (uint16, uint32, uint64, or ceil(n / 64) uint64 words above 64
-elements).  Exhaustive scans OR the columns over every B by subset doubling,
-capped and extremal scans at each B's elements; sampled scans pack each
-A_k * B_k directly.  One scoring step compares popcounts with the bound of
-each pair's sizes (|A|, |B|).
+``product_set`` and ``restricted_product_set`` follow the definition: one
+gather over the Cayley table, marked in a bool mask.  Every scan (exhaustive,
+capped, sampled, extremal search) runs one batched kernel: for a batch of sets
+A_k it builds the column masks of A_k * y, word-packed in the narrowest word
+that holds the group order (uint16, uint32, uint64, or ceil(n / 64) uint64
+words above 64 elements).  Exhaustive scans OR the columns over every B by
+subset doubling, capped and extremal scans at each B's elements; sampled scans
+pack each A_k * B_k directly.  One scoring step compares popcounts with the
+bound of each pair's sizes (|A|, |B|).
 
 Capped scans and the extremal search list their sides with one numpy lister
 (``_sets_by_size``): size by size, each in ascending mask order, as rows of
@@ -114,10 +114,13 @@ def _products(g: FiniteGroup, a: SubsetMask, b: SubsetMask, distinct: bool) -> S
     _check_mask(g, b, "b")
     xs = np.array(a.elements(), dtype=np.intp)
     ys = np.array(b.elements(), dtype=np.intp)
-    products = g.op[np.ix_(xs, ys)]
+    products = g.op[xs[:, None], ys]
     if distinct:
         products = products[xs[:, None] != ys]
-    return SubsetMask.from_elements(g.order, np.unique(products).tolist())
+    member = np.zeros(g.order, dtype=bool)
+    member[products] = True     # table entries lie in 0..order-1
+    bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+    return SubsetMask(bits, g.order)
 
 
 # ---------------------------------------------------------------------------

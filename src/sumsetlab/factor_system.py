@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, InputError, SubsetMask, iter_bits
+from .groups import FiniteGroup, InputError, SubsetMask
 from .rng import SplitMix64
 from .structure import (QuotientGroup, Subgroup, _conjugates, quotient,
                         subgroup_as_group)
@@ -162,10 +162,10 @@ def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     """Split a subset of the parent group along its pair coordinates."""
     if s.width != fs.parent.order:
         raise InputError("mask width does not match the group order")
+    xs = list(s.elements())
     per_block: dict[int, int] = {}
-    for x in iter_bits(s.bits):
-        h = int(fs.pair_block[x])
-        per_block[h] = per_block.get(h, 0) | (1 << int(fs.pair_pos[x]))
+    for h, pos in zip(fs.pair_block[xs].tolist(), fs.pair_pos[xs].tolist()):
+        per_block[h] = per_block.get(h, 0) | (1 << pos)
     ordered = sorted(per_block.items(), key=lambda item: (-item[1].bit_count(), item[0]))
     m = fs.kernel.order
     blocks = tuple(

@@ -230,7 +230,7 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     quotient_check = QuotientCheck(product_size=len(quot_product),
                                    lower_bound=quot_lower, holds=True)
 
-    seconds = tuple(int(fs.quot.table.op[h1, bj.block]) for bj in db.blocks)
+    seconds = tuple(fs.quot.table.op[h1, [bj.block for bj in db.blocks]].tolist())
     _invariant(len(set(seconds)) == beta,
                f"{g.label}: block products do not have distinct second coordinates")
     disjointness = DisjointnessCheck(second_coordinates=seconds, distinct=True)

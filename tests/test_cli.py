@@ -23,6 +23,7 @@ import sumsetlab.replay as replay
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.engine import BoundCheck, VerificationReport
 from sumsetlab.groups import SubsetMask, build_group, cached_group, parse_group_spec
+from sumsetlab.jsonio import dumps_stable
 from sumsetlab.structure import minimal_torsion
 
 from conftest import run_cli
@@ -205,6 +206,79 @@ def test_usage_errors_exit_2(tmp_path):
                   "--set-a", "0,1,3", "--set-b", "0,1").exit_code == 2
     assert run_cli("trace", "--group", "cyclic:5",
                   "--set-a", "zero", "--set-b", "0").exit_code == 2
+
+
+# main parses an argv that starts with a command name with that command's own
+# parser; the top-level parser's parse of the same argv is the oracle
+_DISPATCH_CORPUS = [
+    ("verify", "--group", "cyclic:5", "--mode", "capped", "--max-a", "2", "--json"),
+    ("verify", "--group", "cyclic:5", "--mode", "sampled", "--seed", "3", "--count", "9",
+     "--fixed-sizes", "2,2", "--workers", "4"),
+    ("decompose", "--group", "quaternion", "--kernel", "6", "--rep-policy", "explicit:0,4"),
+    ("extremal", "--group", "cyclic:5", "--size-a", "2", "--size-b", "2", "--limit", "3"),
+    ("trace", "--group", "quaternion", "--set-a", "1", "--set-b", "2", "--json"),
+    ("validate", "--group", "cyclic:5", "--out", "{tmp}/report.txt"),
+    ("validate", "--json", "--group", "dihedral:4", "--out={tmp}/report.json"),
+    ("trace", "--set-a", "1", "--set-b", "2"),                      # no --group
+    ("trace", "--group", "quaternion", "--set-a", "1", "--set-b", "2", "--bogus"),
+    ("trace", "--group", "quaternion", "--set-a", "1", "--bogus=1", "--set-b", "2"),
+    ("validate", "--group", "cyclic:5", "extra"),                    # a leftover positional
+    ("validate", "--group", "cyclic:5", "--json", "a", "b"),
+    ("trace", "--group", "cyclic:5", "--set-a", "--", "0", "--set-b", "1"),
+    ("trace", "--group", "cyclic:5", "--set-a", "0", "--set-b", "1", "--", "2"),
+    ("validate", "--", "--group", "cyclic:5"),
+    ("trace", "--group", "cyclic:5", "--set-a=-0,1", "--set-b", "1"),
+    ("verify", "--group", "cyclic:5", "--mode", "every"),
+    ("extremal", "--group", "cyclic:5", "--size-a", "two", "--size-b", "2"),
+    ("verify", "--group", "cyclic:5", "--max", "2"),                 # no abbreviated flag
+    ("-h",),
+    ("--help", "verify"),
+    ("trace", "-h"),
+    ("decompose", "--group", "quaternion", "--help"),
+    (),
+    ("bogus", "--group", "cyclic:5"),
+    ("Validate", "--group", "cyclic:5"),
+    ("--json", "validate", "--group", "cyclic:5"),
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_parses_every_argv_as_the_top_level_parser_does(monkeypatch, tmp_path, argv):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            expected = vars(cli._PARSER.parse_args(argv))
+        except SystemExit as exc:
+            result = run_cli(*argv)
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                exc.code, out.getvalue(), err.getvalue())
+            return
+    command = expected.pop("run").__name__
+    expected.pop("text")
+    seen = []
+
+    def group(spec):
+        seen.append(spec)
+        return cached_group(spec)
+
+    def spy(g, **options):
+        seen.append(options)
+        return {"spy": True}, 0
+
+    defaults = cli._COMMANDS.choices[command]._defaults
+    monkeypatch.setitem(defaults, "run", spy)
+    monkeypatch.setitem(defaults, "text", lambda payload, seconds: "text\n")
+    monkeypatch.setattr(cli, "cached_group", group)
+    result = run_cli(*argv)
+    as_json, out_path = expected.pop("as_json"), expected.pop("out_path")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert seen == [expected.pop("spec"), expected]
+    report = dumps_stable({"spy": True}) if as_json else "text\n"
+    if out_path is None:
+        assert result.stdout == report
+    else:
+        assert result.stdout == "" and Path(out_path).read_text() == report
 
 
 @pytest.mark.parametrize("policy, message", [

@@ -100,6 +100,42 @@ def test_product_set_matches_naive_oracle(spec, data):
     )
 
 
+# orders on each side of a byte of the packed mask, from the trivial group
+# up: a cyclic group of each order and, where one exists, a non-abelian one
+# (every group of order 7, 9, 15, 17 or 65 is abelian; order 9 has a
+# non-cyclic one)
+PACKING_SPECS = ["cyclic:1", "cyclic:7", "cyclic:8", "quaternion", "cyclic:9",
+                 "product:cyclic:3,cyclic:3", "cyclic:15", "cyclic:16", "dihedral:8",
+                 "cyclic:17", "cyclic:63", "product:frobenius:7:3:2,cyclic:3",
+                 "cyclic:64", "dihedral:32", "cyclic:65"]
+
+
+@pytest.mark.parametrize("spec", PACKING_SPECS)
+def test_product_sets_match_the_naive_product_at_byte_boundaries(spec):
+    g = build_group(spec)
+    n = g.order
+    assert n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+    top, last = (1 << n) - 1, 1 << (n - 1)
+    rng = SplitMix64(n)
+    pairs = [(last, last), (top, last), (last, top), (top, top), (1, top)]
+    pairs += [(rng.nonempty_mask(n), rng.nonempty_mask(n)) for _ in range(24)]
+    for a_bits, b_bits in pairs:
+        a, b = SubsetMask(a_bits, n), SubsetMask(b_bits, n)
+        for product, restricted in ((product_set, False), (restricted_product_set, True)):
+            want = sum(1 << int(x) for x in naive_product(g, a, b, restricted))
+            assert product(g, a, b).bits == want
+
+
+def test_interval_products_in_a_large_cyclic_group():
+    # |A + B| = min(n, k + m - 1) for intervals; distinct sums of one
+    # interval {0..k-1} fill 1..2k-3
+    g = build_group("cyclic:4093")
+    k = m = 2000
+    a, b = SubsetMask((1 << k) - 1, 4093), SubsetMask((1 << m) - 1, 4093)
+    assert product_set(g, a, b).bits == (1 << min(4093, k + m - 1)) - 1
+    assert restricted_product_set(g, a, a).bits == (1 << (2 * k - 3)) - 1 << 1
+
+
 @settings(max_examples=80)
 @given(data=st.data())
 def test_product_size_bounds_and_identity_laws(data):
