@@ -9,11 +9,13 @@ already built), then once each as its own process, ``sumsetlab`` by default or
 the PROGRAM given (e.g. ``python -m sumsetlab.cli``).  Exits 1 unless the
 exit code, the SHA-256 of stdout and stderr agree for every command; the
 last commands are input errors, so their one ``error:`` line is compared too.
+Exits 2, before any command runs, if the program's first word is not found.
 """
 
 import contextlib
 import hashlib
 import io
+import shutil
 import subprocess
 import sys
 
@@ -66,6 +68,10 @@ def one_shot(program, argv) -> tuple[int, str, str]:
 
 def main() -> int:
     program = sys.argv[1:] or ["sumsetlab"]
+    if shutil.which(program[0]) is None:
+        print(f"check_session.py: program {program[0]!r} not found; "
+              "pass one, e.g. python -m sumsetlab.cli", file=sys.stderr)
+        return 2
     session = [in_process(argv) for argv in COMMANDS + COMMANDS]
     bad = 0
     for i, argv in enumerate(COMMANDS):

@@ -27,7 +27,7 @@ import os
 import sys
 import time
 
-from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, Caps, SamplingPlan,
+from .engine import (EXHAUSTIVE_DEFAULT_LIMIT, THEOREMS, Caps, SamplingPlan,
                      find_extremal, size_bound, verify_exhaustive,
                      verify_sampled)
 from .factor_system import build_factor_system, factor_system_json
@@ -166,7 +166,7 @@ def _verify_text(report: dict, seconds: float) -> str:
 
 @_command(
     _verify_text,
-    theorem=dict(choices=["cd", "eh"], default="cd"),
+    theorem=dict(choices=THEOREMS, default="cd"),
     mode=dict(choices=["exhaustive", "capped", "sampled"], default="exhaustive"),
     seed=dict(type=int, help="Sampled mode seed."),
     count=dict(type=int, help="Sampled mode pair count."),

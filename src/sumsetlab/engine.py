@@ -119,8 +119,7 @@ def _products(g: FiniteGroup, a: SubsetMask, b: SubsetMask, distinct: bool) -> S
         products = products[xs[:, None] != ys]
     member = np.zeros(g.order, dtype=bool)
     member[products] = True     # table entries lie in 0..order-1
-    bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
-    return SubsetMask(bits, g.order)
+    return SubsetMask.from_member(member)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +505,10 @@ def verify_exhaustive(
 ) -> VerificationReport:
     """Check the bound over all ordered pairs of nonempty subsets.
 
-    Without caps the group order must stay within ``exhaustive_limit``; with
-    caps only pairs with |A| <= max_a_size, |B| <= max_b_size and
-    |A| + |B| <= sum_cap are covered.
+    Without caps the order may not exceed min(``exhaustive_limit``,
+    ``EXHAUSTIVE_HARD_CEILING``), the limit its refusal names; with caps only
+    pairs with |A| <= max_a_size, |B| <= max_b_size and |A| + |B| <= sum_cap
+    are covered, and ``_sets_by_size`` refuses a side too large to list.
 
     The scan lists one pair per orbit (see the module docstring): of the
     sets A that hold element 0 (every set for non-abelian eh), the least in
@@ -523,13 +523,9 @@ def verify_exhaustive(
     theorem = _check_theorem(theorem)
     n = g.order
     if caps is None:
-        if n > exhaustive_limit:
+        if n > (limit := min(exhaustive_limit, EXHAUSTIVE_HARD_CEILING)):
             raise InputError(
-                f"order {n} exceeds the exhaustive limit {exhaustive_limit}; "
-                "use caps or sampling"
-            )
-        if n > EXHAUSTIVE_HARD_CEILING:
-            raise InputError(f"order {n} exceeds the hard exhaustive ceiling")
+                f"order {n} exceeds the exhaustive limit {limit}; use caps or sampling")
         scan = _Scan(g, theorem, n, n, orbits=True)
         b_sizes = np.bitwise_count(np.arange(1, 1 << n, 1 + scan.pivot_b,
                                              dtype=np.uint64)).astype(np.intp)
@@ -562,16 +558,14 @@ def _sets_by_size(n: int, min_size: int, max_size: int, pivot: bool = False):
 
     Ascending mask order within a size is colex order, so the sets whose
     largest element is t are t added to a prefix of the size below, its sets
-    below t; nothing is sorted.  Sizes that have more than
-    2^EXHAUSTIVE_HARD_CEILING masks, as many as the largest exhaustive scan
-    covers, are refused before anything is listed, whether or not the scan
-    lists them all.
+    below t; nothing is sorted.  It alone refuses a listing: more than
+    2^EXHAUSTIVE_HARD_CEILING sets, as many as an exhaustive scan may cover,
+    are refused before any is listed, whether or not the scan lists them all.
     """
     count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     if count > 1 << EXHAUSTIVE_HARD_CEILING:
-        raise InputError(
-            f"{count} subsets of size {min_size} to {max_size} of {n} elements exceed "
-            f"the limit 2^{EXHAUSTIVE_HARD_CEILING}; lower the caps")
+        raise InputError(f"{count} sets of size {min_size} to {max_size} of {n} elements "
+                         f"exceed the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
     slot = _slot_type(n)
     # the level: the sets of one size as rows (0 first under pivot), their
     # largest elements and masks, kept to the prefix that min_size - size
@@ -847,8 +841,8 @@ def find_extremal(
 
     Pairs come out in ascending mask order (A outer, B inner); ``limit``
     truncates to the first N.  Raises if the search space exceeds
-    ``EXTREMAL_SEARCH_CAP`` ordered pairs, or if either size has more than
-    2^EXHAUSTIVE_HARD_CEILING sets, the most that one side may list.
+    ``EXTREMAL_SEARCH_CAP`` ordered pairs; ``_sets_by_size`` refuses a side of
+    over 2^EXHAUSTIVE_HARD_CEILING sets (the other then has at most three).
     """
     n = g.order
     if not (1 <= size_a <= n and 1 <= size_b <= n):
@@ -859,10 +853,6 @@ def find_extremal(
     if space > EXTREMAL_SEARCH_CAP:
         raise InputError(
             f"search space of {space} pairs exceeds cap {EXTREMAL_SEARCH_CAP}")
-    for name, size in (("A", size_a), ("B", size_b)):
-        if (sets := math.comb(n, size)) > 1 << EXHAUSTIVE_HARD_CEILING:
-            raise InputError(f"|{name}| = {size}: {sets} sets of {n} elements exceed "
-                             f"the listing limit 2^{EXHAUSTIVE_HARD_CEILING}")
     scan = _Scan(g, "cd", size_a, size_b, collect=np.equal, limit=limit)
     a_sizes, a_rows, _ = _sets_by_size(n, size_a, size_a)
     b_sizes, b_rows, _ = _sets_by_size(n, size_b, size_b)

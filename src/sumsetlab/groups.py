@@ -68,6 +68,12 @@ class SubsetMask:
             bits |= 1 << x
         return cls(bits, width)
 
+    @classmethod
+    def from_member(cls, member: np.ndarray) -> "SubsetMask":
+        """The mask whose bit x is ``member[x]``, for a bool array ``member``."""
+        bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+        return cls(bits, len(member))
+
     def elements(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))
 

@@ -4,17 +4,17 @@
 declaration order, so field order is key order and identical runs serialize
 to identical bytes.  ``dumps_stable(payload)`` returns exactly
 ``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` for every payload
-of dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``,
-``bool`` and ``None``; any other type, and any non-``str`` key, raises
-``TypeError``.  It does not run the pure-Python encoder that ``json`` falls
-back to whenever ``indent`` is set: strings are escaped by the C escaper, and
-a list of ints, of int rows of one width, or of dicts with the same keys that
-hold such rows is filled into one ``%`` template per ``_BLOCK`` items.
+of dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and
+``None``.  Other types, non-``str`` keys and floats (no payload holds one, and
+``json`` writes inf and NaN as non-JSON) raise ``TypeError``.  It does not run
+the pure-Python encoder that ``json`` falls back to whenever ``indent`` is
+set: strings are escaped by the C escaper, and a list of ints, of int rows of
+one width, or of dicts with the same keys that hold such rows is filled into
+one ``%`` template per ``_BLOCK`` items.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
@@ -64,12 +64,6 @@ def _write(o, nl: str) -> str:
         return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if abs(o) == math.inf:
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
     inner = nl + "  "
     if isinstance(o, dict):
         body = (_string(k) + ": " + _write(v, inner) for k, v in o.items())

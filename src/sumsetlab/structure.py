@@ -56,8 +56,7 @@ class Subgroup:
 
 def _subgroup(parent: FiniteGroup, member: np.ndarray, generators) -> Subgroup:
     """The subgroup whose members a bool array marks."""
-    bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
-    return Subgroup(parent=parent, members=SubsetMask(bits, parent.order),
+    return Subgroup(parent=parent, members=SubsetMask.from_member(member),
                     element_list=tuple(np.flatnonzero(member).tolist()),
                     generators=tuple(generators),
                     positions=np.where(member, member.cumsum() - 1, -1).astype(np.int16))

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import importlib.util
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import time
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -170,16 +172,28 @@ def test_extremal_json_matches_a_brute_force_report(spec, size_a, size_b, limit)
     assert (want["count"] == 0) == (spec == "dihedral:4" and size_a == 3)
 
 
-@pytest.mark.parametrize("sizes, side", [(("7", "30"), "|A| = 7"),
-                                         (("30", "23"), "|B| = 23")])
-def test_extremal_refuses_a_side_too_large_to_list(sizes, side):
+_REPEAT = np.repeat
+
+
+def _short_repeat(*args, **kwargs):
+    # the lister's levels are built by np.repeat: a side that got past the
+    # refusal fails here, long before its listing takes much memory
+    out = _REPEAT(*args, **kwargs)
+    assert len(out) <= 1 << 20, "a side over the listing limit reached the listing"
+    return out
+
+
+@pytest.mark.parametrize("sizes, size", [(("7", "30"), 7), (("30", "23"), 23)])
+def test_extremal_refuses_a_side_too_large_to_list(monkeypatch, sizes, size):
     # 2035800 pairs is under EXTREMAL_SEARCH_CAP, but C(30, 7) = C(30, 23)
-    # sets on one side exceed what a side may list
+    # sets on one side exceed what a side may list: the lister refuses them
+    monkeypatch.setattr(engine.np, "repeat", _short_repeat)
     result = run_cli("extremal", "--group", "cyclic:30",
                     "--size-a", sizes[0], "--size-b", sizes[1])
     assert result.exit_code == 2
-    assert result.stderr == (f"error: {side}: 2035800 sets of 30 elements exceed "
-                             "the listing limit 2^20\n")
+    assert result.stdout == ""
+    assert result.stderr == (f"error: 2035800 sets of size {size} to {size} of 30 "
+                             "elements exceed the listing limit 2^20\n")
 
 
 def test_validate_command_exit_codes(tmp_path):
@@ -616,14 +630,33 @@ def test_unwritable_out_path_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_oversized_capped_scan_exits_2_before_listing():
+def test_oversized_capped_scan_exits_2_before_listing(monkeypatch):
     # 2^27 - 1 sets A on heisenberg:3: refused from the count, not listed
+    monkeypatch.setattr(engine.np, "repeat", _short_repeat)
     start = time.perf_counter()
     result = run_cli("verify", "--group", "heisenberg:3", "--mode", "capped",
                     "--max-a", "27", "--max-b", "1")
     assert result.exit_code == 2
-    assert "exceed the limit 2^20" in result.output
+    assert result.stdout == ""
+    assert result.stderr == ("error: 134217727 sets of size 1 to 27 of 27 elements "
+                             "exceed the listing limit 2^20\n")
     assert time.perf_counter() - start < 5
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("an order above the exhaustive limit reached the scan")
+
+
+@pytest.mark.parametrize("limit", ["21", "25"])
+def test_exhaustive_limit_above_the_ceiling_names_the_ceiling(monkeypatch, limit):
+    # an --exhaustive-limit above 20 does not lift the ceiling: cyclic:21 is
+    # refused with the limit that applies, before any scan is set up
+    monkeypatch.setattr(engine, "_Scan", _no_scan)
+    result = run_cli("verify", "--group", "cyclic:21", "--exhaustive-limit", limit)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: order 21 exceeds the exhaustive limit 20; "
+                             "use caps or sampling\n")
 
 
 SMALL_SPECS = {spec: parse_group_spec(spec).order for spec in CORPUS_SPECS
@@ -847,3 +880,29 @@ def test_a_full_stdout_exits_2_on_one_line_in_a_real_process(argv):
                               stderr=subprocess.PIPE, text=True, env=env)
     assert (done.returncode, done.stderr) == (
         2, "error: cannot write stdout: No space left on device\n")
+
+
+CHECK_SESSION = Path(__file__).parents[1] / "scripts" / "check_session.py"
+
+
+def test_check_session_refuses_a_missing_program_before_any_command(monkeypatch, capsys):
+    missing = "sumsetlab-not-installed"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(CHECK_SESSION), missing],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+    assert missing in done.stderr and "python -m sumsetlab.cli" in done.stderr
+    # in process, with every way of running a command made to fail
+    spec = importlib.util.spec_from_file_location("check_session", CHECK_SESSION)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "cli_main", _no_command)
+    monkeypatch.setattr(script, "one_shot", _no_command)
+    monkeypatch.setattr(sys, "argv", [str(CHECK_SESSION), missing])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", done.stderr)
+
+
+def _no_command(*args, **kwargs):
+    raise AssertionError("a command ran before the program was looked up")

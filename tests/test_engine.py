@@ -15,7 +15,7 @@ from sumsetlab.engine import (Caps, SamplingPlan, _Scan,
                               verify_exhaustive, verify_sampled)
 from reference import extension_from_factor_system, moved_identity
 from sumsetlab.factor_system import build_factor_system
-from sumsetlab.groups import SubsetMask, build_group, cached_group
+from sumsetlab.groups import InputError, SubsetMask, build_group, cached_group
 from sumsetlab.jsonio import dumps_stable
 from sumsetlab.rng import SplitMix64
 from sumsetlab.structure import INFINITY, automorphisms, generated_subgroup
@@ -361,9 +361,12 @@ def _no_listing(*args, **kwargs):
 def test_refused_ranges_raise_before_listing(monkeypatch, n, min_size, max_size):
     # the count covers every set of the sizes, with pivot or not
     monkeypatch.setattr(engine.np, "repeat", _no_listing)
+    count = sum(math.comb(n, size) for size in range(min_size, max_size + 1))
     for pivot in (False, True):
-        with pytest.raises(ValueError, match=r"exceed the limit 2\^20; lower the caps"):
+        with pytest.raises(InputError) as refused:
             engine._sets_by_size(n, min_size, max_size, pivot)
+        assert str(refused.value) == (f"{count} sets of size {min_size} to {max_size} of "
+                                      f"{n} elements exceed the listing limit 2^20")
 
 
 @pytest.mark.parametrize("pivot", [False, True])
@@ -847,6 +850,21 @@ def test_exhaustive_limit_is_configurable():
     report = verify_exhaustive(g, "cd", exhaustive_limit=12)
     assert report.pairs_checked == (2 ** 12 - 1) ** 2
     assert report.violations == ()
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("an order above the exhaustive limit reached the scan")
+
+
+@pytest.mark.parametrize("limit", [21, 25])
+def test_exhaustive_limit_cannot_lift_the_ceiling(monkeypatch, limit):
+    # the refusal names the limit that applies, min(limit, 20), and comes
+    # before any scan is set up
+    monkeypatch.setattr(engine, "_Scan", _no_scan)
+    with pytest.raises(InputError) as refused:
+        verify_exhaustive(build_group("cyclic:21"), "cd", exhaustive_limit=limit)
+    assert str(refused.value) == ("order 21 exceeds the exhaustive limit 20; "
+                                  "use caps or sampling")
 
 
 def test_theorem_argument_is_validated():

@@ -352,6 +352,18 @@ def test_subset_mask_basics():
         SubsetMask.from_elements(4, (4,))
 
 
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 4096])
+def test_subset_mask_from_member_matches_from_elements(width):
+    # bit x of the mask is member[x], across byte and word boundaries
+    rng = np.random.default_rng(width)
+    last = np.zeros(width, dtype=bool)
+    last[-1:] = True
+    for member in (np.zeros(width, dtype=bool), np.ones(width, dtype=bool), last,
+                   rng.random(width) < 0.5, rng.random(width) < 0.1):
+        want = SubsetMask.from_elements(width, np.flatnonzero(member).tolist())
+        assert SubsetMask.from_member(member) == want
+
+
 @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
 def test_subset_mask_elements_roundtrip(bits):
     m = SubsetMask(bits, 20)
