@@ -9,9 +9,8 @@ induction on concrete inputs.
 from .engine import (BoundCheck, Caps, SamplingPlan, VerificationReport,
                      cd_bound, find_extremal, product_set,
                      restricted_product_set, verify_exhaustive, verify_sampled)
-from .factor_system import (FactorSystem, SubsetDecomposition,
-                            build_factor_system, decompose_subset,
-                            factor_system_json)
+from .factor_system import (FactorSystem, build_factor_system,
+                            decompose_subset, factor_system_json)
 from .groups import (FiniteGroup, GroupBuildError, GroupSpec, InputError,
                      SubsetMask, build_group, element_order, parse_group_spec,
                      validate_group)

@@ -98,7 +98,7 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
         for h, r in enumerate(reps):
             if not 0 <= r < g.order:
                 raise InputError(f"representative {r} outside 0..{g.order - 1}")
-            if q.block_of(r) != h:
+            if q.project[r] != h:
                 raise InputError(f"representative {r} does not lie in block {h}")
         if reps[0] != g.identity:
             raise InputError("the identity block must be represented by the identity")
@@ -132,34 +132,10 @@ def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
     return k_out.astype(np.intp) * fs.num_blocks + fs.quot.table.op[blk1, blk2]
 
 
-@dataclass(frozen=True)
-class DecompositionBlock:
-    """One block of a decomposed subset: kernel positions sitting over a block."""
-
-    block: int
-    members: SubsetMask
-    size: int
-
-
-@dataclass(frozen=True)
-class SubsetDecomposition:
-    """A subset split along its pair coordinates.
-
-    ``block_part`` masks quotient blocks (second coordinates), and
-    ``blocks`` lists the per-block masks of kernel positions (first
-    coordinates) sorted by descending size, ties broken by ascending block
-    index.
-    """
-
-    block_part: SubsetMask
-    blocks: tuple[DecompositionBlock, ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
-
-
-def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
-    """Split a subset of the parent group along its pair coordinates."""
+def decompose_subset(fs: FactorSystem, s: SubsetMask) -> tuple[tuple[int, SubsetMask], ...]:
+    """Split a subset of the parent group along its pair coordinates: one
+    (block, mask of kernel positions) pair per block the subset meets,
+    largest mask first, ties broken by ascending block index."""
     if s.width != fs.parent.order:
         raise InputError("mask width does not match the group order")
     xs = list(s.elements())
@@ -167,18 +143,7 @@ def decompose_subset(fs: FactorSystem, s: SubsetMask) -> SubsetDecomposition:
     for h, pos in zip(fs.pair_block[xs].tolist(), fs.pair_pos[xs].tolist()):
         per_block[h] = per_block.get(h, 0) | (1 << pos)
     ordered = sorted(per_block.items(), key=lambda item: (-item[1].bit_count(), item[0]))
-    m = fs.kernel.order
-    blocks = tuple(
-        DecompositionBlock(block=h, members=SubsetMask(bits, m), size=bits.bit_count())
-        for h, bits in ordered
-    )
-    block_bits = 0
-    for h in per_block:
-        block_bits |= 1 << h
-    return SubsetDecomposition(
-        block_part=SubsetMask(block_bits, fs.num_blocks),
-        blocks=blocks,
-    )
+    return tuple((h, SubsetMask(bits, fs.kernel.order)) for h, bits in ordered)
 
 
 def factor_system_json(fs: FactorSystem) -> dict:

@@ -186,51 +186,52 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     kernel_group = subgroup_as_group(fs.kernel)
     da = decompose_subset(fs, a)
     db = decompose_subset(fs, b)
-    swapped = len(da.blocks) > len(db.blocks)
+    swapped = len(da) > len(db)
     if swapped:
         a, b = b, a
         da, db = db, da
-    alpha = len(da.blocks)
-    beta = len(db.blocks)
-    a_sizes = da.sizes()
-    b_sizes = db.sizes()
+    alpha = len(da)
+    beta = len(db)
+    a_sizes = tuple(len(m) for _, m in da)
+    b_sizes = tuple(len(m) for _, m in db)
 
-    top = da.blocks[0]
-    h1 = top.block
-    a1 = top.size
+    h1, top = da[0]
+    a1 = len(top)
     ke = fs.kernel.element_list
     # B_j moves into K as the kernel parts of (1, h1) * (k, b_j); one call for all j
     flat = pair_products(fs, fs.pair_pos[g.identity], h1,
-                         [pos for bj in db.blocks for pos in bj.members.elements()],
-                         [bj.block for bj in db.blocks for _ in range(bj.size)])
+                         [pos for _, m in db for pos in m.elements()],
+                         [hj for hj, m in db for _ in range(len(m))])
     moved = iter((flat // fs.num_blocks).tolist())
     block_checks = []
-    for bj in db.blocks:
-        where = f"{g.label}: block ({h1},{bj.block})"
-        translated = SubsetMask.from_elements(fs.kernel.order, islice(moved, bj.size))
-        _invariant(len(translated) == bj.size,
+    for (hj, _), bj in zip(db, b_sizes):
+        where = f"{g.label}: block ({h1},{hj})"
+        translated = SubsetMask.from_elements(fs.kernel.order, islice(moved, bj))
+        _invariant(len(translated) == bj,
                    f"{where} translation into the kernel changed its size")
-        size = len(product_set(kernel_group, top.members, translated))
-        lower = a1 + bj.size - 1
+        size = len(product_set(kernel_group, top, translated))
+        lower = a1 + bj - 1
         _invariant(size >= lower, f"{where} product size {size} < {lower}")
         # an abelian kernel is the base case, on the product just counted
-        subtrace = (_base_trace(kernel_group, top.members, translated, size)
+        subtrace = (_base_trace(kernel_group, top, translated, size)
                     if kernel_group.is_abelian()
-                    else _replay(kernel_group, top.members, translated))
+                    else _replay(kernel_group, top, translated))
         block_checks.append(BlockCheck(
-            a_block=h1, b_block=bj.block, a1_size=a1, b_size=bj.size,
+            a_block=h1, b_block=hj, a1_size=a1, b_size=bj,
             translated_b=tuple(ke[pos] for pos in translated.elements()),
             product_size=size, lower_bound=lower, holds=True, subtrace=subtrace,
         ))
 
-    quot_product = product_set(fs.quot.table, da.block_part, db.block_part)
+    a_quot, b_quot = (SubsetMask.from_elements(fs.num_blocks, (h for h, _ in d))
+                      for d in (da, db))
+    quot_product = product_set(fs.quot.table, a_quot, b_quot)
     quot_lower = alpha + beta - 1
     _invariant(len(quot_product) >= quot_lower,
                f"{g.label}: quotient product size {len(quot_product)} < {quot_lower}")
     quotient_check = QuotientCheck(product_size=len(quot_product),
                                    lower_bound=quot_lower, holds=True)
 
-    seconds = tuple(fs.quot.table.op[h1, [bj.block for bj in db.blocks]].tolist())
+    seconds = tuple(fs.quot.table.op[h1, [hj for hj, _ in db]].tolist())
     _invariant(len(set(seconds)) == beta,
                f"{g.label}: block products do not have distinct second coordinates")
     disjointness = DisjointnessCheck(second_coordinates=seconds, distinct=True)

@@ -164,9 +164,6 @@ class QuotientGroup:
     def __post_init__(self):
         self.project.setflags(write=False)
 
-    def block_of(self, x: int) -> int:
-        return int(self.project[x])
-
     def __repr__(self) -> str:
         return f"QuotientGroup({self.parent.label!r} / order-{self.kernel.order} kernel)"
 

@@ -250,26 +250,30 @@ def test_hand_built_factor_system_must_be_associative(quaternion_k):
 def _kernel_union(dec):
     """The kernel positions (first coordinates) of a decomposed subset."""
     union = 0
-    for block in dec.blocks:
-        union |= block.members.bits
-    return SubsetMask(union, dec.blocks[0].members.width)
+    for _, members in dec:
+        union |= members.bits
+    return SubsetMask(union, dec[0][1].width)
+
+
+def _sizes(dec):
+    return tuple(len(members) for _, members in dec)
 
 
 def test_decompose_whole_group(quaternion_k):
     q, K = quaternion_k
     fs = build_factor_system(q, K, "explicit:0,4")
     dec = decompose_subset(fs, SubsetMask((1 << 8) - 1, 8))
-    assert dec.block_part.elements() == (0, 1)
+    assert [h for h, _ in dec] == [0, 1]
     assert _kernel_union(dec).elements() == (0, 1, 2, 3)
-    assert dec.sizes() == (4, 4)
+    assert _sizes(dec) == (4, 4)
 
 
 def test_decompose_named_subset_of_quaternion(quaternion_k):
     q, K = quaternion_k
     fs = build_factor_system(q, K, "explicit:0,4")
     dec = decompose_subset(fs, SubsetMask.from_elements(8, (2, 3, 0)))
-    assert dec.sizes() == (2, 1)
-    assert dec.blocks[0].block == 1
+    assert _sizes(dec) == (2, 1)
+    assert dec[0][0] == 1
     # kernel coordinates of {i, -i, 1}: {-k, k, 1} = positions {3, 2, 0}
     assert [K.element_list[p] for p in _kernel_union(dec).elements()] == [0, 6, 7]
 
@@ -279,9 +283,9 @@ def test_decompose_subset_of_cyclic_25():
     k = generated_subgroup(g, (5,))
     fs = build_factor_system(g, k)
     dec = decompose_subset(fs, SubsetMask.from_elements(25, (0, 1, 2, 5)))
-    assert dec.sizes() == (2, 1, 1)
-    assert dec.blocks[0].block == 0
-    assert [k.element_list[p] for p in dec.blocks[0].members.elements()] == [0, 5]
+    assert _sizes(dec) == (2, 1, 1)
+    assert dec[0][0] == 0
+    assert [k.element_list[p] for p in dec[0][1].elements()] == [0, 5]
 
 
 @settings(max_examples=60)
@@ -292,13 +296,30 @@ def test_decomposition_bookkeeping_on_heisenberg(bits):
     fs = build_factor_system(g, k)
     s = SubsetMask(bits, 27)
     dec = decompose_subset(fs, s)
-    assert sum(dec.sizes()) == len(s)
-    assert len(dec.block_part) == len(dec.blocks) <= len(s)
-    assert sorted(dec.sizes(), reverse=True) == list(dec.sizes())
+    assert sum(_sizes(dec)) == len(s)
+    assert len({h for h, _ in dec}) == len(dec) <= len(s)
+    assert sorted(_sizes(dec), reverse=True) == list(_sizes(dec))
     # ties in size are broken by ascending block index
-    for first, second in zip(dec.blocks, dec.blocks[1:]):
-        if first.size == second.size:
-            assert first.block < second.block
+    for (h, m), (h2, m2) in zip(dec, dec[1:]):
+        if len(m) == len(m2):
+            assert h < h2
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(CORPUS_SPECS), seed=st.none() | st.integers(0, (1 << 64) - 1),
+       data=st.data())
+def test_decompose_subset_puts_the_subset_back_together(spec, seed, data):
+    g = cached_group(spec)
+    k = data.draw(st.sampled_from(normal_subgroup_inventory(g)))
+    fs = build_factor_system(g, k, "lowest_index" if seed is None else f"seeded_random:{seed}")
+    s = SubsetMask(data.draw(st.integers(0, (1 << g.order) - 1)), g.order)
+    dec = decompose_subset(fs, s)
+    blocks = [h for h, _ in dec]
+    assert len(set(blocks)) == len(blocks)
+    assert set(blocks) == {int(fs.quot.project[x]) for x in s.elements()}
+    for h, members in dec:
+        rebuilt = {int(g.op[k.element_list[p], fs.reps[h]]) for p in members.elements()}
+        assert rebuilt == {x for x in s.elements() if fs.quot.project[x] == h}
 
 
 def test_factor_system_json_shape(quaternion_k):

@@ -199,8 +199,8 @@ def test_quotient_projection_is_a_homomorphism(corpus_member):
         assert qt.table.order * k.order == g.order
         for a in range(g.order):
             for b in range(g.order):
-                assert qt.block_of(g.op[a, b]) == qt.table.op[
-                    qt.block_of(a), qt.block_of(b)
+                assert qt.project[g.op[a, b]] == qt.table.op[
+                    qt.project[a], qt.project[b]
                 ]
 
 
