@@ -110,14 +110,12 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
     if (conj < 0).any():  # pragma: no cover - normality guarantees membership
         raise ValueError("conjugation left the kernel; kernel is not normal")
 
-    prod = g.op[reps_arr[:, None], reps_arr[None, :]]
-    carry_elt = g.op[prod, g.inv[reps_arr[q.project[prod]]]]
-    carry = k.positions[carry_elt]
-    if (carry < 0).any():  # pragma: no cover - forced by coset arithmetic
-        raise ValueError("carry value left the kernel")
-
     pair_block = q.project
     pair_pos = k.positions[g.op[np.arange(g.order), g.inv[reps_arr[pair_block]]]]
+    if (pair_pos < 0).any():  # pragma: no cover - forced by coset arithmetic
+        raise ValueError("a kernel coordinate left the kernel")
+    # rep(h1) rep(h2) = carry(h1, h2) * rep(h1 h2): its kernel coordinate
+    carry = pair_pos[g.op[reps_arr[:, None], reps_arr[None, :]]]
     return FactorSystem(parent=g, kernel=k, quot=q, reps=reps, conj=conj, carry=carry,
                         pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 

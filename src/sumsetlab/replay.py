@@ -50,15 +50,6 @@ def _invariant(condition: bool, detail: str) -> None:
 
 
 @dataclass(frozen=True)
-class BaseCheck:
-    """Direct bound check for the abelian (including trivial) base case."""
-
-    product_size: int
-    target: int
-    holds: bool
-
-
-@dataclass(frozen=True)
 class BlockCheck:
     """One block product certified inside the kernel.
 
@@ -79,32 +70,6 @@ class BlockCheck:
 
 
 @dataclass(frozen=True)
-class QuotientCheck:
-    product_size: int
-    lower_bound: int
-    holds: bool
-
-
-@dataclass(frozen=True)
-class DisjointnessCheck:
-    """Second coordinates of the block products; disjointness needs them distinct."""
-
-    second_coordinates: tuple[int, ...]
-    distinct: bool
-
-
-@dataclass(frozen=True)
-class FinalChain:
-    """The assembled counting chain: product_size >= sum_bound = closed_form >= target."""
-
-    product_size: int
-    sum_bound: int
-    closed_form: int
-    target: int
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ProofTrace:
     """Complete record of one replay, with recursive subtraces.
 
@@ -114,6 +79,8 @@ class ProofTrace:
     target |A| + |B| - 1 is symmetric either way.  A swapped trace certifies
     |B * A|, which in a non-abelian group can differ from the |A * B| that
     was asked about.  Fields of the other kind are None, left out of the payload.
+    ``base``, ``quotient_check``, ``disjointness_check`` and ``final_chain``
+    are the payload dicts of their checks (keys listed in the README).
     """
 
     group: str
@@ -124,16 +91,16 @@ class ProofTrace:
     p_g: float
     target: int
     kind: str                       # "base" or "inductive"
-    base: BaseCheck | None = None
+    base: dict | None = None
     kernel: tuple[int, ...] | None = None
     alpha: int | None = None
     beta: int | None = None
     a_sizes: tuple[int, ...] | None = None
     b_sizes: tuple[int, ...] | None = None
     block_checks: tuple[BlockCheck, ...] | None = None
-    quotient_check: QuotientCheck | None = None
-    disjointness_check: DisjointnessCheck | None = None
-    final_chain: FinalChain | None = None
+    quotient_check: dict | None = None
+    disjointness_check: dict | None = None
+    final_chain: dict | None = None
 
     def to_json_dict(self) -> dict:
         return record_json(self, "sumsetlab.proof-trace/1")
@@ -171,7 +138,7 @@ def _base_trace(g: FiniteGroup, a: SubsetMask, b: SubsetMask, size: int) -> Proo
     return ProofTrace(
         group=g.label, group_order=g.order, a=a, b=b, swapped=False,
         p_g=minimal_torsion(g), target=target, kind="base",
-        base=BaseCheck(product_size=size, target=target, holds=True),
+        base={"product_size": size, "target": target, "holds": True},
     )
 
 
@@ -228,13 +195,10 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     quot_lower = alpha + beta - 1
     _invariant(len(quot_product) >= quot_lower,
                f"{g.label}: quotient product size {len(quot_product)} < {quot_lower}")
-    quotient_check = QuotientCheck(product_size=len(quot_product),
-                                   lower_bound=quot_lower, holds=True)
 
     seconds = tuple(fs.quot.table.op[h1, [hj for hj, _ in db]].tolist())
     _invariant(len(set(seconds)) == beta,
                f"{g.label}: block products do not have distinct second coordinates")
-    disjointness = DisjointnessCheck(second_coordinates=seconds, distinct=True)
 
     ab_size = len(product_set(g, a, b))
     sum_bound = sum(a1 + bj - 1 for bj in b_sizes) + alpha - 1
@@ -244,14 +208,16 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
                f"{g.label}: |A*B| = {ab_size} < assembled bound {sum_bound}")
     _invariant(sum_bound >= target,
                f"{g.label}: assembled bound {sum_bound} < target {target}")
-    final = FinalChain(product_size=ab_size, sum_bound=sum_bound,
-                       closed_form=closed_form, target=target, holds=True)
 
     return ProofTrace(
         group=g.label, group_order=g.order, a=a, b=b, swapped=swapped,
         p_g=p, target=target, kind="inductive",
         kernel=ke, alpha=alpha, beta=beta,
         a_sizes=a_sizes, b_sizes=b_sizes,
-        block_checks=tuple(block_checks), quotient_check=quotient_check,
-        disjointness_check=disjointness, final_chain=final,
+        block_checks=tuple(block_checks),
+        quotient_check={"product_size": len(quot_product), "lower_bound": quot_lower,
+                        "holds": True},
+        disjointness_check={"second_coordinates": seconds, "distinct": True},
+        final_chain={"product_size": ab_size, "sum_bound": sum_bound,
+                     "closed_form": closed_form, "target": target, "holds": True},
     )

@@ -8,7 +8,8 @@ import pytest
 
 from sumsetlab import cli
 from sumsetlab.corpus import CORPUS_SPECS
-from sumsetlab.groups import FiniteGroup, cached_group
+from sumsetlab.groups import FiniteGroup, SubsetMask, cached_group
+from sumsetlab.rng import SplitMix64
 
 
 class CliResult(NamedTuple):
@@ -35,6 +36,17 @@ def run_cli(*args) -> CliResult:
             exception = exc
     code = 0 if exception is None or exception.code is None else exception.code
     return CliResult(code, out.getvalue(), err.getvalue(), exception if code else None)
+
+
+def symmetric_4_pairs(g):
+    """The 300 seeded pairs (A, B) of symmetric:4 with |A| + |B| <= 3 (its
+    p(G) = 2) that the replay is checked on."""
+    rng = SplitMix64(4)
+    for _ in range(300):
+        sa = 1 + rng.below(2)
+        sb = 1 + rng.below(3 - sa)
+        yield (SubsetMask(rng.subset_of_size(g.order, sa), g.order),
+               SubsetMask(rng.subset_of_size(g.order, sb), g.order))
 
 
 @pytest.fixture(scope="session")

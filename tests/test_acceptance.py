@@ -203,11 +203,11 @@ def test_criterion_9_proof_replay_on_seeded_pairs():
             direct = len({g.op[x, y] for x in trace.a.elements()
                           for y in trace.b.elements()})
             if trace.kind == "base":
-                assert trace.base.product_size == direct
+                assert trace.base["product_size"] == direct
             else:
-                assert trace.final_chain.product_size == direct
-                assert trace.final_chain.sum_bound <= direct
-                assert trace.final_chain.target <= trace.final_chain.sum_bound
+                assert trace.final_chain["product_size"] == direct
+                assert trace.final_chain["sum_bound"] <= direct
+                assert trace.final_chain["target"] <= trace.final_chain["sum_bound"]
             audited += 1
     report(9, True,
            f"{audited} seeded replays: every traced inequality holds and no "

@@ -196,6 +196,13 @@ def test_extremal_refuses_a_side_too_large_to_list(monkeypatch, sizes, size):
                              "elements exceed the listing limit 2^20\n")
 
 
+def test_extremal_refuses_a_limit_below_1():
+    result = run_cli("extremal", "--group", "cyclic:5", "--size-a", "1", "--size-b", "1",
+                     "--limit", "0")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: limit must be at least 1, got 0\n"
+
+
 def test_validate_command_exit_codes(tmp_path):
     good = run_cli("validate", "--group", "quaternion")
     assert good.exit_code == 0

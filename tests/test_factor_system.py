@@ -13,8 +13,8 @@ from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
                                      decompose_subset, factor_system_json,
                                      pair_products)
-from sumsetlab.groups import (GroupBuildError, SubsetMask, build_group, cached_group,
-                              table_group, validate_group)
+from sumsetlab.groups import (GroupBuildError, InputError, SubsetMask, build_group,
+                              cached_group, table_group, validate_group)
 from sumsetlab.structure import (derived_series, generated_subgroup, quotient,
                                  trivial_subgroup, whole_subgroup)
 
@@ -276,6 +276,13 @@ def test_decompose_named_subset_of_quaternion(quaternion_k):
     assert dec[0][0] == 1
     # kernel coordinates of {i, -i, 1}: {-k, k, 1} = positions {3, 2, 0}
     assert [K.element_list[p] for p in _kernel_union(dec).elements()] == [0, 6, 7]
+
+
+def test_decompose_refuses_a_mask_of_another_width(quaternion_k):
+    q, K = quaternion_k
+    fs = build_factor_system(q, K, "explicit:0,4")
+    with pytest.raises(InputError, match="mask width does not match the group order"):
+        decompose_subset(fs, SubsetMask(1, 7))
 
 
 def test_decompose_subset_of_cyclic_25():

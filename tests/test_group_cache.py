@@ -206,6 +206,17 @@ def _write_table(path, rows):
                                                for r in rows))
 
 
+def test_a_product_with_a_table_file_is_capped_like_any_product(empty_cache, tmp_path):
+    # a table file's order is known only once it is read, so the product's
+    # cap is checked on the built children
+    path = tmp_path / "c64.cay"
+    _write_table(path, [[(a + b) % 64 for b in range(64)] for a in range(64)])
+    message = "error: order 4160 exceeds the cap 4096\n"
+    assert run("validate", "--group", f"product:table:{path},cyclic:65") == (2, "", message)
+    assert run("validate", "--group", "product:cyclic:64,cyclic:65") == (2, "", message)
+    assert not groups._cached
+
+
 @pytest.mark.parametrize("template", ["table:{}", "product:table:{},cyclic:3"])
 def test_table_files_are_read_on_every_command(empty_cache, tmp_path, template):
     path = tmp_path / "g.cay"
