@@ -103,9 +103,9 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
         if reps[0] != g.identity:
             raise InputError("the identity block must be represented by the identity")
 
-    # int16 like the table: positions, blocks and elements are < ORDER_CAP
-    ke = np.fromiter(k.element_list, dtype=np.int64, count=k.order)
-    reps_arr = np.fromiter(reps, dtype=np.int16, count=nblocks)
+    # intp indices: numpy casts an index of any other dtype, a copy per gather
+    ke = np.fromiter(k.element_list, dtype=np.intp, count=k.order)
+    reps_arr = np.fromiter(reps, dtype=np.intp, count=nblocks)
     conj = k.positions[_conjugates(g, reps_arr, ke)]
     if (conj < 0).any():  # pragma: no cover - normality guarantees membership
         raise ValueError("conjugation left the kernel; kernel is not normal")

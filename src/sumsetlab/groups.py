@@ -322,22 +322,25 @@ def cached_group(spec: str) -> FiniteGroup:
     """The canonical group for a spec, built once per process.
 
     Groups are kept by canonical label, so ``cyclic:07`` and ``cyclic:7``
-    share one, with whatever later calls derive from them in ``_cache``.
+    share one, with whatever later calls derive from them in ``_cache``; a
+    label is its own canonical spec, so a spec is looked up before it is parsed.
     The least recently used go first once the kept tables pass CACHE_BYTES,
     one table of order ORDER_CAP, so every group the loader accepts is kept.
     A spec that names a table file is built afresh on every call, so the
     file is read and checked as it is now, and a failed build raises every
     time.  The cache is for one thread: nothing locks it.
     """
-    parsed = parse_group_spec(spec)
-    if parsed.order is None:                  # a table file is involved
-        return build_group(parsed)
-    key = parsed.label
-    group = _cached.get(key)
+    group = _cached.get(spec)
+    if group is None:
+        parsed = parse_group_spec(spec)
+        if parsed.order is None:              # a table file is involved
+            return build_group(parsed)
+        spec = parsed.label
+        group = _cached.get(spec)
     if group is not None:
-        _cached.move_to_end(key)
+        _cached.move_to_end(spec)
         return group
-    group = _cached[key] = build_group(parsed)
+    group = _cached[spec] = build_group(parsed)
     while sum(g.op.nbytes for g in _cached.values()) > CACHE_BYTES:
         _cached.popitem(last=False)
     return group

@@ -8,9 +8,11 @@ of dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and
 ``None``.  Other types, non-``str`` keys and floats (no payload holds one, and
 ``json`` writes inf and NaN as non-JSON) raise ``TypeError``.  It does not run
 the pure-Python encoder that ``json`` falls back to whenever ``indent`` is
-set: strings are escaped by the C escaper, and a list of ints, of int rows of
-one width, or of dicts with the same keys that hold such rows is filled into
-one ``%`` template per ``_BLOCK`` items.
+set.  Strings are escaped by the C escaper, and types are matched exactly (a
+subclass goes to ``isinstance``): a dict writes its ``str``, ``int``, ``bool``
+and ``None`` values in its own loop, a list of ints is one join of
+``int.__repr__``, and a list of int rows of one width, or of dicts with the
+same keys that hold such rows, fills one ``%`` template per ``_BLOCK`` items.
 """
 
 from __future__ import annotations
@@ -32,16 +34,17 @@ def record_json(record, schema: str | None = None) -> dict:
     ``to_json_dict`` where the record has one (a nested trace keeps its schema)."""
     payload = {} if schema is None else {"schema": schema}
     for name, v in vars(record).items():     # insertion order is field order
-        if v is None:
-            continue
         t = type(v)
-        if t is SubsetMask:
+        if t in _AS_IS:                        # the commonest field types first
+            if t is tuple and v and type(v[0]) not in _AS_IS:
+                v = tuple(map(_nested, v))
+        elif v is None:
+            continue
+        elif t is SubsetMask:
             v = list(v.elements())
         elif t is float:
             v = None if v == INFINITY else int(v)
-        elif t is tuple and v and type(v[0]) not in _AS_IS:
-            v = tuple(map(_nested, v))
-        elif t not in _AS_IS:
+        else:
             v = _nested(v)
         payload[name] = v
     return payload
@@ -57,50 +60,63 @@ def dumps_stable(payload: dict) -> str:
 
 def _write(o, nl: str) -> str:
     """``o`` as json.dumps(indent=2) writes it at the depth that ``nl`` (a
-    newline and the indent) marks."""
-    if isinstance(o, str):
-        return _string(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
+    newline and the indent) marks; a subclass is written as its base type."""
+    t = type(o)
     inner = nl + "  "
-    if isinstance(o, dict):
-        body = (_string(k) + ": " + _write(v, inner) for k, v in o.items())
-    elif isinstance(o, (list, tuple)):
-        body = _like_shaped(o, inner) or (_write(v, inner) for v in o)
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    text = ("," + inner).join(body)
-    brackets = "{}" if isinstance(o, dict) else "[]"
-    return brackets if not text else brackets[0] + inner + text + nl + brackets[1]
+    if t is dict:
+        body = []
+        for k, v in o.items():           # a scalar value is written in place
+            t = type(v)
+            if t is str:
+                v = _string(v)
+            elif t is int:
+                v = int.__repr__(v)
+            elif t is bool:
+                v = "true" if v else "false"
+            elif v is None:
+                v = "null"
+            else:
+                v = _write(v, inner)
+            body.append(_string(k) + ": " + v)
+        v = None             # free the last value's text (a long list's) before the join
+        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
+    if t is list or t is tuple:
+        kinds = set(map(type, o))
+        body = (map(int.__repr__, o) if kinds == {int}
+                else _like_shaped(o, inner, kinds) or [_write(v, inner) for v in o])
+        text = ("," + inner).join(body)
+        return "[" + inner + text + nl + "]" if text else "[]"
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, (dict, list, tuple)):
+        return _write(dict(o.items()) if isinstance(o, dict) else list(o), nl)
+    if isinstance(o, (str, int)):
+        return _string(o) if isinstance(o, str) else int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _like_shaped(o, inner: str) -> list[str] | None:
-    """``o``'s items as text at the depth ``inner`` marks, one block at a
-    time, if they share one int-only shape (see above); else None.  Records
-    are turned down by their first one's values, before any key is read."""
-    kinds = set(map(type, o))
-    if kinds == {int}:
-        item, values = "%d", o
+def _like_shaped(o, inner: str, kinds: set) -> list[str] | None:
+    """``o``'s items, of the types ``kinds``, as text at the depth ``inner``
+    marks, one block at a time, if they are int rows of one width or records
+    of such rows (see above); else None.  Records are turned down by their
+    first one's values, before any key is read."""
+    if kinds == {dict} and set(map(type, o[0].values())) <= {list, tuple}:
+        keys, at = tuple(o[0]), inner + "  "
+        rows = list(chain.from_iterable(map(dict.values, o)))
+        if set(map(tuple, o)) != {keys} or not set(map(type, rows)) <= {list, tuple}:
+            return None
+    elif kinds and kinds <= {list, tuple}:
+        keys, rows, at = (None,), o, inner
     else:
-        if kinds == {dict} and set(map(type, o[0].values())) <= {list, tuple}:
-            keys, at = tuple(o[0]), inner + "  "
-            rows = list(chain.from_iterable(map(dict.values, o)))
-            if set(map(tuple, o)) != {keys} or not set(map(type, rows)) <= {list, tuple}:
-                return None
-        elif kinds and kinds <= {list, tuple}:
-            keys, rows, at = (None,), o, inner
-        else:
-            return None
-        widths = [set(map(len, rows[j::len(keys)])) for j in range(len(keys))]
-        values = list(chain.from_iterable(rows))
-        if set(map(len, widths)) != {1} or {0} in widths or set(map(type, values)) != {int}:
-            return None
-        deeper = at + "  "
-        fields = ["[" + deeper + ("," + deeper).join(["%d"] * w) + at + "]" for (w,) in widths]
-        item = fields[0] if kinds != {dict} else "{" + at + ("," + at).join(
-            _string(k).replace("%", "%%") + ": " + f for k, f in zip(keys, fields)) + inner + "}"
+        return None
+    widths = [set(map(len, rows[j::len(keys)])) for j in range(len(keys))]
+    values = list(chain.from_iterable(rows))
+    if set(map(len, widths)) != {1} or {0} in widths or set(map(type, values)) != {int}:
+        return None
+    deeper = at + "  "
+    fields = ["[" + deeper + ("," + deeper).join(["%d"] * w) + at + "]" for (w,) in widths]
+    item = fields[0] if kinds != {dict} else "{" + at + ("," + at).join(
+        _string(k).replace("%", "%%") + ": " + f for k, f in zip(keys, fields)) + inner + "}"
     sep = "," + inner
     if len(o) <= _BLOCK:    # one block: the same fill without the block loop, for short lists
         return [sep.join([item] * len(o)) % tuple(values)]

@@ -12,7 +12,8 @@ import sumsetlab.factor_system as factor_system
 import sumsetlab.groups as groups
 import sumsetlab.replay as replay
 import sumsetlab.structure as structure
-from sumsetlab.groups import FiniteGroup, GroupBuildError, cached_group
+from sumsetlab.corpus import CORPUS_SPECS
+from sumsetlab.groups import FiniteGroup, GroupBuildError, cached_group, parse_group_spec
 
 from conftest import run_cli
 from test_groups import NONASSOCIATIVE_LOOP
@@ -77,6 +78,32 @@ def test_equal_specs_share_one_entry(empty_cache):
     assert cached_group(" product:cyclic:3,cyclic:03") is cached_group(
         "product:cyclic:3,cyclic:3")
     assert list(groups._cached) == ["cyclic:7", "product:cyclic:3,cyclic:3"]
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_a_label_parses_back_to_itself(spec):
+    # cached_group looks a spec up as a kept label before it parses it; that
+    # finds the right group because a label is its own canonical spec
+    label = parse_group_spec(spec).label
+    assert parse_group_spec(label).label == label
+
+
+def test_a_kept_group_is_found_by_its_label_without_parsing(empty_cache, monkeypatch):
+    g = cached_group("cyclic:7")
+    parsed = Counter()
+    parse = groups.parse_group_spec
+
+    def counted(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(groups, "parse_group_spec", counted)
+    assert cached_group("cyclic:7") is g
+    assert run("validate", "--group", "cyclic:7")[0] == 0
+    assert not parsed
+    assert cached_group("cyclic:07") is g
+    assert parsed == {"cyclic:07": 1}
+    assert list(groups._cached) == ["cyclic:7"]
 
 
 def _spy_on_builds(monkeypatch):

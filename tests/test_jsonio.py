@@ -1,8 +1,10 @@
 """dumps_stable against its definition, json.dumps(indent=2) plus a newline."""
 
+import enum
 import json
 import math
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from hypothesis import strategies as st
 from sumsetlab.engine import verify_exhaustive
 from sumsetlab.groups import build_group
 from sumsetlab.jsonio import _BLOCK, dumps_stable
+
+
+class Size(enum.IntEnum):
+    ONE = 1
+    BIG = 2**70
+
+
+class Text(str):
+    pass
 
 
 def reference(payload) -> str:
@@ -93,6 +104,10 @@ def test_dumps_stable_matches_json_dumps_on_like_shaped_runs(run):
     [{"a": [1], "b": [2]}, {"b": [3], "a": [4]}], [[1, 2], [3]],
     [[1, 2]] * (_BLOCK + 1), [{"k": [1], "j": (2, 3)}] * (2 * _BLOCK + 1), [[]] * 3,
     [[1, 2], (3, 4)], [1, None, "x"], {"k": [[2**70, -3], [0, 1]]},
+    # subclasses of the exact types that the writer matches first
+    {"a": Size.ONE, "b": [Size.ONE, 2, Size.BIG], "c": [[Size.BIG, 1]]}, [Size.ONE] * 3,
+    {Text("k"): Text("v\u00e9"), "l": [Text("x")]}, OrderedDict([("b", [1]), ("a", {})]),
+    [OrderedDict(k=[1])] * 2, {"t": True, "n": None, "i": -7, "s": "\u00e9\"\\", "f": False},
 ])
 def test_dumps_stable_on_named_shapes(payload):
     assert dumps_stable(payload) == reference(payload)
