@@ -1,7 +1,12 @@
 """Command-line front end: one ``argparse`` parser per command, built at
 import from the ``@_command`` declarations below, that accepts no abbreviated
-flag.  An argv that starts with a command name meets only that command's
-parser; the top-level one handles help and unknown commands only.
+flag.  A plain argv (a command name, then only its exact flags, each value
+a separate word that does not start with ``-`` and passes the flag's type and
+choices, every required flag given) is read straight off the declared flags.
+Every other argv (no arguments, help, an unknown or abbreviated flag,
+``--flag=value``, ``--``, a value that starts with ``-``, a missing or bad
+value, a missing required flag, a flag before the command) goes to one
+``argparse`` parse of the whole line, which reads or refuses it.
 
 Each command is ``fn(g, **options) -> (payload, exit code)`` and does no
 I/O.  ``main`` alone builds the group, times the command, renders the payload
@@ -42,6 +47,7 @@ _PARSER = argparse.ArgumentParser(prog="sumsetlab", allow_abbrev=False, descript
     "factor systems, search extremal pairs, and replay the solvable-group induction on "
     "concrete sets."))
 _COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+_PLAIN = {}   # command name: (its parser, {flag: action}, the optional flags' defaults)
 
 
 def main(args=None, prog_name=None):
@@ -50,13 +56,9 @@ def main(args=None, prog_name=None):
     name ``sumsetlab`` whatever ``prog_name`` is."""
     args = sys.argv[1:] if args is None else list(args)
     try:
-        if args and args[0] in _COMMANDS.choices:
-            namespace, extra = _COMMANDS.choices[args[0]].parse_known_args(args[1:])
-            if extra:
-                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-        else:
-            namespace = _PARSER.parse_args(args)
-        options = vars(namespace)
+        options = _read_plain(args)
+        if options is None:
+            options = vars(_PARSER.parse_args(args))
         g = cached_group(options.pop("spec"))
         run, text = options.pop("run"), options.pop("text")
         as_json, out_path = options.pop("as_json"), options.pop("out_path")
@@ -104,16 +106,53 @@ def _command(text, **options):
     def declare(fn):
         sub = _COMMANDS.add_parser(fn.__name__, help=fn.__doc__, description=fn.__doc__,
                                    allow_abbrev=False)
-        sub.add_argument("--group", dest="spec", required=True,
-                         help="Group spec, e.g. cyclic:7.")
-        for name, keywords in options.items():
-            sub.add_argument("--" + name.replace("_", "-"), **keywords)
-        sub.add_argument("--json", dest="as_json", action="store_true",
-                         help="Emit the JSON report.")
-        sub.add_argument("--out", dest="out_path", metavar="PATH")
+        actions = [sub.add_argument("--group", dest="spec", required=True,
+                                    help="Group spec, e.g. cyclic:7.")]
+        actions += [sub.add_argument("--" + name.replace("_", "-"), **keywords)
+                    for name, keywords in options.items()]
+        actions += [sub.add_argument("--json", dest="as_json", action="store_true",
+                                     help="Emit the JSON report."),
+                    sub.add_argument("--out", dest="out_path", metavar="PATH")]
+        for a in actions:    # argparse would convert such a default; _read_plain does not
+            if a.type is not None and isinstance(a.default, str):
+                raise TypeError(f"{a.option_strings[0]}: a string default with a type")
         sub.set_defaults(run=fn, text=text)
+        _PLAIN[fn.__name__] = (sub, {a.option_strings[0]: a for a in actions},
+                               {a.dest: a.default for a in actions if not a.required})
         return fn
     return declare
+
+
+def _read_plain(args: list) -> dict | None:
+    """The options that ``_PARSER.parse_args(args)`` would return, read off
+    the declared flags, if ``args`` is a plain argv (see above); else None."""
+    if not args or args[0] not in _PLAIN:
+        return None
+    sub, flags, defaults = _PLAIN[args[0]]
+    options = defaults.copy()
+    words = iter(args[1:])
+    for word in words:
+        action = flags.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:                # a store_true flag
+            options[action.dest] = action.const
+            continue
+        value = next(words, "-")             # no value left: declined as "-" is
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None                   # argparse words the refusal
+        if action.choices is not None and value not in action.choices:
+            return None
+        options[action.dest] = value          # a repeated flag's last value wins
+    if len(options) < len(flags):             # a required flag is missing
+        return None
+    options.update(sub._defaults)            # run and text, as set_defaults left them
+    return options
 
 
 def _parse_elements(raw: str, order: int, name: str) -> SubsetMask:

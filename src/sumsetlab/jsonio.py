@@ -55,16 +55,20 @@ def _nested(record) -> dict:
 
 
 def dumps_stable(payload: dict) -> str:
-    return _write(payload, "\n") + "\n"
+    return _write(payload, "\n", "\n")
 
 
-def _write(o, nl: str) -> str:
+def _write(o, nl: str, end: str = "") -> str:
     """``o`` as json.dumps(indent=2) writes it at the depth that ``nl`` (a
-    newline and the indent) marks; a subclass is written as its base type."""
+    newline and the indent) marks, then ``end``; a subclass is written as its
+    base type.  A container is one join: a dict's of its keys and value texts,
+    a list's of its items, the brackets put on the first and the last, so a
+    long text is copied into its container's once and not again."""
     t = type(o)
     inner = nl + "  "
+    sep = "," + inner
     if t is dict:
-        body = []
+        parts = []
         for k, v in o.items():           # a scalar value is written in place
             t = type(v)
             if t is str:
@@ -77,21 +81,27 @@ def _write(o, nl: str) -> str:
                 v = "null"
             else:
                 v = _write(v, inner)
-            body.append(_string(k) + ": " + v)
-        v = None             # free the last value's text (a long list's) before the join
-        return "{" + inner + ("," + inner).join(body) + nl + "}" if body else "{}"
+            parts += (sep, _string(k), ": ", v)
+        if not parts:
+            return "{}" + end
+        parts[0] = "{" + inner
+        parts += (nl, "}", end)
+        return "".join(parts)
     if t is list or t is tuple:
         kinds = set(map(type, o))
-        body = (map(int.__repr__, o) if kinds == {int}
+        body = (list(map(int.__repr__, o)) if kinds == {int}
                 else _like_shaped(o, inner, kinds) or [_write(v, inner) for v in o])
-        text = ("," + inner).join(body)
-        return "[" + inner + text + nl + "]" if text else "[]"
+        if not body:
+            return "[]" + end
+        body[0] = "[" + inner + body[0]
+        body[-1] += nl + "]" + end
+        return sep.join(body)
     if o is None or t is bool:
-        return "null" if o is None else "true" if o else "false"
+        return ("null" if o is None else "true" if o else "false") + end
     if isinstance(o, (dict, list, tuple)):
-        return _write(dict(o.items()) if isinstance(o, dict) else list(o), nl)
+        return _write(dict(o.items()) if isinstance(o, dict) else list(o), nl, end)
     if isinstance(o, (str, int)):
-        return _string(o) if isinstance(o, str) else int.__repr__(o)
+        return (_string(o) if isinstance(o, str) else int.__repr__(o)) + end
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import importlib.util
@@ -229,8 +230,8 @@ def test_usage_errors_exit_2(tmp_path):
                   "--set-a", "zero", "--set-b", "0").exit_code == 2
 
 
-# main parses an argv that starts with a command name with that command's own
-# parser; the top-level parser's parse of the same argv is the oracle
+# main reads a plain argv off the declared flags and hands every other one to
+# the top-level parser; that parser's parse of the same argv is the oracle
 _DISPATCH_CORPUS = [
     ("verify", "--group", "cyclic:5", "--mode", "capped", "--max-a", "2", "--json"),
     ("verify", "--group", "cyclic:5", "--mode", "sampled", "--seed", "3", "--count", "9",
@@ -240,6 +241,16 @@ _DISPATCH_CORPUS = [
     ("trace", "--group", "quaternion", "--set-a", "1", "--set-b", "2", "--json"),
     ("validate", "--group", "cyclic:5", "--out", "{tmp}/report.txt"),
     ("validate", "--json", "--group", "dihedral:4", "--out={tmp}/report.json"),
+    ("verify", "--group", "cyclic:5", "--seed", "1", "--seed", "2"),  # the last one wins
+    ("validate", "--group", "cyclic:5", "--json", "--json"),
+    ("verify", "--group", "cyclic:5", "--workers", "-3"),           # argparse reads it
+    ("trace", "--group", "cyclic:5", "--set-a", "-", "--set-b", "1"),
+    ("trace", "--group", "cyclic:5", "--set-a", "", "--set-b", "1"),
+    ("extremal", "--group", "cyclic:5", "--size-a", "2", "--size-b"),  # no value
+    ("validate", "--group", "--json"),
+    ("verify", "--group", "cyclic:5", "--workers", "4.0"),          # a bad int
+    ("verify", "--group", "cyclic:5", "--theorem", "plain"),        # a bad choice
+    ("extremal", "--group", "cyclic:5", "--size-a", "2"),           # no --size-b
     ("trace", "--set-a", "1", "--set-b", "2"),                      # no --group
     ("trace", "--group", "quaternion", "--set-a", "1", "--set-b", "2", "--bogus"),
     ("trace", "--group", "quaternion", "--set-a", "1", "--bogus=1", "--set-b", "2"),
@@ -249,6 +260,7 @@ _DISPATCH_CORPUS = [
     ("trace", "--group", "cyclic:5", "--set-a", "0", "--set-b", "1", "--", "2"),
     ("validate", "--", "--group", "cyclic:5"),
     ("trace", "--group", "cyclic:5", "--set-a=-0,1", "--set-b", "1"),
+    ("trace", "--group", "cyclic:5", "--set-a", "-0,1", "--set-b", "1"),   # read as a flag
     ("verify", "--group", "cyclic:5", "--mode", "every"),
     ("extremal", "--group", "cyclic:5", "--size-a", "two", "--size-b", "2"),
     ("verify", "--group", "cyclic:5", "--max", "2"),                 # no abbreviated flag
@@ -263,9 +275,30 @@ _DISPATCH_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "none")
-def test_main_parses_every_argv_as_the_top_level_parser_does(monkeypatch, tmp_path, argv):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+@pytest.fixture
+def spied_commands(monkeypatch):
+    """Every command's ``run`` and ``text`` replaced by spies, and
+    ``cached_group`` by a recorder that builds nothing; returns the list of
+    what they were given: a spec, then (the spy run, its options)."""
+    seen = []
+
+    def spy_for():
+        def spy(g, **options):
+            seen.append((spy, options))
+            return {"spy": True}, 0
+        return spy
+
+    for sub in cli._COMMANDS.choices.values():
+        monkeypatch.setitem(sub._defaults, "run", spy_for())
+        monkeypatch.setitem(sub._defaults, "text", lambda payload, seconds: "text\n")
+    monkeypatch.setattr(cli, "cached_group", seen.append)
+    return seen
+
+
+def _main_agrees_with_the_parser(argv, seen) -> None:
+    """``main(argv)`` exits, prints and writes as ``_PARSER.parse_args(argv)``
+    does, or runs the command it names with the options it returns."""
+    seen.clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -275,31 +308,112 @@ def test_main_parses_every_argv_as_the_top_level_parser_does(monkeypatch, tmp_pa
             assert (result.exit_code, result.stdout, result.stderr) == (
                 exc.code, out.getvalue(), err.getvalue())
             return
-    command = expected.pop("run").__name__
     expected.pop("text")
-    seen = []
-
-    def group(spec):
-        seen.append(spec)
-        return cached_group(spec)
-
-    def spy(g, **options):
-        seen.append(options)
-        return {"spy": True}, 0
-
-    defaults = cli._COMMANDS.choices[command]._defaults
-    monkeypatch.setitem(defaults, "run", spy)
-    monkeypatch.setitem(defaults, "text", lambda payload, seconds: "text\n")
-    monkeypatch.setattr(cli, "cached_group", group)
     result = run_cli(*argv)
     as_json, out_path = expected.pop("as_json"), expected.pop("out_path")
     assert (result.exit_code, result.stderr) == (0, "")
-    assert seen == [expected.pop("spec"), expected]
+    assert seen == [expected.pop("spec"), (expected.pop("run"), expected)]
     report = dumps_stable({"spy": True}) if as_json else "text\n"
-    if out_path is None:
+    if not out_path:
         assert result.stdout == report
     else:
         assert result.stdout == "" and Path(out_path).read_text() == report
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_main_parses_every_argv_as_the_top_level_parser_does(spied_commands, tmp_path, argv):
+    _main_agrees_with_the_parser([arg.replace("{tmp}", str(tmp_path)) for arg in argv],
+                                 spied_commands)
+
+
+_ODD_WORDS = ("", "-", "--", "-3", "-x", "-h", "--json", "--group", "--group=cyclic:5",
+              "a=b", "x=-1", "cyclic:5", "1,2", "--bogus", "--max")
+
+
+def _values_of(action):
+    """Values that ``action``'s type and choices take."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(-9, 99).map(str)
+    return st.sampled_from(["cyclic:5", "1,2", "0", "2,2", "lowest_index"])
+
+
+@st.composite
+def _argvs_of_declared_flags(draw):
+    """A command and its required flags, each optional one in a third of
+    cases, in any order, each value mostly of the flag's type or choices,
+    else an odd word or a value of another flag; then up to two edits among
+    a flag dropped, a flag repeated, a value dropped and a stray word put
+    anywhere."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS.choices)))
+    actions = cli._COMMANDS.choices[command]._actions[1:]        # not -h
+    odd = st.sampled_from(_ODD_WORDS) | st.sampled_from(actions).flatmap(_values_of)
+
+    def flag(action):
+        if action.nargs == 0:
+            return [action.option_strings[0]]
+        return [action.option_strings[0],
+                draw(odd if draw(st.integers(0, 5)) == 0 else _values_of(action))]
+
+    flags = [flag(a) for a in actions if a.required or draw(st.integers(0, 2)) == 0]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "repeat", "no value", "stray"]))
+        at = draw(st.integers(0, len(flags)))
+        if edit == "stray":
+            flags.insert(at, [draw(st.sampled_from(_ODD_WORDS))])
+        elif edit == "repeat":
+            flags.insert(at, flag(draw(st.sampled_from(actions))))
+        elif flags:
+            del flags[at % len(flags)][0 if edit == "drop" else 1:]
+    return [command, *(word for words in draw(st.permutations(flags)) for word in words)]
+
+
+def test_main_parses_declared_flags_in_any_form_as_the_top_level_parser_does(
+        spied_commands, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # where an --out value writes its report
+    read = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argvs_of_declared_flags())
+    def check(argv):
+        plain = cli._read_plain(argv) is not None
+        read.add(plain)
+        event("read off the flags" if plain else "parsed by argparse")
+        _main_agrees_with_the_parser(argv, spied_commands)
+
+    check()
+    assert read == {True, False}
+
+
+# one plain argv of each shape that the benchmark workloads run
+_PLAIN_WORKLOAD_ARGVS = [
+    ("verify", "--group", "cyclic:5", "--theorem", "cd", "--exhaustive-limit", "5",
+     "--json", "--workers", "2"),
+    ("verify", "--group", "heisenberg:3", "--theorem", "eh", "--mode", "sampled",
+     "--seed", "7", "--count", "50", "--fixed-sizes", "3,3", "--json"),
+    ("verify", "--group", "dihedral:4", "--theorem", "cd", "--mode", "capped",
+     "--max-a", "1", "--max-b", "2", "--json"),
+    ("extremal", "--group", "cyclic:7", "--size-a", "2", "--size-b", "3", "--json"),
+    ("trace", "--group", "quaternion", "--set-a", "1,2", "--set-b", "3", "--json"),
+    ("decompose", "--group", "heisenberg:3", "--json"),
+    ("validate", "--group", "table:{tmp}/quaternion.cay", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_WORKLOAD_ARGVS, ids=" ".join)
+def test_a_plain_argv_never_reaches_argparse(monkeypatch, tmp_path, argv):
+    calls = []
+    for name in ("parse_args", "parse_known_args"):
+        def counted(self, *args, _name=name, _real=getattr(argparse.ArgumentParser, name),
+                    **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, name, counted)
+    (tmp_path / "quaternion.cay").write_bytes(_table_bytes(build_group("quaternion").op.tolist()))
+    result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert (result.exit_code, result.stderr, calls) == (0, "", [])
+    assert json.loads(result.stdout)["group"]
 
 
 @pytest.mark.parametrize("policy, message", [

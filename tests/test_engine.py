@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import combinations, product
@@ -13,6 +14,7 @@ from sumsetlab.engine import (Caps, SamplingPlan, _Scan,
                               cd_bound, find_extremal, product_set,
                               restricted_product_set, size_bound,
                               verify_exhaustive, verify_sampled)
+from conftest import run_cli
 from reference import extension_from_factor_system, moved_identity
 from sumsetlab.factor_system import build_factor_system
 from sumsetlab.groups import InputError, SubsetMask, build_group, cached_group
@@ -1163,6 +1165,69 @@ def test_extremal_pairs_exist_exactly_where_kappa_meets_the_bound(spec):
             if math.comb(n, r) * math.comb(n, s) <= 3 * 10**4:
                 tight = kappa(n, r, s) == size_bound(g, r, s)
                 assert bool(extremal_masks(g, r, s, limit=1)) == tight, (r, s)
+
+
+EVEN_ORDER_SPECS = ([spec for spec in CORPUS_SPECS if cached_group(spec).order % 2 == 0]
+                    + ["dihedral:3", "dihedral:4", "dihedral:6", "dihedral:8", "cyclic:26"])
+
+
+def involutions(g) -> list[int]:
+    return [x for x in range(g.order) if x != g.identity and g.op[x, x] == g.identity]
+
+
+def even_order_extremal_count(g) -> int:
+    """The cd ``extremal_count`` of a full scan of a group of even order n
+    with I(G) involutions: n^3 + I(G) * n^2 / 4.
+
+    Proof.  p(G) = 2, so a pair is tight when |A*B| = min(2, |A| + |B| - 1).
+    As |A*B| >= max(|A|, |B|), no pair with a side of 3 or more is tight.
+    (1, 1): every one of the n^2 pairs, as |{a}{b}| = 1.  (1, 2) and (2, 1):
+    every one of the n * C(n, 2) pairs of each, as a single element times a
+    2-set is a 2-set: n^2 (n - 1) in all.  (2, 2): A = {a, a'}, B = {b, b'}
+    with |A*B| = 2 means aB = a'B, both being 2-sets inside A*B, so
+    t = a^-1 a' != 1 has tB = B.  Then tb = b' and tb' = b, so t^2 b = b: t
+    is an involution, A = {a, at} and B = {b, tb}.  Conversely, for any
+    involution t these give A*B = {ab, atb}, as (at)(tb) = ab.  The set A
+    names its t whichever element is called a (a'^-1 a = t^-1 = t); the n/2
+    sets {a, at} partition G, and so do the n/2 sets {b, tb}: (n/2)^2 pairs
+    per involution, I(G) * n^2 / 4 in all.  Every other cell has none, and
+    n^2 + n^2 (n - 1) = n^3."""
+    n = g.order
+    return n ** 3 + len(involutions(g)) * n * n // 4
+
+
+@pytest.mark.parametrize("spec", EVEN_ORDER_SPECS)
+def test_cd_extremal_count_on_even_order_groups_is_the_closed_form(spec):
+    # tight pairs have sides of at most 2, so a scan capped at 3 x 3 counts them all
+    g = cached_group(spec)
+    report = (verify_exhaustive(g, "cd", exhaustive_limit=12) if g.order <= 12
+              else verify_exhaustive(g, "cd", Caps(max_a_size=3, max_b_size=3)))
+    assert report.extremal_count == even_order_extremal_count(g)
+    assert report.violations == ()
+
+
+def test_cd_extremal_count_on_a5_is_the_closed_form(alternating_5):
+    report = verify_exhaustive(alternating_5, "cd", Caps(max_a_size=3, max_b_size=3))
+    assert report.extremal_count == even_order_extremal_count(alternating_5) == 229500
+
+
+@pytest.mark.parametrize("spec", EVEN_ORDER_SPECS)
+def test_tight_2_by_2_pairs_are_cosets_of_one_involution(spec):
+    # the (2, 2) cell of even_order_extremal_count's proof, through the command
+    g = cached_group(spec)
+    result = run_cli("extremal", "--group", spec, "--size-a", "2", "--size-b", "2", "--json")
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    n, inv, op = g.order, g.inv, g.op
+    assert report["bound"] == 2
+    assert report["count"] == len(involutions(g)) * n * n // 4
+    shapes = set()
+    for pair in report["pairs"]:
+        (a1, a2), (b1, b2) = pair["a"], pair["b"]
+        t = op[inv[a1], a2]
+        assert op[t, t] == g.identity != t and op[t, b1] == b2
+        shapes.add((a1, a2, b1, b2))
+    assert len(shapes) == report["count"]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
