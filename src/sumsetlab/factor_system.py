@@ -21,8 +21,7 @@ import numpy as np
 
 from .groups import FiniteGroup, InputError, SubsetMask
 from .rng import SplitMix64
-from .structure import (QuotientGroup, Subgroup, _conjugates, quotient,
-                        subgroup_as_group)
+from .structure import QuotientGroup, Subgroup, _conjugates, quotient
 
 def _normalize_policy(rep_policy: str) -> str | dict:
     """Parses 'lowest_index', 'seeded_random:SEED' or 'explicit:R0,R1,...'
@@ -120,25 +119,15 @@ def build_factor_system(g: FiniteGroup, k: Subgroup,
                         pair_pos=pair_pos, pair_block=pair_block, policy=policy)
 
 
-def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
-    """Flat indices (kernel position * num_blocks + block) of the products
-    (k1, h1) * (k2, h2), for kernel positions and blocks given as arrays
-    that broadcast together, on the kernel's own table (its positions are
-    those of ``conj`` and ``carry``)."""
-    kop = subgroup_as_group(fs.kernel).op
-    k_out = kop[kop[pos1, fs.conj[blk1, pos2]], fs.carry[blk1, blk2]]
-    return k_out.astype(np.intp) * fs.num_blocks + fs.quot.table.op[blk1, blk2]
-
-
 def decompose_subset(fs: FactorSystem, s: SubsetMask) -> tuple[tuple[int, SubsetMask], ...]:
     """Split a subset of the parent group along its pair coordinates: one
     (block, mask of kernel positions) pair per block the subset meets,
     largest mask first, ties broken by ascending block index."""
     if s.width != fs.parent.order:
         raise InputError("mask width does not match the group order")
-    xs = list(s.elements())
     per_block: dict[int, int] = {}
-    for h, pos in zip(fs.pair_block[xs].tolist(), fs.pair_pos[xs].tolist()):
+    for x in s.elements():
+        h, pos = fs.pair_block.item(x), fs.pair_pos.item(x)
         per_block[h] = per_block.get(h, 0) | (1 << pos)
     ordered = sorted(per_block.items(), key=lambda item: (-item[1].bit_count(), item[0]))
     return tuple((h, SubsetMask(bits, fs.kernel.order)) for h, bits in ordered)

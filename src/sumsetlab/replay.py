@@ -14,18 +14,23 @@ Abelian groups are a base case checked directly.  The preconditions are
 checked once, on the input: each block instance inside K meets them because
 K is a subgroup of the solvable G, p(K) >= p(G) as |K| divides |G|, and
 |A1| + |B_j| <= |A| + |B|.  Every inequality recorded in a trace is verified
-numerically as it is recorded; a failure raises ReplayInvariantError, because
-the bound is a theorem on this input regime and a numeric failure can only
-mean a bug in this library.
+numerically as it is recorded; a failure raises ReplayInvariantError, naming
+the recursion depth (1 at the top), because the bound is a theorem on this
+input regime and a numeric failure can only mean a bug in this library.
+
+The inductive step counts each product by its definition, one table read per
+pair.  A non-abelian G has composite order, so p(G) <= sqrt(4096) = 64 and
+each such product has at most 32 * 33 pairs; only the abelian entry, where a
+cyclic group of prime order can bring thousands of elements, uses numpy
+(``engine.product_set``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .engine import product_set
-from .factor_system import build_factor_system, decompose_subset, pair_products
+from .factor_system import build_factor_system, decompose_subset
 from .groups import FiniteGroup, InputError, SubsetMask
 from .jsonio import record_json
 from .structure import (choose_decomposition_subgroup, is_solvable, minimal_torsion,
@@ -40,13 +45,18 @@ class ReplayInvariantError(RuntimeError):
     """An inequality recorded during replay failed numerically."""
 
 
-def _invariant(condition: bool, detail: str) -> None:
+def _invariant(condition: bool, detail: str, depth: int) -> None:
     if not condition:
         raise ReplayInvariantError(
             f"replay consistency failure: {detail}. The checked inequality is "
             "a theorem in this regime, so this indicates a bug in this "
-            "library, not a counterexample."
+            f"library, not a counterexample; it failed at recursion depth {depth}"
         )
+
+
+def _product_size(op, xs, ys) -> int:
+    """|X * Y| by its definition: one read of the table ``op`` per pair."""
+    return len({op.item(x, y) for x in xs for y in ys})
 
 
 @dataclass(frozen=True)
@@ -131,10 +141,11 @@ def replay_solvable_proof(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> Proof
     return _replay(g, a, b)
 
 
-def _base_trace(g: FiniteGroup, a: SubsetMask, b: SubsetMask, size: int) -> ProofTrace:
+def _base_trace(g: FiniteGroup, a: SubsetMask, b: SubsetMask, size: int,
+                depth: int) -> ProofTrace:
     """The base case on an abelian group, given |A * B|."""
     target = len(a) + len(b) - 1
-    _invariant(size >= target, f"{g.label}: base case |A*B| = {size} < {target}")
+    _invariant(size >= target, f"{g.label}: base case |A*B| = {size} < {target}", depth)
     return ProofTrace(
         group=g.label, group_order=g.order, a=a, b=b, swapped=False,
         p_g=minimal_torsion(g), target=target, kind="base",
@@ -142,15 +153,16 @@ def _base_trace(g: FiniteGroup, a: SubsetMask, b: SubsetMask, size: int) -> Proo
     )
 
 
-def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
-    """The replay of an instance whose preconditions hold."""
+def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask, depth: int = 1) -> ProofTrace:
+    """The replay of an instance whose preconditions hold, at depth ``depth``."""
     if g.is_abelian():
-        return _base_trace(g, a, b, len(product_set(g, a, b)))
+        return _base_trace(g, a, b, len(product_set(g, a, b)), depth)
     p = minimal_torsion(g)
     target = len(a) + len(b) - 1
 
     fs = _replay_context(g)
     kernel_group = subgroup_as_group(fs.kernel)
+    kop, qop = kernel_group.op, fs.quot.table.op
     da = decompose_subset(fs, a)
     db = decompose_subset(fs, b)
     swapped = len(da) > len(db)
@@ -161,53 +173,52 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
     beta = len(db)
     a_sizes = tuple(len(m) for _, m in da)
     b_sizes = tuple(len(m) for _, m in db)
+    a_blocks, b_blocks = ([h for h, _ in d] for d in (da, db))
 
     h1, top = da[0]
     a1 = len(top)
+    xs = top.elements()
     ke = fs.kernel.element_list
-    # B_j moves into K as the kernel parts of (1, h1) * (k, b_j); one call for all j
-    flat = pair_products(fs, fs.pair_pos[g.identity], h1,
-                         [pos for _, m in db for pos in m.elements()],
-                         [hj for hj, m in db for _ in range(len(m))])
-    moved = iter((flat // fs.num_blocks).tolist())
     block_checks = []
-    for (hj, _), bj in zip(db, b_sizes):
+    for (hj, bmask), bj in zip(db, b_sizes):
         where = f"{g.label}: block ({h1},{hj})"
-        translated = SubsetMask.from_elements(fs.kernel.order, islice(moved, bj))
-        _invariant(len(translated) == bj,
-                   f"{where} translation into the kernel changed its size")
-        size = len(product_set(kernel_group, top, translated))
+        # B_j moves into K as the kernel parts of (1, h1) * (q, hj), which are
+        # conj_h1(q) * carry(h1, hj): 1 is K's identity
+        carry = fs.carry.item(h1, hj)
+        moved = sorted({kop.item(fs.conj.item(h1, q), carry) for q in bmask.elements()})
+        _invariant(len(moved) == bj,
+                   f"{where} translation into the kernel changed its size", depth)
+        translated = SubsetMask.from_elements(fs.kernel.order, moved)
+        size = _product_size(kop, xs, moved)
         lower = a1 + bj - 1
-        _invariant(size >= lower, f"{where} product size {size} < {lower}")
+        _invariant(size >= lower, f"{where} product size {size} < {lower}", depth)
         # an abelian kernel is the base case, on the product just counted
-        subtrace = (_base_trace(kernel_group, top, translated, size)
+        subtrace = (_base_trace(kernel_group, top, translated, size, depth + 1)
                     if kernel_group.is_abelian()
-                    else _replay(kernel_group, top, translated))
+                    else _replay(kernel_group, top, translated, depth + 1))
         block_checks.append(BlockCheck(
             a_block=h1, b_block=hj, a1_size=a1, b_size=bj,
-            translated_b=tuple(ke[pos] for pos in translated.elements()),
+            translated_b=tuple(ke[pos] for pos in moved),
             product_size=size, lower_bound=lower, holds=True, subtrace=subtrace,
         ))
 
-    a_quot, b_quot = (SubsetMask.from_elements(fs.num_blocks, (h for h, _ in d))
-                      for d in (da, db))
-    quot_product = product_set(fs.quot.table, a_quot, b_quot)
+    quot_size = _product_size(qop, a_blocks, b_blocks)
     quot_lower = alpha + beta - 1
-    _invariant(len(quot_product) >= quot_lower,
-               f"{g.label}: quotient product size {len(quot_product)} < {quot_lower}")
+    _invariant(quot_size >= quot_lower,
+               f"{g.label}: quotient product size {quot_size} < {quot_lower}", depth)
 
-    seconds = tuple(fs.quot.table.op[h1, [hj for hj, _ in db]].tolist())
+    seconds = tuple(qop.item(h1, hj) for hj in b_blocks)
     _invariant(len(set(seconds)) == beta,
-               f"{g.label}: block products do not have distinct second coordinates")
+               f"{g.label}: block products do not have distinct second coordinates", depth)
 
-    ab_size = len(product_set(g, a, b))
+    ab_size = _product_size(g.op, a.elements(), b.elements())
     sum_bound = sum(a1 + bj - 1 for bj in b_sizes) + alpha - 1
     closed_form = beta * a1 + len(b) - beta + alpha - 1
-    _invariant(sum_bound == closed_form, f"{g.label}: counting chain arithmetic mismatch")
+    _invariant(sum_bound == closed_form, f"{g.label}: counting chain arithmetic mismatch", depth)
     _invariant(ab_size >= sum_bound,
-               f"{g.label}: |A*B| = {ab_size} < assembled bound {sum_bound}")
+               f"{g.label}: |A*B| = {ab_size} < assembled bound {sum_bound}", depth)
     _invariant(sum_bound >= target,
-               f"{g.label}: assembled bound {sum_bound} < target {target}")
+               f"{g.label}: assembled bound {sum_bound} < target {target}", depth)
 
     return ProofTrace(
         group=g.label, group_order=g.order, a=a, b=b, swapped=swapped,
@@ -215,7 +226,7 @@ def _replay(g: FiniteGroup, a: SubsetMask, b: SubsetMask) -> ProofTrace:
         kernel=ke, alpha=alpha, beta=beta,
         a_sizes=a_sizes, b_sizes=b_sizes,
         block_checks=tuple(block_checks),
-        quotient_check={"product_size": len(quot_product), "lower_bound": quot_lower,
+        quotient_check={"product_size": quot_size, "lower_bound": quot_lower,
                         "holds": True},
         disjointness_check={"second_coordinates": seconds, "distinct": True},
         final_chain={"product_size": ab_size, "sum_bound": sum_bound,

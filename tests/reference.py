@@ -1,17 +1,19 @@
 """Reference code that only the tests use: a wrapper that lets the axiom
 check see arbitrary tables, a relabelling that moves the identity off
-element 0, an inventory of normal subgroups, and the scalar and whole-table
-forms of the factor-system product law, which check
-``factor_system.pair_products``, and a sound check of a ``decompose``
-payload read against the group's table."""
+element 0, an inventory of normal subgroups, the factor-system product law
+in its scalar form (``star``, through the parent's table) and its
+whole-table form (``pair_products``, through the kernel's table), which
+check each other, and a sound check of a ``decompose`` payload read
+against the group's table."""
 
 import numpy as np
 
-from sumsetlab.factor_system import FactorSystem, pair_products
+from sumsetlab.factor_system import FactorSystem
 from sumsetlab.groups import (FiniteGroup, GroupBuildError, _find_identity, table_group,
                               validate_group)
 from sumsetlab.structure import (Subgroup, commutator_subgroup, generated_subgroup,
-                                 is_normal, trivial_subgroup, whole_subgroup)
+                                 is_normal, subgroup_as_group, trivial_subgroup,
+                                 whole_subgroup)
 
 _ISOMORPHISM_CHUNK = 512    # rows of G per vectorised step of verify_isomorphism
 
@@ -80,6 +82,16 @@ def star(fs: FactorSystem, x: tuple[int, int], y: tuple[int, int]) -> tuple[int,
     g = fs.parent
     k_out = int(g.op[g.op[k1, twisted], carried])
     return k_out, int(fs.quot.table.op[h1, h2])
+
+
+def pair_products(fs: FactorSystem, pos1, blk1, pos2, blk2) -> np.ndarray:
+    """Flat indices (kernel position * num_blocks + block) of the products
+    (k1, h1) * (k2, h2), for kernel positions and blocks given as arrays
+    that broadcast together, on the kernel's own table (its positions are
+    those of ``conj`` and ``carry``)."""
+    kop = subgroup_as_group(fs.kernel).op
+    k_out = kop[kop[pos1, fs.conj[blk1, pos2]], fs.carry[blk1, blk2]]
+    return k_out.astype(np.intp) * fs.num_blocks + fs.quot.table.op[blk1, blk2]
 
 
 def verify_isomorphism(fs: FactorSystem) -> tuple[bool, tuple[int, int] | None]:

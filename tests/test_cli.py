@@ -657,15 +657,10 @@ def test_violations_drive_exit_code_1(monkeypatch):
 
 
 def test_replay_invariant_failure_exits_3_and_names_the_check(monkeypatch):
-    # |A1 * B_j| = 2 meets its bound exactly for this pair, so a product set
-    # one element short must fail the block check, not pass as a weaker bound
-    real = replay.product_set
-
-    def one_short(g, a, b):
-        full = real(g, a, b)
-        return SubsetMask(full.bits & (full.bits - 1), full.width)
-
-    monkeypatch.setattr(replay, "product_set", one_short)
+    # |A1 * B_j| = 2 meets its bound exactly for this pair, so a product count
+    # one short must fail the block check, not pass as a weaker bound
+    real = replay._product_size
+    monkeypatch.setattr(replay, "_product_size", lambda op, xs, ys: real(op, xs, ys) - 1)
     result = run_cli("trace", "--group", "heisenberg:3",
                     "--set-a", "0,1", "--set-b", "0,3", "--json")
     assert result.exit_code == 3
@@ -673,6 +668,18 @@ def test_replay_invariant_failure_exits_3_and_names_the_check(monkeypatch):
     assert result.stderr.count("\n") == 1
     assert "ReplayInvariantError" in result.stderr
     assert "heisenberg:3: block (0,0) product size 1 < 2" in result.stderr
+    assert result.stderr.endswith("at recursion depth 1\n")
+
+
+def test_a_large_trace_on_the_abelian_entry_meets_cauchy_davenport_exactly():
+    # two intervals of Z/p: |A + B| = |A| + |B| - 1, the equality case
+    interval = ",".join(map(str, range(500)))
+    result = run_cli("trace", "--group", "cyclic:1021",
+                    "--set-a", interval, "--set-b", interval, "--json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["kind"] == "base"
+    assert payload["base"]["product_size"] == 999 == payload["target"]
 
 
 def test_unexpected_exceptions_exit_3(monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import run_cli
 from reference import (check_factor_system, extension_from_factor_system,
-                       normal_subgroup_inventory, star, verify_isomorphism)
+                       normal_subgroup_inventory, pair_products, star,
+                       verify_isomorphism)
 from sumsetlab.corpus import CORPUS_SPECS
 from sumsetlab.factor_system import (FactorSystem, build_factor_system,
-                                     decompose_subset, factor_system_json,
-                                     pair_products)
+                                     decompose_subset, factor_system_json)
 from sumsetlab.groups import (GroupBuildError, InputError, SubsetMask, build_group,
                               cached_group, table_group, validate_group)
 from sumsetlab.structure import (derived_series, generated_subgroup, quotient,

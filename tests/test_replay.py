@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumsetlab import structure
+from sumsetlab import replay, structure
 from sumsetlab.engine import cd_bound
 from sumsetlab.groups import SubsetMask, build_group, cached_group, table_group
 from sumsetlab.jsonio import dumps_stable
@@ -293,8 +293,28 @@ def test_every_trace_of_the_trace_workload_audits_cleanly(monkeypatch):
 
 
 def test_invariant_failure_message_names_a_library_bug():
-    with pytest.raises(ReplayInvariantError, match="bug in this library"):
-        _invariant(False, "synthetic failure for the diagnostic test")
+    with pytest.raises(ReplayInvariantError,
+                       match="bug in this library.*at recursion depth 2$"):
+        _invariant(False, "synthetic failure for the diagnostic test", 2)
+
+
+def test_only_the_abelian_entry_counts_with_product_set(monkeypatch, permutation_groups):
+    # the inductive step counts its products one table read at a time; the
+    # numpy product set serves the abelian entry alone, where sets can be large
+    calls = []
+    real = replay.product_set
+    monkeypatch.setattr(replay, "product_set",
+                        lambda g, a, b: calls.append(g.label) or real(g, a, b))
+    s4 = permutation_groups["symmetric:4"]
+    pairs = [(build_group("heisenberg:3"), mask(27, 0, 1), mask(27, 0, 3)),
+             (build_group("heisenberg:5"), mask(125, 8, 22, 38, 82), mask(125, 34, 42)),
+             (build_group("frobenius:7:3:2"), mask(21, 4), mask(21, 9)),
+             *((s4, a, b) for a, b in symmetric_4_pairs(s4))]
+    for g, a, b in pairs:
+        assert replay_solvable_proof(g, a, b).kind == "inductive"
+    assert calls == []
+    replay_solvable_proof(build_group("cyclic:25"), mask(25, 0, 1), mask(25, 0, 2))
+    assert calls == ["cyclic:25"]
 
 
 def _nodes(trace, depth=1):
